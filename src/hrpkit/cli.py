@@ -115,7 +115,10 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
 
 def _read_stats_file(path: str, scan_id: str | None = None, timestamp: datetime | None = None):
     with _open_in(path) as source:
-        return prefixes.read_prefix_stats(source, scan_id or _stem(path), timestamp)
+        try:
+            return prefixes.read_prefix_stats(source, scan_id or _stem(path), timestamp)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _file_port_key(stats) -> tuple[str, int] | None:

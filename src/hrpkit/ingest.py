@@ -8,16 +8,20 @@ Two input layouts are supported:
 
 Reading is streaming and single-pass: addresses come out in file order and
 every input line lands in exactly one counter of :class:`IngestStats`.
+In both layouts a line starting with ``#`` (after surrounding whitespace)
+is a comment; in ``csv_saddr`` the header is the first non-comment line.
 Fields in ``csv_saddr`` rows are split on plain commas; scan output never
 quotes fields, so no quote processing is done.
+
+Address text is four ASCII decimal octets 0-255 without leading zeros (the
+form the standard library's IPv4Address accepts), parsed by table lookup.
 """
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 PLAIN = "plain"
 CSV_SADDR = "csv_saddr"
@@ -89,12 +93,34 @@ class IngestStats:
         self.comment_lines += other.comment_lines
 
 
+# Canonical octet text -> value; anything else (leading zeros, signs,
+# whitespace, non-ASCII digits, values over 255) is absent.
+_OCTETS = {str(i): i for i in range(256)}
+
+
 def parse_ipv4(text: str) -> int | None:
     """Parse a dotted-quad IPv4 address to its 32-bit value, or None."""
     try:
-        return int(ipaddress.IPv4Address(text))
+        a, b, c, d = text.split(".")
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (ValueError, KeyError):
+        return None
+
+
+def parse_cidr(text: str) -> tuple[int, int] | None:
+    """Parse ``a.b.c.d/length`` to (address value, length), or None.
+
+    The length must be in 0-32; host bits are left for the caller to judge.
+    """
+    network_text, _, length_text = text.rpartition("/")
+    network = parse_ipv4(network_text)
+    if network is None:
+        return None
+    try:
+        length = int(length_text)
     except ValueError:
         return None
+    return (network, length) if 0 <= length <= 32 else None
 
 
 def format_ipv4(value: int) -> str:
@@ -143,31 +169,43 @@ def _iter_text_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[st
 
 
 def _read_addresses(source, fmt: str, policy: str, stats: IngestStats) -> Iterator[int]:
-    saddr_index: int | None = 0 if fmt == PLAIN else None
-    for line_number, line in enumerate(_iter_text_lines(source), start=1):
+    lines = enumerate(_iter_text_lines(source), start=1)
+    parse = parse_ipv4 if fmt == PLAIN else _read_saddr_header(lines, stats)
+    strict = policy == STRICT
+    for line_number, line in lines:
         stats.lines_read += 1
         stripped = line.strip()
-        if fmt == PLAIN:
-            if stripped.startswith("#"):
-                stats.comment_lines += 1
-                continue
-        elif saddr_index is None:
-            # First csv_saddr line is the header; without a saddr column no
-            # later row can be interpreted, so that is fatal under any policy.
-            header = [name.strip() for name in stripped.split(",")]
-            if SADDR_COLUMN not in header:
-                raise IngestError(f"header row has no {SADDR_COLUMN!r} column: {stripped!r}", line_number)
-            saddr_index = header.index(SADDR_COLUMN)
+        if stripped.startswith("#"):
             stats.comment_lines += 1
             continue
-        addr = parse_address_line(line, fmt, saddr_index)
+        addr = parse(stripped)
         if addr is None:
-            if policy == STRICT:
+            if strict:
                 raise IngestError(f"invalid address line: {stripped!r}", line_number)
             stats.invalid_lines += 1
             continue
         stats.addresses_emitted += 1
         yield addr
+
+
+def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> Callable[[str], int | None]:
+    """Consume csv_saddr comment lines and the header; return the row parser.
+
+    Without a saddr column no later row can be interpreted, so that is fatal
+    under any policy. The header counts as a comment line.
+    """
+    for line_number, line in lines:
+        stats.lines_read += 1
+        stats.comment_lines += 1
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            continue
+        header = [name.strip() for name in stripped.split(",")]
+        if SADDR_COLUMN not in header:
+            raise IngestError(f"header row has no {SADDR_COLUMN!r} column: {stripped!r}", line_number)
+        saddr_index = header.index(SADDR_COLUMN)
+        return lambda row: parse_address_line(row, CSV_SADDR, saddr_index)
+    return parse_ipv4  # no header, so no rows follow either
 
 
 def parse_timestamp(text: str) -> datetime:

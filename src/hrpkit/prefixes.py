@@ -14,7 +14,6 @@ over everything.
 
 from __future__ import annotations
 
-import ipaddress
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -22,7 +21,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_ipv4
+from .ingest import ScanMeta, format_ipv4, parse_cidr, parse_ipv4
 
 SLASH24_SIZE = 256
 
@@ -37,6 +36,8 @@ PREFIX_STAT_COLUMNS = (
     "covering_prefix",
 )
 
+_HRP_FLAGS = {"true": True, "false": False}
+
 
 def slash24_of(addr: int) -> int:
     """The 24-bit network identifier (top 24 bits) of an address."""
@@ -49,11 +50,16 @@ def format_slash24(prefix: int) -> str:
 
 
 def parse_slash24(text: str) -> int:
-    """Parse ``a.b.c.0/24`` back to the 24-bit network value."""
-    network = ipaddress.IPv4Network(text.strip())
-    if network.prefixlen != 24:
-        raise ValueError(f"not a /24: {text!r}")
-    return int(network.network_address) >> 8
+    """Parse canonical ``a.b.c.0/24`` text back to the 24-bit network value.
+
+    Surrounding whitespace is ignored; other spellings of the same network,
+    such as ``/024`` or a netmask, are rejected.
+    """
+    stripped = text.strip()
+    network = parse_ipv4(stripped[:-3]) if stripped.endswith(".0/24") else None
+    if network is None:
+        raise ValueError(f"not a canonical a.b.c.0/24 prefix: {text!r}")
+    return network >> 8
 
 
 @dataclass(frozen=True)
@@ -118,7 +124,12 @@ class PrefixTable:
         """Member addresses of one prefix, ascending."""
         bits = self.bitmaps.get(prefix, 0)
         base = prefix << 8
-        return [base | host for host in range(SLASH24_SIZE) if bits >> host & 1]
+        members = []
+        while bits:
+            low = bits & -bits
+            members.append(base | (low.bit_length() - 1))
+            bits ^= low
+        return members
 
     def total_addresses(self) -> int:
         return sum(bits.bit_count() for bits in self.bitmaps.values())
@@ -283,11 +294,16 @@ def read_prefix_stats(
     """Read the CSV form back; port/proto must agree across rows.
 
     The CSV schema carries no scan identity, so the caller supplies it.
+    Rows that break the stats' invariants raise ValueError naming the line:
+    count outside 1-256, is_hrp other than ``true``/``false`` or disagreeing
+    with count and threshold, threshold fraction outside (0, 1], or a
+    covering prefix that is not a valid route.
     """
     if timestamp is None:
         timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
     stats: list[PrefixStat] = []
     meta: ScanMeta | None = None
+    thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
     header_seen = False
     for line_number, line in enumerate(lines, start=1):
         row = line.rstrip("\r\n")
@@ -302,26 +318,48 @@ def read_prefix_stats(
         if len(fields) != len(PREFIX_STAT_COLUMNS):
             raise ValueError(f"line {line_number}: expected {len(PREFIX_STAT_COLUMNS)} fields, got {len(fields)}")
         prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        if meta is None:
-            meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
-        elif (proto, int(port_text)) != meta.port_key():
-            raise ValueError(
-                f"line {line_number}: port/proto mismatch within file: "
-                f"{proto}/{port_text} vs {meta.protocol}/{meta.port}"
+        try:
+            if meta is None:
+                meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
+            elif (proto, int(port_text)) != meta.port_key():
+                raise ValueError(
+                    f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
+                )
+            threshold = thresholds.get(fraction_text)
+            if threshold is None:
+                threshold = thresholds[fraction_text] = HrpThreshold(float(fraction_text))
+            count = int(count_text)
+            if not 1 <= count <= SLASH24_SIZE:
+                raise ValueError(f"count must be in [1, {SLASH24_SIZE}], got {count_text!r}")
+            is_hrp = _HRP_FLAGS.get(hrp_text)
+            if is_hrp is None:
+                raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
+            if is_hrp != (count >= threshold.min_count):
+                raise ValueError(
+                    f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}"
+                )
+            stats.append(
+                PrefixStat(
+                    prefix=parse_slash24(prefix_text),
+                    meta=meta,
+                    responsive_count=count,
+                    is_hrp=is_hrp,
+                    threshold=threshold,
+                    origin_asn=int(asn_text) if asn_text else None,
+                    covering_route=_parse_covering(covering_text) if covering_text else None,
+                )
             )
-        covering = None
-        if covering_text:
-            network_text, length_text = covering_text.rsplit("/", 1)
-            covering = (int(ipaddress.IPv4Address(network_text)), int(length_text))
-        stats.append(
-            PrefixStat(
-                prefix=parse_slash24(prefix_text),
-                meta=meta,
-                responsive_count=int(count_text),
-                is_hrp=hrp_text.strip().lower() == "true",
-                threshold=HrpThreshold(float(fraction_text)),
-                origin_asn=int(asn_text) if asn_text else None,
-                covering_route=covering,
-            )
-        )
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
     return stats
+
+
+
+def _parse_covering(text: str) -> tuple[int, int]:
+    route = parse_cidr(text)
+    if route is None:
+        raise ValueError(f"invalid covering prefix {text!r}")
+    network, length = route
+    if network & (0xFFFFFFFF >> length):
+        raise ValueError(f"host bits set in covering prefix {text!r}")
+    return route

@@ -13,16 +13,13 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
-from .ingest import parse_ipv4
+from .ingest import LENIENT, STRICT, parse_cidr
 from .prefixes import PrefixStat
 
 _MAX_ASN = (1 << 32) - 1
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
 MASKS = tuple(((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF) if length else 0 for length in range(33))
-
-STRICT = "strict"
-LENIENT = "lenient"
 
 
 class RouteParseError(Exception):
@@ -165,21 +162,16 @@ def _parse_route_line(line: str) -> tuple[int, int, int] | None:
     parts = line.split(",")
     if len(parts) != 2:
         return None
-    cidr, asn_text = parts[0].strip(), parts[1].strip()
-    if "/" not in cidr:
-        return None
-    network_text, length_text = cidr.rsplit("/", 1)
-    network = parse_ipv4(network_text)
-    if network is None:
+    route = parse_cidr(parts[0].strip())
+    if route is None:
         return None
     try:
-        length = int(length_text)
-        asn = int(asn_text)
+        asn = int(parts[1])
     except ValueError:
         return None
-    if not 0 <= length <= 32 or not 0 <= asn <= _MAX_ASN:
+    if not 0 <= asn <= _MAX_ASN:
         return None
-    return network, length, asn
+    return (*route, asn)
 
 
 def enrich(stats: Iterable[PrefixStat], table: RoutingTable) -> list[PrefixStat]:

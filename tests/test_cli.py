@@ -108,6 +108,22 @@ def test_enrich_pipeline(tmp_path):
     assert doc["split_slash24_ambiguities"] == 1
 
 
+@pytest.mark.parametrize("bad_row", [
+    "10.1.3.0/24,443,tcp,999,true,0.900000,,",  # impossible count
+    "10.1.3.0/24,443,tcp,240,false,0.900000,,",  # is_hrp disagrees with the count
+    "10.1.3.0/024,443,tcp,3,false,0.900000,,",  # non-canonical prefix length
+    "10.1.3.0/255.255.255.0,443,tcp,3,false,0.900000,,",  # netmask form
+])
+def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_row):
+    stats = _detect(tmp_path, "s443", {0x0A0102: 256})
+    stats.write_text(stats.read_text() + bad_row + "\n", encoding="utf-8")
+    routes = tmp_path / "routes.csv"
+    routes.write_text("10.0.0.0/8,64500\n", encoding="utf-8")
+    assert run("enrich", "--output", tmp_path / "out.csv", "--summary", tmp_path / "s.json", stats, routes) == 2
+    err = capsys.readouterr().err
+    assert f"{stats}: line 3: " in err
+
+
 def test_portmatrix_and_as_summary(tmp_path):
     stats_80 = _detect(tmp_path, "p80", {1: 256, 2: 10}, port=80)
     stats_443 = _detect(tmp_path, "p443", {1: 256, 2: 256}, port=443)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hrpkit.ingest import (
     CSV_SADDR,
@@ -41,6 +43,44 @@ def test_parse_csv_row_extracts_saddr_column():
 def test_invalid_address_forms():
     for bad in ("", "1.2.3", "1.2.3.4.5", "a.b.c.d", "01.2.3.4", "2001:db8::1"):
         assert parse_ipv4(bad) is None, bad
+
+
+def _oracle_ipv4(text: str) -> int | None:
+    try:
+        return int(ipaddress.IPv4Address(text))
+    except ValueError:
+        return None
+
+
+# Octet texts the oracle rejects: leading zeros, out of range, non-ASCII
+# digits, whitespace, signs, other bases, digit separators, empty.
+_ODD_OCTETS = ["00", "01", "007", "256", "999", "1000", "\uff11", "\u0663", " 1", "1 ", "+1", "-1",
+               "0x1", "1_0", "", "1\n"]
+_octets = st.one_of(st.integers(0, 255).map(str), st.sampled_from(_ODD_OCTETS))
+
+
+@given(st.text())
+def test_parse_ipv4_matches_ipaddress_on_any_text(text):
+    assert parse_ipv4(text) == _oracle_ipv4(text)
+
+
+@given(st.text(alphabet="0123456789./ x+-", max_size=20))
+def test_parse_ipv4_matches_ipaddress_on_address_like_text(text):
+    assert parse_ipv4(text) == _oracle_ipv4(text)
+
+
+@given(st.lists(_octets, min_size=3, max_size=5))
+def test_parse_ipv4_matches_ipaddress_on_dotted_octets(octets):
+    text = ".".join(octets)
+    assert parse_ipv4(text) == _oracle_ipv4(text)
+
+
+def test_parse_ipv4_rejects_each_odd_octet():
+    for octet in _ODD_OCTETS:
+        for position in range(4):
+            parts = ["1", "2", "3", "4"]
+            parts[position] = octet
+            assert parse_ipv4(".".join(parts)) is None, parts
 
 
 def test_ipv4_roundtrips_exactly():
@@ -92,6 +132,41 @@ def test_csv_saddr_header_and_rows():
     assert stats.comment_lines == 1
     assert stats.invalid_lines == 1
     assert stats.lines_read == 3
+
+
+def test_csv_saddr_hash_lines_are_comments_before_and_after_header():
+    text = "# zmap output\n  # second note\nsaddr,sport\n198.51.100.7,443\n# trailer\nbad,1\n"
+    addresses, stats = open_scan_source(io.StringIO(text), CSV_SADDR, LENIENT)
+    assert list(addresses) == [0xC6336407]
+    # Three # lines plus the header; the same # rule as plain.
+    assert stats.comment_lines == 4
+    assert stats.invalid_lines == 1
+    assert stats.lines_read == 6
+    assert stats.lines_read == stats.addresses_emitted + stats.invalid_lines + stats.comment_lines
+    addresses, _ = open_scan_source(io.StringIO(text), CSV_SADDR, STRICT)
+    with pytest.raises(IngestError) as err:
+        list(addresses)
+    assert err.value.line_number == 6
+
+
+def test_csv_saddr_comment_only_file_is_empty():
+    addresses, stats = open_scan_source(io.StringIO("# nothing yet\n"), CSV_SADDR, STRICT)
+    assert list(addresses) == []
+    assert stats.lines_read == stats.comment_lines == 1
+
+
+def test_csv_saddr_counters_balance_with_comments_anywhere():
+    rng = random.Random(5)
+    pieces = ["1.2.3.4,443", "junk,1", "# note", "#1.2.3.4,443", "", " 5.6.7.8 ,80 ", "300.1.1.1,443"]
+    for _ in range(50):
+        lines = ["# head"] * rng.randrange(0, 3) + ["saddr,sport"]
+        lines += [rng.choice(pieces) for _ in range(rng.randrange(0, 40))]
+        addresses, stats = open_scan_source(io.StringIO("".join(line + "\n" for line in lines)), CSV_SADDR)
+        emitted = list(addresses)
+        assert stats.lines_read == len(lines)
+        assert stats.lines_read == stats.addresses_emitted + stats.invalid_lines + stats.comment_lines
+        assert stats.addresses_emitted == len(emitted)
+        assert stats.comment_lines == sum(line.strip().startswith("#") for line in lines) + 1
 
 
 def test_csv_saddr_other_column_position():

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import json
 import random
 from functools import reduce
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hrpkit.ingest import parse_ipv4
 from hrpkit.prefixes import (
     HrpThreshold,
+    PrefixTable,
     aggregate,
     classify,
     format_slash24,
@@ -41,8 +44,62 @@ def test_slash24_shared_and_distinct():
 
 def test_slash24_text_roundtrip():
     assert parse_slash24("198.51.100.0/24") == 0xC63364
-    with pytest.raises(ValueError):
-        parse_slash24("10.0.0.0/8")
+    for text in ("10.0.0.0/8", "1.2.3.4/24", "1.2.3.0", "01.2.3.0/24", "1.2.256.0/24", "1.2.3.00/24",
+                 "1.2.3.10/24", "1.2.3.0/24/24", ".0/24", "", "1.2.3.0 /24"):
+        with pytest.raises(ValueError):
+            parse_slash24(text)
+
+
+def _oracle_slash24(text: str) -> int | None:
+    try:
+        network = ipaddress.IPv4Network(text.strip())
+    except ValueError:
+        return None
+    return int(network.network_address) >> 8 if network.prefixlen == 24 else None
+
+
+def _parsed_slash24(text: str) -> int | None:
+    try:
+        return parse_slash24(text)
+    except ValueError:
+        return None
+
+
+_slash24_like = st.text(alphabet="0123456789./ ", max_size=24)
+
+
+@given(st.one_of(st.text(), _slash24_like))
+def test_parse_slash24_accepts_a_subset_of_ipaddress(text):
+    value = _parsed_slash24(text)
+    if value is not None:
+        assert value == _oracle_slash24(text)
+
+
+@given(st.integers(0, (1 << 24) - 1), st.sampled_from(["", " ", "\t", "\n", " \r\n"]))
+def test_parse_slash24_agrees_with_ipaddress_on_canonical_text(prefix, pad):
+    for text in (format_slash24(prefix), pad + format_slash24(prefix) + pad):
+        assert parse_slash24(text) == _oracle_slash24(text) == prefix
+
+
+def test_parse_slash24_rejects_noncanonical_forms_ipaddress_accepted():
+    for text in ("1.2.3.0/024", "1.2.3.0/255.255.255.0", "1.2.3.0/0.0.0.255"):
+        assert _oracle_slash24(text) == 0x010203
+        with pytest.raises(ValueError):
+            parse_slash24(text)
+
+
+def _range_scan(bits: int, prefix: int) -> list[int]:
+    return [(prefix << 8) | host for host in range(256) if bits >> host & 1]
+
+
+@given(st.integers(0, (1 << 256) - 1), st.integers(0, (1 << 24) - 1))
+@example(0, 7)
+@example((1 << 256) - 1, 7)
+@example(1 << 255, (1 << 24) - 1)
+def test_addresses_matches_range_scan(bits, prefix):
+    table = PrefixTable(make_meta(), {prefix: bits})
+    assert table.addresses(prefix) == _range_scan(bits, prefix)
+    assert table.addresses(prefix ^ 1) == []  # absent prefix
 
 
 def test_aggregate_deduplicates():
@@ -260,3 +317,54 @@ def test_read_prefix_stats_rejects_mixed_ports():
     )
     with pytest.raises(ValueError, match="mismatch"):
         read_prefix_stats(io.StringIO(text), scan_id="s1")
+
+
+_STATS_HEADER = "prefix,port,proto,count,is_hrp,threshold_fraction,origin_asn,covering_prefix\n"
+_GOOD_ROW = "1.2.3.0/24,443,tcp,240,true,0.900000,64500,1.2.0.0/16\n"
+
+
+@pytest.mark.parametrize("row", [
+    "1.2.4.0/24,443,tcp,999,true,0.900000,,",  # count above 256
+    "1.2.4.0/24,443,tcp,0,false,0.900000,,",  # empty /24s are never written
+    "1.2.4.0/24,443,tcp,-3,false,0.900000,,",
+    "1.2.4.0/24,443,tcp,many,false,0.900000,,",
+    "1.2.4.0/24,443,tcp,240,True,0.900000,,",  # not exactly true/false
+    "1.2.4.0/24,443,tcp,240,yes,0.900000,,",
+    "1.2.4.0/24,443,tcp,240,false,0.900000,,",  # disagrees with 240 >= 231
+    "1.2.4.0/24,443,tcp,230,true,0.900000,,",  # disagrees with 230 < 231
+    "1.2.4.0/24,443,tcp,5,false,0,,",  # fraction outside (0, 1]
+    "1.2.4.0/24,443,tcp,5,false,1.5,,",
+    "1.2.4.0/24,443,tcp,5,false,-0.1,,",
+    "1.2.4.0/24,443,tcp,5,false,nan,,",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.256/16",  # bad covering address
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/33",  # covering length out of range
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.4.0/16",  # host bits set
+    "1.2.4.0/024,443,tcp,5,false,0.900000,,",  # non-canonical prefix
+    "1.2.4.0/255.255.255.0,443,tcp,5,false,0.900000,,",
+])
+def test_read_prefix_stats_rejects_invalid_rows_naming_the_line(row):
+    text = _STATS_HEADER + _GOOD_ROW + row + "\n"
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_prefix_stats(io.StringIO(text), scan_id="s1")
+
+
+def test_read_prefix_stats_accepts_boundaries():
+    text = _STATS_HEADER + (
+        "1.2.3.0/24,443,tcp,1,false,0.900000,,0.0.0.0/0\n"
+        "1.2.4.0/24,443,tcp,256,true,1,,1.2.4.0/24\n"
+        "1.2.5.0/24,443,tcp,231,true,0.900000,,1.2.5.128/32\n"
+    )
+    stats = read_prefix_stats(io.StringIO(text), scan_id="s1")
+    assert [s.responsive_count for s in stats] == [1, 256, 231]
+    assert [s.is_hrp for s in stats] == [False, True, True]
+    assert [s.covering_route for s in stats] == [(0, 0), (0x01020400, 24), (0x01020580, 32)]
+
+
+def test_read_prefix_stats_shares_one_threshold_per_fraction():
+    stats = classify(table_with_counts({p: 5 + p for p in range(1, 50)}), HrpThreshold(0.90))
+    out = io.StringIO()
+    write_prefix_stats_csv(stats, out)
+    parsed = read_prefix_stats(io.StringIO(out.getvalue()), scan_id="s1")
+    assert len({id(s.threshold) for s in parsed}) == 1
+    assert parsed[0].threshold == HrpThreshold(0.90)
