@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable
 
-from .ingest import ScanMeta, format_ipv4, parse_ipv4
+from .ingest import ScanMeta, format_ipv4, parse_ipv4, read_csv
 from .prefixes import PrefixTable
 
 SUCCESS = "success"
@@ -252,31 +252,20 @@ def read_app_results(
     """Read the CSV form back; port/proto must agree across rows."""
     if timestamp is None:
         timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    results: list[AppResult] = []
     meta: ScanMeta | None = None
-    header_seen = False
-    for line_number, line in enumerate(lines, start=1):
-        row = line.rstrip("\r\n")
-        if not row or row.startswith("#"):
-            continue
-        if not header_seen:
-            if row.split(",")[0].strip() != "ip":
-                raise ValueError(f"line {line_number}: expected header row {APP_RESULT_COLUMNS}")
-            header_seen = True
-            continue
-        fields = row.split(",")
-        if len(fields) != len(APP_RESULT_COLUMNS):
-            raise ValueError(f"line {line_number}: expected {len(APP_RESULT_COLUMNS)} fields, got {len(fields)}")
-        ip_text, port_text, proto, status, identifier = (f.strip() for f in fields)
+
+    def parse_row(fields: list[str]) -> AppResult:
+        nonlocal meta
+        ip_text, port_text, proto, status, identifier = map(str.strip, fields)
         target = parse_ipv4(ip_text)
         if target is None:
-            raise ValueError(f"line {line_number}: invalid address {ip_text!r}")
+            raise ValueError(f"invalid address {ip_text!r}")
         if meta is None:
             meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
         elif (proto, int(port_text)) != meta.port_key():
             raise ValueError(
-                f"line {line_number}: port/proto mismatch within file: "
-                f"{proto}/{port_text} vs {meta.protocol}/{meta.port}"
+                f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
             )
-        results.append(AppResult(target, meta, status, identifier or None))
-    return results
+        return AppResult(target, meta, status, identifier or None)
+
+    return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))

@@ -9,6 +9,7 @@ schema error, 3 strict-policy data failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
@@ -113,12 +114,21 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     return reduce(prefixes.merge, tables), total
 
 
-def _read_stats_file(path: str, scan_id: str | None = None, timestamp: datetime | None = None):
+def _read_table(path: str, reader: Callable, *args):
+    """``reader(source, *args)`` over the named file, with the path in its errors."""
     with _open_in(path) as source:
         try:
-            return prefixes.read_prefix_stats(source, scan_id or _stem(path), timestamp)
+            return reader(source, *args)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
+    """A dataclass as a report dict: its fields in declaration order except
+    those in drop, each passed through the render function named after it."""
+    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+    doc.update((name, fn(doc[name])) for name, fn in render.items())
+    return doc
 
 
 def _file_port_key(stats) -> tuple[str, int] | None:
@@ -167,10 +177,7 @@ def _cmd_detect(args) -> int:
     _write_stats(stats, args)
     summary = {
         "files": len(args.scan),
-        "lines_read": ingest_stats.lines_read,
-        "addresses_emitted": ingest_stats.addresses_emitted,
-        "invalid_lines": ingest_stats.invalid_lines,
-        "comment_lines": ingest_stats.comment_lines,
+        **_record(ingest_stats),
         "distinct_addresses": table.total_addresses(),
         "prefixes": len(table),
         "hrp_prefixes": sum(1 for s in stats if s.is_hrp),
@@ -181,7 +188,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
-    stats = _read_stats_file(args.stats)
+    stats = _read_table(args.stats, prefixes.read_prefix_stats, _stem(args.stats))
     with _open_in(args.routes) as source:
         table = routing.load_route_table(source, args.policy)
     enriched = routing.enrich(stats, table)
@@ -204,7 +211,7 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_portmatrix(args) -> int:
-    scans = [_read_stats_file(path) for path in args.stats]
+    scans = [_read_table(p, prefixes.read_prefix_stats, _stem(p)) for p in args.stats]
     report = analytics.port_profile(scans)
     ports = sorted({s.meta.port_key() for scan in scans for s in scan})
     doc = {
@@ -222,17 +229,7 @@ def _cmd_portmatrix(args) -> int:
     }
     if args.as_summary is not None:
         rows = routing.as_summary([s for scan in scans for s in scan])
-        as_doc = [
-            {
-                "asn": row.asn,
-                "visible_24s": row.visible_24s,
-                "hrp_count": row.hrp_count,
-                "hrp_share": row.hrp_share,
-                "ports_visible": row.ports_visible,
-                "ports_with_hrps": row.ports_with_hrps,
-            }
-            for row in rows
-        ]
+        as_doc = [_record(row) for row in rows]
         _write_to(args.as_summary, lambda out: write_json_report(as_doc, out))
     if args.histogram_csv is not None:
         _write_to(args.histogram_csv, lambda out: analytics.write_port_histogram_csv(report, out))
@@ -256,7 +253,7 @@ def _series_inputs(args):
         # Argument order is the series order when no explicit timestamps come in.
         stamps = [_EPOCH + timedelta(days=i) for i in range(len(args.stats))]
     scans = [
-        _read_stats_file(path, scan_id, stamp)
+        _read_table(path, prefixes.read_prefix_stats, scan_id, stamp)
         for path, scan_id, stamp in zip(args.stats, scan_ids, stamps)
     ]
     _check_port_agreement(list(zip(args.stats, scans)))
@@ -271,25 +268,8 @@ def _cmd_stability(args) -> int:
     doc = {
         "proto": key[0],
         "port": key[1],
-        "series": [
-            {
-                "scan_id": p.scan_id,
-                "timestamp": format_timestamp(p.timestamp),
-                "hrp_address_share_90": p.hrp_address_share_90,
-                "hrp_address_share_95": p.hrp_address_share_95,
-                "hrp_count": p.hrp_count,
-            }
-            for p in points
-        ],
-        "persistence": {
-            "total_scans": summary.total_scans,
-            "distinct_hrps": summary.distinct_hrps,
-            "half_period_count": summary.half_period_count,
-            "full_period_count": summary.full_period_count,
-            "missing_at_most_n": summary.missing_at_most_n,
-            "missing_at_most_n_count": summary.missing_at_most_n_count,
-            "missing_at_most_n_share": summary.missing_at_most_n_share,
-        },
+        "series": [_record(p, timestamp=format_timestamp) for p in points],
+        "persistence": _record(summary, drop=("scans_classified",)),
     }
     if args.series_csv is not None:
         _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
@@ -298,8 +278,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_vantage(args) -> int:
-    stats_a = _read_stats_file(args.stats_a)
-    stats_b = _read_stats_file(args.stats_b)
+    stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats, _stem(args.stats_a))
+    stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats, _stem(args.stats_b))
     _check_port_agreement([(args.stats_a, stats_a), (args.stats_b, stats_b)])
     diff = analytics.vantage_diff(prefixes.hrp_set(stats_a), prefixes.hrp_set(stats_b))
     key = _file_port_key(stats_a) or _file_port_key(stats_b)
@@ -323,8 +303,7 @@ def _cmd_applayer(args) -> int:
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
     hrps = prefixes.hrp_set(stats)
-    with _open_in(args.results) as source:
-        results = applayer.read_app_results(source, _stem(args.results))
+    results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
     _check_results_port(results, args, args.results)
     report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
     comparison = applayer.address_comparison(results, hrps, occupancy)
@@ -338,29 +317,8 @@ def _cmd_applayer(args) -> int:
         "hrp_count": len(hrps),
         "anomalies": report_set.anomaly_count,
         "duplicate_results": report_set.duplicate_count,
-        "reports": [
-            {
-                "prefix": format_slash24(r.prefix),
-                "denominator": r.denominator,
-                "success_count": r.success_count,
-                "success_fraction": r.success_fraction,
-                "any_success": r.any_success,
-                "gt90_success": r.gt90_success,
-                "same_identifier": r.same_identifier,
-                "dominant_identifier_share": r.dominant_identifier_share,
-            }
-            for r in report_set.reports
-        ],
-        "address_comparison": {
-            "non_hrp_targets": comparison.non_hrp_targets,
-            "non_hrp_successes": comparison.non_hrp_successes,
-            "hrp_targets": comparison.hrp_targets,
-            "hrp_successes": comparison.hrp_successes,
-            "non_hrp_success_rate": comparison.non_hrp_success_rate,
-            "hrp_success_rate": comparison.hrp_success_rate,
-            "gt90_subset_share": comparison.gt90_subset_share,
-            "gt90_same_identifier_share": comparison.gt90_same_identifier_share,
-        },
+        "reports": [_record(r, prefix=format_slash24) for r in report_set.reports],
+        "address_comparison": _record(comparison),
         "success_cdf": {
             "total_reports": cdf.total_reports,
             "steps": [
@@ -386,11 +344,7 @@ def _cmd_plan(args) -> int:
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
     hrps = prefixes.hrp_set(stats)
-    if args.seeds is not None:
-        with _open_in(args.seeds) as source:
-            seeds = planner.read_dns_seeds(source)
-    else:
-        seeds = []
+    seeds = [] if args.seeds is None else _read_table(args.seeds, planner.read_dns_seeds)
     policy = _policy_from_args(args)
     plan = planner.build_plan(occupancy, hrps, seeds, policy)
     _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default=sys.stdout)
@@ -411,22 +365,24 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_escalate(args) -> int:
-    with _open_in(args.plan) as source:
-        plan = planner.read_plan_csv(source)
-    with _open_in(args.results) as source:
-        results = applayer.read_app_results(source, _stem(args.results))
+    plan = _read_table(args.plan, planner.read_plan_csv)
+    results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
     _check_results_port(results, args, args.results)
     occupancy, _ = _load_occupancy(args)
     policy = _policy_from_args(args)
+    sampled = {
+        t.address
+        for entry in plan.entries.values()
+        if entry.strategy == planner.STRATEGY_SAMPLED
+        for t in entry.targets
+    }
     by_prefix: dict[int, list] = {}
     off_plan = 0
     for r in results:
-        prefix = r.target >> 8
-        entry = plan.entries.get(prefix)
-        if entry is None or entry.strategy != planner.STRATEGY_SAMPLED:
+        if r.target not in sampled:  # outside every sampled prefix, or never planned there
             off_plan += 1
             continue
-        by_prefix.setdefault(prefix, []).append(r)
+        by_prefix.setdefault(r.target >> 8, []).append(r)
     classes = {
         prefix: planner.classify_sample(sample, policy) for prefix, sample in sorted(by_prefix.items())
     }
@@ -447,18 +403,10 @@ def _cmd_escalate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    with _open_in(args.plan) as source:
-        plan = planner.read_plan_csv(source)
-    with _open_in(args.truth) as source:
-        truth = applayer.read_app_results(source, _stem(args.truth))
+    plan = _read_table(args.plan, planner.read_plan_csv)
+    truth = _read_table(args.truth, applayer.read_app_results, _stem(args.truth))
     metrics = planner.evaluate_plan(plan, truth)
-    doc = {
-        "handshakes_planned": metrics.handshakes_planned,
-        "handshakes_full_baseline": metrics.handshakes_full_baseline,
-        "reduction": metrics.reduction,
-        "identifier_coverage": metrics.identifier_coverage,
-    }
-    _write_to(args.output, lambda out: write_json_report(doc, out), default=sys.stdout)
+    _write_to(args.output, lambda out: write_json_report(_record(metrics), out), default=sys.stdout)
     return EXIT_OK
 
 
@@ -571,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="classify sampled outcomes and escalate diverse HRPs to full scans")
     p.add_argument("plan", help="plan CSV produced by plan")
     p.add_argument("results", help="application results CSV for the sampled targets")
-    p.add_argument("scan", nargs=1, help="port scan result file backing the plan")
+    p.add_argument("scan", nargs="+", help="port scan result file(s) backing the plan; shards of one scan")
     p.set_defaults(func=_cmd_escalate)
 
     p = sub.add_parser("evaluate", parents=[output],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 PLAIN = "plain"
 CSV_SADDR = "csv_saddr"
@@ -34,6 +34,8 @@ POLICIES = (STRICT, LENIENT)
 SADDR_COLUMN = "saddr"
 
 _PROTOCOLS = ("tcp", "udp")
+
+_Row = TypeVar("_Row")
 
 
 class IngestError(Exception):
@@ -206,6 +208,37 @@ def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> 
         saddr_index = header.index(SADDR_COLUMN)
         return lambda row: parse_address_line(row, CSV_SADDR, saddr_index)
     return parse_ipv4  # no header, so no rows follow either
+
+
+def read_csv(
+    lines: Iterable[str], columns: Sequence[str], parse_row: Callable[[list[str]], _Row]
+) -> Iterator[_Row]:
+    """Stream ``parse_row(fields)`` over the rows of a headed CSV table.
+
+    Empty lines and lines starting with ``#`` are skipped anywhere. The first
+    other line must name exactly ``columns`` (each stripped), and every later
+    row must have that many comma-separated fields. A malformed row, or a
+    ValueError raised by ``parse_row``, raises ValueError naming the line.
+    """
+    expected = list(columns)
+    header_ok = False
+    for line_number, line in enumerate(lines, start=1):
+        row = line.rstrip("\r\n")
+        if not row or row.startswith("#"):
+            continue
+        fields = row.split(",")
+        if not header_ok:
+            if [name.strip() for name in fields] != expected:
+                raise ValueError(f"line {line_number}: expected header row {','.join(expected)}")
+            header_ok = True
+            continue
+        if len(fields) != len(expected):
+            raise ValueError(f"line {line_number}: expected {len(expected)} fields, got {len(fields)}")
+        try:
+            parsed = parse_row(fields)
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
+        yield parsed
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .applayer import SUCCESS, AppResult
-from .ingest import format_ipv4, parse_ipv4
+from .ingest import format_ipv4, parse_ipv4, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
 STRATEGY_FULL = "full"
@@ -42,6 +42,7 @@ DIVERSE = "diverse"
 SCENARIOS = (PROXY, CDN_LIKE, DIVERSE)
 
 PLAN_COLUMNS = ("ip", "prefix", "strategy", "provenance")
+DNS_SEED_COLUMNS = ("ip", "name_count")
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -298,29 +299,21 @@ def evaluate_plan(final_plan: TargetPlan, truth: Iterable[AppResult]) -> PlanMet
 
 def read_dns_seeds(lines: Iterable[str]) -> list[DnsSeed]:
     """Seeds CSV ``ip,name_count`` with a header; duplicate addresses merge."""
-    merged: dict[int, int] = {}
-    header_seen = False
-    for line_number, line in enumerate(lines, start=1):
-        row = line.rstrip("\r\n")
-        if not row or row.startswith("#"):
-            continue
-        if not header_seen:
-            if row.split(",")[0].strip() != "ip":
-                raise ValueError(f"line {line_number}: expected header row ip,name_count")
-            header_seen = True
-            continue
-        fields = row.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"line {line_number}: expected 2 fields, got {len(fields)}")
+
+    def parse_row(fields: list[str]) -> tuple[int, int]:
         address = parse_ipv4(fields[0].strip())
         if address is None:
-            raise ValueError(f"line {line_number}: invalid address {fields[0]!r}")
+            raise ValueError(f"invalid address {fields[0]!r}")
         try:
             name_count = int(fields[1])
         except ValueError:
-            raise ValueError(f"line {line_number}: invalid name_count {fields[1]!r}") from None
+            raise ValueError(f"invalid name_count {fields[1]!r}") from None
         if name_count < 1:
-            raise ValueError(f"line {line_number}: name_count must be >= 1")
+            raise ValueError("name_count must be >= 1")
+        return address, name_count
+
+    merged: dict[int, int] = {}
+    for address, name_count in read_csv(lines, DNS_SEED_COLUMNS, parse_row):
         merged[address] = merged.get(address, 0) + name_count
     return [DnsSeed(address, merged[address]) for address in sorted(merged)]
 
@@ -343,34 +336,37 @@ def write_plan_targets(plan: TargetPlan, out: IO[str]) -> None:
 
 
 def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
-    """Read the CSV form back into a plan."""
+    """Read the CSV form back into a plan.
+
+    Each address must lie in its row's prefix and appear once; every row of
+    one prefix must name the same strategy.
+    """
     rows: dict[int, tuple[str, list[PlanTarget]]] = {}
-    header_seen = False
-    for line_number, line in enumerate(lines, start=1):
-        row = line.rstrip("\r\n")
-        if not row or row.startswith("#"):
-            continue
-        if not header_seen:
-            if row.split(",")[0].strip() != "ip":
-                raise ValueError(f"line {line_number}: expected header row {PLAN_COLUMNS}")
-            header_seen = True
-            continue
-        fields = row.split(",")
-        if len(fields) != len(PLAN_COLUMNS):
-            raise ValueError(f"line {line_number}: expected {len(PLAN_COLUMNS)} fields, got {len(fields)}")
-        ip_text, prefix_text, strategy, provenance = (f.strip() for f in fields)
+    seen: dict[int, int] = {}  # prefix -> bitmap of the host bytes read so far
+
+    def parse_row(fields: list[str]) -> None:
+        ip_text, prefix_text, strategy, provenance = map(str.strip, fields)
         address = parse_ipv4(ip_text)
         if address is None:
-            raise ValueError(f"line {line_number}: invalid address {ip_text!r}")
+            raise ValueError(f"invalid address {ip_text!r}")
         if strategy not in STRATEGIES:
-            raise ValueError(f"line {line_number}: unknown strategy {strategy!r}")
+            raise ValueError(f"unknown strategy {strategy!r}")
         if provenance not in PROVENANCES:
-            raise ValueError(f"line {line_number}: unknown provenance {provenance!r}")
+            raise ValueError(f"unknown provenance {provenance!r}")
         prefix = parse_slash24(prefix_text)
-        stored = rows.setdefault(prefix, (strategy, []))
-        if stored[0] != strategy:
-            raise ValueError(f"line {line_number}: mixed strategies for {prefix_text}")
-        stored[1].append(PlanTarget(address, provenance))
+        if address >> 8 != prefix:
+            raise ValueError(f"address {ip_text} is outside {prefix_text}")
+        stored_strategy, targets = rows.setdefault(prefix, (strategy, []))
+        if stored_strategy != strategy:
+            raise ValueError(f"mixed strategies for {prefix_text}")
+        bits = seen.get(prefix, 0)
+        if bits >> (address & 0xFF) & 1:
+            raise ValueError(f"repeated address {ip_text} in {prefix_text}")
+        seen[prefix] = bits | 1 << (address & 0xFF)
+        targets.append(PlanTarget(address, provenance))
+
+    for _ in read_csv(lines, PLAN_COLUMNS, parse_row):
+        pass
     return TargetPlan(
         {
             prefix: PlanEntry(prefix, strategy, tuple(targets))

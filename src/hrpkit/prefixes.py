@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_ipv4, parse_cidr, parse_ipv4
+from .ingest import ScanMeta, format_ipv4, parse_cidr, parse_ipv4, read_csv
 
 SLASH24_SIZE = 256
 
@@ -301,58 +301,42 @@ def read_prefix_stats(
     """
     if timestamp is None:
         timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    stats: list[PrefixStat] = []
     meta: ScanMeta | None = None
     thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
-    header_seen = False
-    for line_number, line in enumerate(lines, start=1):
-        row = line.rstrip("\r\n")
-        if not row or row.startswith("#"):
-            continue
-        if not header_seen:
-            if row.split(",")[0].strip() != "prefix":
-                raise ValueError(f"line {line_number}: expected header row {PREFIX_STAT_COLUMNS}")
-            header_seen = True
-            continue
-        fields = row.split(",")
-        if len(fields) != len(PREFIX_STAT_COLUMNS):
-            raise ValueError(f"line {line_number}: expected {len(PREFIX_STAT_COLUMNS)} fields, got {len(fields)}")
-        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        try:
-            if meta is None:
-                meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
-            elif (proto, int(port_text)) != meta.port_key():
-                raise ValueError(
-                    f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
-                )
-            threshold = thresholds.get(fraction_text)
-            if threshold is None:
-                threshold = thresholds[fraction_text] = HrpThreshold(float(fraction_text))
-            count = int(count_text)
-            if not 1 <= count <= SLASH24_SIZE:
-                raise ValueError(f"count must be in [1, {SLASH24_SIZE}], got {count_text!r}")
-            is_hrp = _HRP_FLAGS.get(hrp_text)
-            if is_hrp is None:
-                raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
-            if is_hrp != (count >= threshold.min_count):
-                raise ValueError(
-                    f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}"
-                )
-            stats.append(
-                PrefixStat(
-                    prefix=parse_slash24(prefix_text),
-                    meta=meta,
-                    responsive_count=count,
-                    is_hrp=is_hrp,
-                    threshold=threshold,
-                    origin_asn=int(asn_text) if asn_text else None,
-                    covering_route=_parse_covering(covering_text) if covering_text else None,
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {line_number}: {exc}") from None
-    return stats
 
+    def parse_row(fields: list[str]) -> PrefixStat:
+        nonlocal meta
+        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
+        if meta is None:
+            meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
+        elif (proto, int(port_text)) != meta.port_key():
+            raise ValueError(
+                f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
+            )
+        threshold = thresholds.get(fraction_text)
+        if threshold is None:
+            threshold = thresholds[fraction_text] = HrpThreshold(float(fraction_text))
+        count = int(count_text)
+        if not 1 <= count <= SLASH24_SIZE:
+            raise ValueError(f"count must be in [1, {SLASH24_SIZE}], got {count_text!r}")
+        is_hrp = _HRP_FLAGS.get(hrp_text)
+        if is_hrp is None:
+            raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
+        if is_hrp != (count >= threshold.min_count):
+            raise ValueError(
+                f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}"
+            )
+        return PrefixStat(
+            prefix=parse_slash24(prefix_text),
+            meta=meta,
+            responsive_count=count,
+            is_hrp=is_hrp,
+            threshold=threshold,
+            origin_asn=int(asn_text) if asn_text else None,
+            covering_route=_parse_covering(covering_text) if covering_text else None,
+        )
+
+    return list(read_csv(lines, PREFIX_STAT_COLUMNS, parse_row))
 
 
 def _parse_covering(text: str) -> tuple[int, int]:

@@ -274,3 +274,73 @@ def test_evaluate_uncovered_plan_is_schema_error(tmp_path, capsys):
 
 def test_missing_subcommand_is_usage_error():
     assert run() == 2
+
+
+def _sample_results(plan_path, status_of, extra_rows=()):
+    """A results CSV over the plan's sampled targets, status chosen per address text."""
+    rows = ["ip,port,proto,status,identifier"]
+    for row in plan_path.read_text().splitlines()[1:]:
+        ip, _, strategy, _ = row.split(",")
+        if strategy == "sampled":
+            status = status_of(ip)
+            rows.append(f"{ip},443,tcp,{status},{'shared' if status == 'success' else ''}")
+    rows.extend(extra_rows)
+    return "\n".join(rows) + "\n"
+
+
+def test_escalate_ignores_results_at_unplanned_addresses(tmp_path):
+    scan = write_scan(tmp_path / "scan.txt", {5: 256})
+    plan_path = tmp_path / "plan.csv"
+    assert run("plan", "--port", 443, "--k", 10, "--rng-seed", 1,
+               "--output", plan_path, "--summary", tmp_path / "ps.json", scan) == 0
+    planned = [r.split(",")[0] for r in plan_path.read_text().splitlines()[1:]]
+    unplanned = next(format_ipv4((5 << 8) | h) for h in range(256)
+                     if format_ipv4((5 << 8) | h) not in planned)
+    # One success in ten planned targets is a proxy (rate 0.1 <= 0.10); a
+    # success at an address the plan never targeted must not count.
+    sample = tmp_path / "sample.csv"
+    sample.write_text(_sample_results(
+        plan_path, lambda ip: "success" if ip == planned[0] else "unreachable",
+        [f"{unplanned},443,tcp,success,shared"]), encoding="utf-8")
+    summary = tmp_path / "esc.json"
+    assert run("escalate", "--port", 443, "--output", tmp_path / "plan2.csv",
+               "--summary", summary, plan_path, sample, scan) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["scenario_counts"] == {"proxy": 1, "cdn_like": 0, "diverse": 0}
+    assert doc["off_plan_results"] == 1
+    assert doc["added_targets"] == 0
+
+
+def test_escalate_from_shards_matches_the_concatenated_scan(tmp_path):
+    whole = write_scan(tmp_path / "scan.txt", {5: 256, 6: 240, 9: 3})
+    lines = whole.read_text().splitlines(keepends=True)
+    shard_a, shard_b = tmp_path / "a.txt", tmp_path / "b.txt"
+    shard_a.write_text("".join(lines[::2]), encoding="utf-8")
+    shard_b.write_text("".join(lines[1::2]), encoding="utf-8")
+    plan_path = tmp_path / "plan.csv"
+    assert run("plan", "--port", 443, "--k", 10, "--output", plan_path,
+               "--summary", tmp_path / "ps.json", whole) == 0
+    sample = tmp_path / "sample.csv"
+    sample.write_text(_sample_results(plan_path, lambda ip: "success"), encoding="utf-8")
+    outputs = []
+    for name, scans in (("whole", [whole]), ("shards", [shard_a, shard_b])):
+        out, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert run("escalate", "--port", 443, "--scan-id", "scan", "--output", out,
+                   "--summary", summary, plan_path, sample, *scans) == 0
+        outputs.append((out.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad_row", [
+    "0.0.5.1,443,tcp,ok,",  # unknown status
+    "0.0.5.1,443,sctp,success,x",  # unknown protocol
+    "0.0.5.1,70000,tcp,success,x",  # port out of range
+    "0.0.5.1,443,tcp,success",  # missing field
+])
+def test_applayer_rejects_bad_results_row_with_file_and_line(tmp_path, capsys, bad_row):
+    scan = write_scan(tmp_path / "scan.txt", {5: 4})
+    results = tmp_path / "results.csv"
+    results.write_text("ip,port,proto,status,identifier\n0.0.5.0,443,tcp,success,x\n"
+                       + bad_row + "\n", encoding="utf-8")
+    assert run("applayer", "--port", 443, "--output", tmp_path / "a.json", results, scan) == 2
+    assert f"{results}: line 3: " in capsys.readouterr().err

@@ -285,3 +285,19 @@ def test_plan_csv_roundtrip():
     again = io.StringIO()
     write_plan_csv(parsed, again)
     assert again.getvalue() == out.getvalue()
+
+
+@pytest.mark.parametrize("row", [
+    "9.9.9.9,1.2.3.0/24,sampled,uniform_fill",  # address outside its prefix
+    "1.2.3.4,1.2.3.0/24,sampled,dns_seed",  # repeated address within the prefix
+    "1.2.3.5,1.2.3.0/24,full,non_hrp_full",  # mixed strategies within the prefix
+    "1.2.3.5,1.2.3.0/24,partial,uniform_fill",
+    "1.2.3.5,1.2.3.0/24,sampled,guess",
+    "1.2.3.5,1.2.3.0/25,sampled,uniform_fill",
+    "1.2.3.5,1.2.3.0,sampled,uniform_fill",
+    "1.2.3.x,1.2.3.0/24,sampled,uniform_fill",
+])
+def test_read_plan_csv_rejects_invalid_rows_naming_the_line(row):
+    text = "ip,prefix,strategy,provenance\n1.2.3.4,1.2.3.0/24,sampled,uniform_fill\n" + row + "\n"
+    with pytest.raises(ValueError, match="^line 3: "):
+        read_plan_csv(io.StringIO(text))
