@@ -33,7 +33,6 @@ from .ingest import (
 )
 from .planner import PlanEvaluationError
 from .prefixes import HrpThreshold, format_slash24
-from .routing import RouteParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -377,12 +376,14 @@ def _cmd_escalate(args) -> int:
         for t in entry.targets
     }
     by_prefix: dict[int, list] = {}
+    seen: set[int] = set()
     off_plan = 0
     for r in results:
         if r.target not in sampled:  # outside every sampled prefix, or never planned there
             off_plan += 1
-            continue
-        by_prefix.setdefault(r.target >> 8, []).append(r)
+        elif r.target not in seen:  # the first row per target counts, as in applayer
+            seen.add(r.target)
+            by_prefix.setdefault(r.target >> 8, []).append(r)
     classes = {
         prefix: planner.classify_sample(sample, policy) for prefix, sample in sorted(by_prefix.items())
     }
@@ -539,7 +540,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (IngestError, RouteParseError) as exc:
+    except IngestError as exc:  # RouteParseError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (SchemaError, PlanEvaluationError, ValueError) as exc:

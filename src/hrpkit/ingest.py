@@ -95,9 +95,10 @@ class IngestStats:
         self.comment_lines += other.comment_lines
 
 
-# Canonical octet text -> value; anything else (leading zeros, signs,
-# whitespace, non-ASCII digits, values over 255) is absent.
+# Canonical octet and prefix-length text -> value; anything else (leading
+# zeros, signs, whitespace, non-ASCII digits, values out of range) is absent.
 _OCTETS = {str(i): i for i in range(256)}
+_LENGTHS = {str(i): i for i in range(33)}
 
 
 def parse_ipv4(text: str) -> int | None:
@@ -112,17 +113,21 @@ def parse_ipv4(text: str) -> int | None:
 def parse_cidr(text: str) -> tuple[int, int] | None:
     """Parse ``a.b.c.d/length`` to (address value, length), or None.
 
-    The length must be in 0-32; host bits are left for the caller to judge.
+    The length must be canonical text for 0-32; host bits are left for the
+    caller to judge.
     """
     network_text, _, length_text = text.rpartition("/")
     network = parse_ipv4(network_text)
-    if network is None:
-        return None
-    try:
-        length = int(length_text)
-    except ValueError:
-        return None
-    return (network, length) if 0 <= length <= 32 else None
+    length = _LENGTHS.get(length_text)
+    return None if network is None or length is None else (network, length)
+
+
+def parse_asn(text: str) -> int:
+    """Parse an AS number written in ASCII digits; ValueError unless 0-4294967295."""
+    if text.isascii() and text.isdigit() and (len(text) <= 10 or len(text.lstrip("0")) <= 10):
+        if (value := int(text)) <= 0xFFFFFFFF:  # zero-padded text may be longer, huge text never parsed
+            return value
+    raise ValueError(f"invalid AS number {text!r}")
 
 
 def format_ipv4(value: int) -> str:
@@ -165,13 +170,14 @@ def open_scan_source(
     return _read_addresses(source, fmt, policy, stats), stats
 
 
-def _iter_text_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
+def iter_text_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
+    """Yield each line as text, decoding bytes lines as UTF-8 with replacement."""
     for raw in source:
         yield raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
 
 
 def _read_addresses(source, fmt: str, policy: str, stats: IngestStats) -> Iterator[int]:
-    lines = enumerate(_iter_text_lines(source), start=1)
+    lines = enumerate(iter_text_lines(source), start=1)
     parse = parse_ipv4 if fmt == PLAIN else _read_saddr_header(lines, stats)
     strict = policy == STRICT
     for line_number, line in lines:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import IO, Iterable
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_ipv4, parse_cidr, parse_ipv4, read_csv
+from .ingest import ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_ipv4, read_csv
 
 SLASH24_SIZE = 256
 
@@ -296,8 +296,9 @@ def read_prefix_stats(
     The CSV schema carries no scan identity, so the caller supplies it.
     Rows that break the stats' invariants raise ValueError naming the line:
     count outside 1-256, is_hrp other than ``true``/``false`` or disagreeing
-    with count and threshold, threshold fraction outside (0, 1], or a
-    covering prefix that is not a valid route.
+    with count and threshold, threshold fraction outside (0, 1], an origin
+    ASN other than ASCII digits for 0-4294967295, or a covering prefix that
+    is not a valid route with a canonical length.
     """
     if timestamp is None:
         timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -332,7 +333,7 @@ def read_prefix_stats(
             responsive_count=count,
             is_hrp=is_hrp,
             threshold=threshold,
-            origin_asn=int(asn_text) if asn_text else None,
+            origin_asn=parse_asn(asn_text.strip()) if asn_text else None,
             covering_route=_parse_covering(covering_text) if covering_text else None,
         )
 
@@ -340,7 +341,7 @@ def read_prefix_stats(
 
 
 def _parse_covering(text: str) -> tuple[int, int]:
-    route = parse_cidr(text)
+    route = parse_cidr(text.strip())
     if route is None:
         raise ValueError(f"invalid covering prefix {text!r}")
     network, length = route

@@ -10,24 +10,18 @@ concurrent lookups need no locking.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .ingest import LENIENT, STRICT, parse_cidr
+from .ingest import LENIENT, STRICT, IngestError, iter_text_lines, parse_asn, parse_cidr
 from .prefixes import PrefixStat
-
-_MAX_ASN = (1 << 32) - 1
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
 MASKS = tuple(((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF) if length else 0 for length in range(33))
 
 
-class RouteParseError(Exception):
+class RouteParseError(IngestError):
     """A snapshot line could not be used (raised under strict policy)."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -41,7 +35,10 @@ class RouteEntry:
 
 @dataclass
 class RouteLoadStats:
-    """Accounting for one snapshot load (lenient mode keeps going and counts)."""
+    """Accounting for one snapshot load (lenient mode keeps going and counts).
+
+    Every line read is loaded, a comment, invalid, a conflict or a repeat.
+    """
 
     lines_read: int = 0
     entries_loaded: int = 0
@@ -61,8 +58,12 @@ class RoutingTable:
 
     def __init__(self):
         self._by_length: dict[int, dict[int, int]] = {}
-        self._lengths_desc: tuple[int, ...] = ()
+        self._index()
         self.load_stats = RouteLoadStats()
+
+    def _index(self) -> None:
+        # (length, mask, {network: asn}) per length present, most specific first.
+        self._levels = tuple((n, MASKS[n], nets) for n, nets in sorted(self._by_length.items(), reverse=True))
 
     def __len__(self) -> int:
         return sum(len(nets) for nets in self._by_length.values())
@@ -74,7 +75,7 @@ class RoutingTable:
         nets = self._by_length.get(entry.length)
         if nets is None:
             nets = self._by_length[entry.length] = {}
-            self._lengths_desc = tuple(sorted(self._by_length, reverse=True))
+            self._index()
         if entry.network in nets:
             raise ValueError(f"duplicate route for length {entry.length}: {entry}")
         nets[entry.network] = entry.origin_asn
@@ -83,14 +84,18 @@ class RoutingTable:
         asn = self._by_length.get(length, {}).get(network)
         return None if asn is None else RouteEntry(network, length, asn)
 
+    def _match(self, addr: int) -> tuple[int, int, int] | None:
+        """(network, length, origin ASN) of the longest covering entry, or None."""
+        for length, mask, nets in self._levels:
+            asn = nets.get(addr & mask)
+            if asn is not None:
+                return addr & mask, length, asn
+        return None
+
     def lookup(self, addr: int) -> RouteEntry | None:
         """The covering entry of maximal length, or None."""
-        for length in self._lengths_desc:
-            network = addr & MASKS[length]
-            asn = self._by_length[length].get(network)
-            if asn is not None:
-                return RouteEntry(network, length, asn)
-        return None
+        hit = self._match(addr)
+        return None if hit is None else RouteEntry(*hit)
 
     def entries(self) -> Iterator[RouteEntry]:
         """All entries, ascending (length, network)."""
@@ -114,64 +119,52 @@ class RoutingTable:
 def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = LENIENT) -> RoutingTable:
     """Load a snapshot; strict raises on the first bad line, lenient counts.
 
-    Lenient normalizes entries with host bits set and keeps the first ASN
-    for conflicting duplicates. Blank lines count as comments.
+    Each line is ``a.b.c.d/length,asn`` (canonical length 0-32, ASCII-digit
+    ASN up to 4294967295, whitespace allowed around both fields). Lenient
+    normalizes entries with host bits set and keeps the first ASN for
+    conflicting duplicates. Blank lines count as comments.
     """
     if policy not in (STRICT, LENIENT):
         raise ValueError(f"unknown policy: {policy!r}")
-    table = RoutingTable()
-    stats = table.load_stats
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
-        stats.lines_read += 1
+    by_length: list[dict[int, int]] = [{} for _ in MASKS]  # {network: asn} per length
+    stats, line_number = RouteLoadStats(), 0
+    for line_number, line in enumerate(iter_text_lines(lines), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             stats.comment_lines += 1
             continue
-        parsed = _parse_route_line(stripped)
-        if parsed is None:
+        try:
+            route_text, asn_text = stripped.split(",")
+            network, length = parse_cidr(route_text.rstrip())  # TypeError on None
+            asn = parse_asn(asn_text.lstrip())
+        except (TypeError, ValueError):
             if policy == STRICT:
-                raise RouteParseError(f"invalid route line: {stripped!r}", line_number)
+                raise RouteParseError(f"invalid route line: {stripped!r}", line_number) from None
             stats.invalid_lines += 1
             continue
-        network, length, asn = parsed
-        normalized = network & MASKS[length]
-        if normalized != network:
+        masked = network & MASKS[length]
+        if masked != network:
             if policy == STRICT:
                 raise RouteParseError(f"host bits set in prefix: {stripped!r}", line_number)
             stats.normalized_lines += 1
-            network = normalized
-        existing = table.get(network, length)
-        if existing is not None:
-            if existing.origin_asn == asn:
-                stats.duplicate_repeats += 1
-            elif policy == STRICT:
-                raise RouteParseError(
-                    f"conflicting origin for {stripped!r}: AS{existing.origin_asn} already loaded",
-                    line_number,
-                )
-            else:
-                stats.duplicate_conflicts += 1
-            continue
-        table.add(RouteEntry(network, length, asn))
-        stats.entries_loaded += 1
+            network = masked
+        nets = by_length[length]
+        existing = nets.get(network)
+        if existing is None:
+            nets[network] = asn
+        elif existing == asn:
+            stats.duplicate_repeats += 1
+        elif policy == STRICT:
+            message = f"conflicting origin for {stripped!r}: AS{existing} already loaded"
+            raise RouteParseError(message, line_number)
+        else:
+            stats.duplicate_conflicts += 1
+    table = RoutingTable()
+    table._by_length = {length: nets for length, nets in enumerate(by_length) if nets}
+    table._index()
+    stats.lines_read, stats.entries_loaded = line_number, len(table)
+    table.load_stats = stats
     return table
-
-
-def _parse_route_line(line: str) -> tuple[int, int, int] | None:
-    parts = line.split(",")
-    if len(parts) != 2:
-        return None
-    route = parse_cidr(parts[0].strip())
-    if route is None:
-        return None
-    try:
-        asn = int(parts[1])
-    except ValueError:
-        return None
-    if not 0 <= asn <= _MAX_ASN:
-        return None
-    return (*route, asn)
 
 
 def enrich(stats: Iterable[PrefixStat], table: RoutingTable) -> list[PrefixStat]:
@@ -180,16 +173,15 @@ def enrich(stats: Iterable[PrefixStat], table: RoutingTable) -> list[PrefixStat]
     The lookup key is the /24's network address; stats without a covering
     entry pass through unchanged. Counts and HRP flags are never touched.
     """
-    enriched = []
-    for s in stats:
-        entry = table.lookup(s.prefix << 8)
-        if entry is None:
-            enriched.append(s)
-        else:
-            enriched.append(
-                replace(s, origin_asn=entry.origin_asn, covering_route=(entry.network, entry.length))
-            )
-    return enriched
+    match = table._match
+    return [
+        s if (hit := match(s.prefix << 8)) is None
+        else PrefixStat(
+            prefix=s.prefix, meta=s.meta, responsive_count=s.responsive_count, is_hrp=s.is_hrp,
+            threshold=s.threshold, origin_asn=hit[2], covering_route=hit[:2],
+        )
+        for s in stats
+    ]
 
 
 @dataclass

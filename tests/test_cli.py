@@ -113,6 +113,9 @@ def test_enrich_pipeline(tmp_path):
     "10.1.3.0/24,443,tcp,240,false,0.900000,,",  # is_hrp disagrees with the count
     "10.1.3.0/024,443,tcp,3,false,0.900000,,",  # non-canonical prefix length
     "10.1.3.0/255.255.255.0,443,tcp,3,false,0.900000,,",  # netmask form
+    "10.1.3.0/24,443,tcp,3,false,0.900000,-5,",  # origin ASN not ASCII digits
+    "10.1.3.0/24,443,tcp,3,false,0.900000,+64500,",
+    "10.1.3.0/24,443,tcp,3,false,0.900000,,10.1.0.0/016",  # non-canonical covering length
 ])
 def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_row):
     stats = _detect(tmp_path, "s443", {0x0A0102: 256})
@@ -122,6 +125,20 @@ def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_r
     assert run("enrich", "--output", tmp_path / "out.csv", "--summary", tmp_path / "s.json", stats, routes) == 2
     err = capsys.readouterr().err
     assert f"{stats}: line 3: " in err
+
+
+@pytest.mark.parametrize("bad_route", ["10.0.0.0/-0,64500", "10.0.0.0/08,64500", "10.0.0.0/8,6_4500"])
+def test_enrich_counts_non_canonical_route_lines_as_invalid(tmp_path, capsys, bad_route):
+    stats = _detect(tmp_path, "s443", {0x0A0102: 256})
+    routes = tmp_path / "routes.csv"
+    routes.write_text("# rib\n192.0.2.0/24,64496\n" + bad_route + "\n", encoding="utf-8")
+    summary = tmp_path / "s.json"
+    assert run("enrich", "--output", tmp_path / "out.csv", "--summary", summary, stats, routes) == 0
+    doc = json.loads(summary.read_text())
+    assert (doc["routes_loaded"], doc["route_invalid_lines"], doc["prefixes_with_origin"]) == (1, 1, 0)
+    assert run("enrich", "--policy", "strict", "--output", tmp_path / "out.csv",
+               "--summary", summary, stats, routes) == 3
+    assert "line 3: invalid route line" in capsys.readouterr().err
 
 
 def test_portmatrix_and_as_summary(tmp_path):
@@ -329,6 +346,29 @@ def test_escalate_from_shards_matches_the_concatenated_scan(tmp_path):
                    "--summary", summary, plan_path, sample, *scans) == 0
         outputs.append((out.read_bytes(), summary.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_escalate_counts_a_repeated_result_row_once(tmp_path):
+    scan = write_scan(tmp_path / "scan.txt", {5: 256})
+    plan_path = tmp_path / "plan.csv"
+    assert run("plan", "--port", 443, "--k", 10, "--rng-seed", 1,
+               "--output", plan_path, "--summary", tmp_path / "ps.json", scan) == 0
+    sampled = [r.split(",")[0] for r in plan_path.read_text().splitlines()[1:]]
+    assert len(sampled) == 10
+    # One success in ten sampled targets is a proxy (rate 0.1 <= 0.10); a
+    # second row for the successful address must not make it 2/11.
+    rows = _sample_results(plan_path, lambda ip: "success" if ip == sampled[0] else "unreachable")
+    scenarios = []
+    for name, extra in (("once", ""), ("twice", f"{sampled[0]},443,tcp,success,shared\n")):
+        sample = tmp_path / f"{name}.csv"
+        sample.write_text(rows + extra, encoding="utf-8")
+        summary = tmp_path / f"{name}.json"
+        assert run("escalate", "--port", 443, "--output", tmp_path / f"{name}-plan.csv",
+                   "--summary", summary, plan_path, sample, scan) == 0
+        doc = json.loads(summary.read_text())
+        assert doc["off_plan_results"] == 0
+        scenarios.append(doc["scenario_counts"])
+    assert scenarios == [{"proxy": 1, "cdn_like": 0, "diverse": 0}] * 2
 
 
 @pytest.mark.parametrize("bad_row", [

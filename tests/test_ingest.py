@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import ipaddress
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from hrpkit.ingest import (
     format_timestamp,
     open_scan_source,
     parse_address_line,
+    parse_asn,
+    parse_cidr,
     parse_ipv4,
     parse_timestamp,
 )
@@ -81,6 +84,40 @@ def test_parse_ipv4_rejects_each_odd_octet():
             parts = ["1", "2", "3", "4"]
             parts[position] = octet
             assert parse_ipv4(".".join(parts)) is None, parts
+
+
+# Length and ASN texts int() accepts that are not canonical ASCII digits.
+_ODD_LENGTHS = ["-0", "08", "+8", "\u0668", " 8", "8 ", "33", "1_6", "", "0x8"]
+_ODD_ASNS = ["+64500", "-1", "6_4500", "\u0666\u0664\u0665\u0660\u0660", " 64500", "64500 ",
+             "4294967296", "1" * 5000, "", "0x1"]
+
+
+def test_parse_cidr_takes_only_canonical_lengths():
+    assert [parse_cidr(f"10.0.0.0/{n}") for n in (0, 8, 32)] == [
+        (0x0A000000, 0), (0x0A000000, 8), (0x0A000000, 32)]
+    for length in _ODD_LENGTHS:
+        assert parse_cidr(f"10.0.0.0/{length}") is None, length
+
+
+def test_parse_asn_takes_only_ascii_digits_in_range():
+    texts = ("0", "64500", "064500", "0" * 20 + "64500", "4294967295")
+    assert [parse_asn(t) for t in texts] == [0, 64500, 64500, 64500, 2**32 - 1]
+    for text in _ODD_ASNS:
+        with pytest.raises(ValueError, match="invalid AS number"):
+            parse_asn(text)
+
+
+def _asn_or_none(text):
+    try:
+        return parse_asn(text)
+    except ValueError:
+        return None
+
+
+@given(st.text(alphabet="0123456789+-_ \u0660\u0666", max_size=12))
+def test_parse_asn_matches_a_digit_pattern(text):
+    expected = int(text) if re.fullmatch(r"[0-9]+", text) and int(text) < 2**32 else None
+    assert _asn_or_none(text) == expected
 
 
 def test_ipv4_roundtrips_exactly():

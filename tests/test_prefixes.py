@@ -340,6 +340,16 @@ _GOOD_ROW = "1.2.3.0/24,443,tcp,240,true,0.900000,64500,1.2.0.0/16\n"
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/33",  # covering length out of range
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0",
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.4.0/16",  # host bits set
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/016",  # non-canonical covering length
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/+16",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,0.0.0.0/-0",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/\u0661\u0666",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,-5,",  # origin ASN not ASCII digits in range
+    "1.2.4.0/24,443,tcp,5,false,0.900000,+64500,",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,6_4500,",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,\u0666\u0664\u0665\u0660\u0660,",
+    "1.2.4.0/24,443,tcp,5,false,0.900000,4294967296,",
+    "1.2.4.0/24,443,tcp,5,false,0.900000, ,",
     "1.2.4.0/024,443,tcp,5,false,0.900000,,",  # non-canonical prefix
     "1.2.4.0/255.255.255.0,443,tcp,5,false,0.900000,,",
 ])
@@ -359,6 +369,16 @@ def test_read_prefix_stats_accepts_boundaries():
     assert [s.responsive_count for s in stats] == [1, 256, 231]
     assert [s.is_hrp for s in stats] == [False, True, True]
     assert [s.covering_route for s in stats] == [(0, 0), (0x01020400, 24), (0x01020580, 32)]
+
+
+def test_read_prefix_stats_strips_origin_and_covering_fields():
+    text = _STATS_HEADER + (
+        "1.2.3.0/24,443,tcp,1,false,0.900000, 4294967295 , 1.2.0.0/16 \n"
+        "1.2.4.0/24,443,tcp,1,false,0.900000,0,1.2.4.0/24\n"
+    )
+    stats = read_prefix_stats(io.StringIO(text), scan_id="s1")
+    assert [(s.origin_asn, s.covering_route) for s in stats] == [
+        (2**32 - 1, (0x01020000, 16)), (0, (0x01020400, 24))]
 
 
 def test_read_prefix_stats_shares_one_threshold_per_fraction():

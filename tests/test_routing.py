@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import ipaddress
 import random
+import re
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hrpkit.ingest import parse_ipv4
 from hrpkit.prefixes import classify
@@ -14,6 +18,7 @@ from hrpkit.routing import (
     LENIENT,
     STRICT,
     RouteEntry,
+    RouteLoadStats,
     RouteParseError,
     RoutingTable,
     as_summary,
@@ -65,6 +70,37 @@ def test_malformed_lines():
     table = _table(bad, LENIENT)
     assert len(table) == 0
     assert table.load_stats.invalid_lines == 4
+
+
+@pytest.mark.parametrize("line", [
+    "10.0.0.0/-0,64500",  # non-canonical length
+    "10.0.0.0/08,64500",
+    "10.0.0.0/+8,64500",
+    "10.0.0.0/\u0668,64500",
+    "10.0.0.0/ 8,64500",  # whitespace inside a field
+    "10.0.0.0 /8,64500",
+    "10.0.0.0/8,+64500",  # ASN not ASCII digits in 0-4294967295
+    "10.0.0.0/8,-1",
+    "10.0.0.0/8,6_4500",
+    "10.0.0.0/8,\u0666\u0664\u0665\u0660\u0660",
+    "10.0.0.0/8,4294967296",
+])
+def test_non_canonical_lengths_and_asns_are_invalid(line):
+    text = "192.0.2.0/24,64496\n" + line + "\n"
+    table = _table(text, LENIENT)
+    assert len(table) == 1
+    assert table.load_stats.invalid_lines == 1
+    with pytest.raises(RouteParseError, match="^line 2: invalid route line") as err:
+        _table(text, STRICT)
+    assert err.value.line_number == 2
+
+
+def test_whitespace_around_fields_is_tolerated():
+    table = _table(" 10.0.0.0/8 ,\t4294967295 \n10.1.0.0/16, 064500\n", STRICT)
+    assert list(table.entries()) == [
+        RouteEntry(parse_ipv4("10.0.0.0"), 8, 2**32 - 1),
+        RouteEntry(parse_ipv4("10.1.0.0"), 16, 64500),
+    ]
 
 
 def test_comments_and_blank_lines():
@@ -199,3 +235,151 @@ def test_as_summary_reproduces_planted_ratios():
     assert sum(s.visible_24s for s in as_summary(stats)) == len(
         {s.prefix for s in stats if s.origin_asn is not None}
     )
+
+
+# --- differential tests against per-line and brute-force references ------
+
+
+def _reference_load(lines, policy: str) -> RoutingTable:
+    """The snapshot grammar, one line at a time, with ipaddress parsing the
+    network and the table's own checked ``get``/``add`` doing the inserts."""
+    table = RoutingTable()
+    stats = table.load_stats = RouteLoadStats()
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
+        stats.lines_read += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            stats.comment_lines += 1
+            continue
+        route = _reference_route(stripped)
+        if route is None:
+            if policy == STRICT:
+                raise RouteParseError("invalid", line_number)
+            stats.invalid_lines += 1
+            continue
+        network, length, asn = route
+        if network & MASKS[length] != network:
+            if policy == STRICT:
+                raise RouteParseError("host bits", line_number)
+            stats.normalized_lines += 1
+            network &= MASKS[length]
+        existing = table.get(network, length)
+        if existing is None:
+            table.add(RouteEntry(network, length, asn))
+            stats.entries_loaded += 1
+        elif existing.origin_asn == asn:
+            stats.duplicate_repeats += 1
+        elif policy == STRICT:
+            raise RouteParseError("conflict", line_number)
+        else:
+            stats.duplicate_conflicts += 1
+    return table
+
+
+def _reference_route(line: str) -> tuple[int, int, int] | None:
+    fields = [field.strip() for field in line.split(",")]
+    if len(fields) != 2 or fields[0].count("/") != 1:
+        return None
+    address, length = fields[0].split("/")
+    asn = fields[1]
+    if not re.fullmatch(r"0|[1-9][0-9]?", length) or int(length) > 32:
+        return None
+    if not re.fullmatch(r"[0-9]+", asn) or int(asn) >= 2**32:
+        return None
+    try:
+        network = int(ipaddress.IPv4Address(address))
+    except ValueError:
+        return None
+    return network, int(length), int(asn)
+
+
+# A few networks and ASNs so that repeats, conflicts and host bits are common.
+_NETWORKS = ["10.0.0.0", "10.1.0.0", "10.1.2.3", "192.0.2.128", "0.0.0.0", "255.255.255.255"]
+_ODD_FIELDS = ["", " ", "08", "+8", "-0", "33", "\u0668", "+1", "1_0", "-1", "4294967296",
+               "4294967295", "1.2.3", "01.2.3.4", "1.2.3.4 /8", "a", "/", ","]
+
+
+@st.composite
+def _route_lines(draw):
+    kind = draw(st.sampled_from(["route", "route", "route", "odd", "text", "comment", "blank"]))
+    if kind == "route" or kind == "odd":
+        network = draw(st.sampled_from(_NETWORKS) | st.integers(0, 2**32 - 1).map(
+            lambda v: str(ipaddress.IPv4Address(v))))
+        length = str(draw(st.sampled_from([0, 8, 16, 24, 25, 32]) | st.integers(0, 32)))
+        asn = str(draw(st.sampled_from([0, 1, 64500, 2**32 - 1])))
+        if kind == "odd":
+            field = draw(st.sampled_from(["network", "length", "asn"]))
+            odd = draw(st.sampled_from(_ODD_FIELDS))
+            network, length, asn = (odd if f == field else v for f, v in (
+                ("network", network), ("length", length), ("asn", asn)))
+        pad, inner = (draw(st.sampled_from(["", "", " ", "\t"])) for _ in range(2))
+        line = f"{pad}{network}{inner}/{length}{pad},{pad}{asn}{pad}"
+    elif kind == "text":
+        line = draw(st.text(alphabet="0123456789./,# x+-\u0660", max_size=24))
+    elif kind == "comment":
+        line = draw(st.sampled_from(["#", "# note", "  # indented"]))
+    else:
+        line = draw(st.sampled_from(["", "  ", "\t"]))
+    line += draw(st.sampled_from(["\n", "\r\n", ""]))
+    if draw(st.booleans()):
+        return line
+    return line.encode("utf-8") + draw(st.sampled_from([b"", b"\xff"]))
+
+
+@given(st.lists(_route_lines(), max_size=40))
+@example(["10.0.0.0/8,1\n", "10.0.0.1/8,1\n", "10.0.0.0/8,2\n", b"\xff\n", "# c\n", "\n"])
+def test_loader_matches_per_line_reference(lines):
+    got = load_route_table(lines, LENIENT)
+    want = _reference_load(lines, LENIENT)
+    assert list(got.entries()) == list(want.entries())
+    assert got.load_stats == want.load_stats
+    s = got.load_stats
+    assert s.lines_read == len(lines) == (s.entries_loaded + s.comment_lines + s.invalid_lines
+                                          + s.duplicate_conflicts + s.duplicate_repeats)
+    assert len(got) == s.entries_loaded
+    try:
+        strict = load_route_table(lines, STRICT)
+    except RouteParseError as err:
+        with pytest.raises(RouteParseError) as want_err:
+            _reference_load(lines, STRICT)
+        assert err.line_number == want_err.value.line_number
+        assert str(err).startswith(f"line {err.line_number}: ")
+    else:
+        assert list(strict.entries()) == list(_reference_load(lines, STRICT).entries())
+
+
+_lengths = st.sampled_from([0, 8, 16, 23, 24]) | st.integers(25, 32) | st.integers(0, 32)
+
+
+@st.composite
+def _tables_and_stats(draw):
+    keys = draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), _lengths), max_size=30))
+    if draw(st.booleans()):
+        keys.append((0, 0))  # default route
+    table = RoutingTable()
+    entries = []
+    for address, length in keys:
+        network = address & MASKS[length]
+        if table.get(network, length) is None:
+            entry = RouteEntry(network, length, draw(st.integers(0, 2**32 - 1)))
+            table.add(entry)
+            entries.append(entry)
+    # Stats at random /24s and at /24s inside the routes, so more-specifics hit.
+    near = [e.network >> 8 for e in entries]
+    prefixes = draw(st.lists(st.integers(0, 2**24 - 1) | (st.sampled_from(near) if near else st.nothing()),
+                             max_size=30))
+    stats = classify(table_with_counts({p: 1 + p % 256 for p in prefixes}))
+    return table, entries, stats
+
+
+@given(_tables_and_stats())
+def test_enrich_and_split_match_brute_force(case):
+    table, entries, stats = case
+    expected = []
+    for s in stats:
+        best = _brute_force(entries, s.prefix << 8)
+        expected.append(s if best is None else replace(
+            s, origin_asn=best.origin_asn, covering_route=(best.network, best.length)))
+    assert enrich(stats, table) == expected
+    assert table.split_slash24s() == frozenset(e.network >> 8 for e in entries if e.length > 24)
