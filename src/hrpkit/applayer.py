@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import IO, Iterable
 
-from .ingest import ScanMeta, format_ipv4, parse_ipv4, read_csv
+from .ingest import ScanMeta, format_ipv4, parse_ipv4, read_csv, row_meta
 from .prefixes import PrefixTable
 
 SUCCESS = "success"
@@ -102,57 +102,41 @@ class SuccessCdf:
         return self.cumulative[success_count]
 
 
-def _dedupe(results: Iterable[AppResult], occupancy: PrefixTable) -> tuple[dict[int, AppResult], int, int]:
-    """First result per target, with duplicate and anomaly counts."""
-    by_target: dict[int, AppResult] = {}
-    duplicates = 0
-    anomalies = 0
-    port_key = occupancy.meta.port_key()
-    for r in results:
-        if r.meta.port_key() != port_key:
-            raise ValueError(
-                f"result port/proto {r.meta.protocol}/{r.meta.port} does not match "
-                f"occupancy {port_key[0]}/{port_key[1]}"
-            )
-        if r.target in by_target:
-            duplicates += 1
-            continue
-        if not occupancy.has_address(r.target):
-            anomalies += 1
-            continue
-        by_target[r.target] = r
-    return by_target, duplicates, anomalies
-
-
-def hrp_app_report(
-    results: Iterable[AppResult],
-    hrps: Iterable[int],
-    occupancy: PrefixTable,
-    exclude_app_errors: bool = False,
-) -> AppReportSet:
-    """Per-HRP application-layer report (every HRP appears, ascending).
-
-    By default app_error counts as a failed target. With exclude_app_errors
-    those targets are disregarded entirely: they leave the denominator, so a
-    prefix where every reachable host trips an SNI-style error is judged on
-    the remaining targets only.
-    """
+def _report(
+    results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable, exclude_app_errors: bool
+) -> tuple[dict[int, AppResult], AppReportSet]:
+    """The first result per target, and the report set built from those."""
     hrp_prefixes = sorted(set(hrps))
     missing = [p for p in hrp_prefixes if not occupancy.count(p)]
     if missing:
         raise ValueError(f"HRPs missing from the occupancy table: {missing[:5]}")
-    by_target, duplicates, anomalies = _dedupe(results, occupancy)
-    successes: dict[int, list[AppResult]] = defaultdict(list)
-    app_errors: Counter[int] = Counter()
     hrp_set = set(hrp_prefixes)
-    for target, r in by_target.items():
-        prefix = target >> 8
-        if prefix not in hrp_set:
-            continue
-        if r.status == SUCCESS:
-            successes[prefix].append(r)
-        elif r.status == APP_ERROR:
-            app_errors[prefix] += 1
+    by_target: dict[int, AppResult] = {}
+    successes: dict[int, list[AppResult]] = defaultdict(list)  # per HRP, first rows only
+    app_errors: Counter[int] = Counter()
+    duplicates = anomalies = 0
+    port_key = occupancy.meta.port_key()
+    bitmaps = occupancy.bitmaps
+    checked = None  # the last meta whose port/proto matched
+    for r in results:
+        if r.meta is not checked:
+            if r.meta.port_key() != port_key:
+                raise ValueError(
+                    f"result port/proto {r.meta.protocol}/{r.meta.port} does not match "
+                    f"occupancy {port_key[0]}/{port_key[1]}"
+                )
+            checked = r.meta
+        target, prefix = r.target, r.target >> 8
+        if target in by_target:
+            duplicates += 1
+        elif not bitmaps.get(prefix, 0) >> (target & 0xFF) & 1:
+            anomalies += 1
+        else:
+            by_target[target] = r
+            if prefix in hrp_set and r.status == SUCCESS:
+                successes[prefix].append(r)
+            elif prefix in hrp_set and r.status == APP_ERROR:
+                app_errors[prefix] += 1
     reports = []
     for prefix in hrp_prefixes:
         denominator = occupancy.count(prefix)
@@ -178,37 +162,44 @@ def hrp_app_report(
                 dominant_identifier_share=dominant / success_count if success_count else 0.0,
             )
         )
-    return AppReportSet(reports=reports, anomaly_count=anomalies, duplicate_count=duplicates)
+    return by_target, AppReportSet(reports=reports, anomaly_count=anomalies, duplicate_count=duplicates)
+
+
+def hrp_app_report(
+    results: Iterable[AppResult],
+    hrps: Iterable[int],
+    occupancy: PrefixTable,
+    exclude_app_errors: bool = False,
+) -> AppReportSet:
+    """Per-HRP application-layer report (every HRP appears, ascending).
+
+    By default app_error counts as a failed target. With exclude_app_errors
+    those targets are disregarded entirely: they leave the denominator, so a
+    prefix where every reachable host trips an SNI-style error is judged on
+    the remaining targets only.
+    """
+    return _report(results, hrps, occupancy, exclude_app_errors)[1]
 
 
 def address_comparison(
     results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
 ) -> AddressComparison:
-    """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares."""
-    results = list(results)
-    hrp_set = set(hrps)
-    report_set = hrp_app_report(results, hrp_set, occupancy)
-    gt90 = {r.prefix for r in report_set.reports if r.gt90_success}
-    gt90_same_id = {r.prefix for r in report_set.reports if r.gt90_success and r.same_identifier}
-    by_target, _, _ = _dedupe(results, occupancy)
-    non_hrp_targets = non_hrp_successes = 0
-    hrp_targets = hrp_successes = 0
-    gt90_successes = gt90_same_id_successes = 0
-    for target, r in by_target.items():
-        prefix = target >> 8
-        ok = r.status == SUCCESS
-        if prefix in hrp_set:
-            hrp_targets += 1
-            if ok:
-                hrp_successes += 1
-                if prefix in gt90:
-                    gt90_successes += 1
-                    if prefix in gt90_same_id:
-                        gt90_same_id_successes += 1
-        else:
-            non_hrp_targets += 1
-            if ok:
-                non_hrp_successes += 1
+    """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares.
+
+    The >90% subsets always come from reports that count app_error as a
+    failed target (hrp_app_report's default), whatever a report built with
+    exclude_app_errors says.
+    """
+    by_target, report_set = _report(results, hrps, occupancy, exclude_app_errors=False)
+    reports = report_set.reports
+    hrp_set = {r.prefix for r in reports}
+    hrp_targets = sum(1 for target in by_target if target >> 8 in hrp_set)
+    successes = sum(1 for r in by_target.values() if r.status == SUCCESS)
+    hrp_successes = sum(r.success_count for r in reports)
+    gt90_successes = sum(r.success_count for r in reports if r.gt90_success)
+    gt90_same_id_successes = sum(r.success_count for r in reports if r.gt90_success and r.same_identifier)
+    non_hrp_targets = len(by_target) - hrp_targets
+    non_hrp_successes = successes - hrp_successes
     return AddressComparison(
         non_hrp_targets=non_hrp_targets,
         non_hrp_successes=non_hrp_successes,
@@ -250,22 +241,13 @@ def read_app_results(
     vantage: str | None = None,
 ) -> list[AppResult]:
     """Read the CSV form back; port/proto must agree across rows."""
-    if timestamp is None:
-        timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    meta: ScanMeta | None = None
+    meta_of = row_meta(scan_id, timestamp, vantage)
 
     def parse_row(fields: list[str]) -> AppResult:
-        nonlocal meta
         ip_text, port_text, proto, status, identifier = map(str.strip, fields)
         target = parse_ipv4(ip_text)
         if target is None:
             raise ValueError(f"invalid address {ip_text!r}")
-        if meta is None:
-            meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
-        elif (proto, int(port_text)) != meta.port_key():
-            raise ValueError(
-                f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
-            )
-        return AppResult(target, meta, status, identifier or None)
+        return AppResult(target, meta_of(port_text, proto), status, identifier or None)
 
     return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))

@@ -370,10 +370,10 @@ def _cmd_escalate(args) -> int:
     occupancy, _ = _load_occupancy(args)
     policy = _policy_from_args(args)
     sampled = {
-        t.address
+        address
         for entry in plan.entries.values()
         if entry.strategy == planner.STRATEGY_SAMPLED
-        for t in entry.targets
+        for address in entry.addresses
     }
     by_prefix: dict[int, list] = {}
     seen: set[int] = set()

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 PLAIN = "plain"
@@ -34,6 +35,8 @@ POLICIES = (STRICT, LENIENT)
 SADDR_COLUMN = "saddr"
 
 _PROTOCOLS = ("tcp", "udp")
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 _Row = TypeVar("_Row")
 
@@ -122,12 +125,40 @@ def parse_cidr(text: str) -> tuple[int, int] | None:
     return None if network is None or length is None else (network, length)
 
 
+def parse_uint(text: str, low: int, high: int, name: str) -> int:
+    """ASCII decimal digits (leading zeros allowed) for a value in [low, high] below 10**20; signs,
+    underscores, whitespace, non-ASCII digits and other text raise ValueError naming the field."""
+    if text.isascii() and text.isdigit() and (len(text) <= 20 or len(text.lstrip("0")) <= 20):
+        if low <= (value := int(text)) <= high:  # zero-padded text may be longer, huge text never parsed
+            return value
+    raise ValueError(f"invalid {name} {text!r}: expected ASCII digits for {low}-{high}")
+
+
+def row_meta(scan_id: str, timestamp: datetime | None, vantage: str | None) -> Callable[[str, str], ScanMeta]:
+    """The ScanMeta of a table's rows from each row's port and protocol text: the first row fixes
+    both, a row naming others raises ValueError, and text equal to the last row's is not re-parsed."""
+    meta: ScanMeta | None = None
+    last: tuple[str, str] | None = None
+
+    def meta_of(port_text: str, proto: str) -> ScanMeta:
+        nonlocal meta, last
+        if (port_text, proto) != last:
+            port = parse_uint(port_text, 0, 65535, "port")
+            if meta is None:
+                meta = ScanMeta(proto, port, scan_id, timestamp or _EPOCH, vantage)
+            elif (proto, port) != meta.port_key():
+                raise ValueError(
+                    f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
+                )
+            last = (port_text, proto)
+        return meta
+
+    return meta_of
+
+
 def parse_asn(text: str) -> int:
     """Parse an AS number written in ASCII digits; ValueError unless 0-4294967295."""
-    if text.isascii() and text.isdigit() and (len(text) <= 10 or len(text.lstrip("0")) <= 10):
-        if (value := int(text)) <= 0xFFFFFFFF:  # zero-padded text may be longer, huge text never parsed
-            return value
-    raise ValueError(f"invalid AS number {text!r}")
+    return parse_uint(text, 0, 0xFFFFFFFF, "AS number")
 
 
 def format_ipv4(value: int) -> str:
@@ -143,11 +174,13 @@ def parse_address_line(line: str, fmt: str, saddr_index: int = 0) -> int | None:
     if fmt == PLAIN:
         return parse_ipv4(line.strip())
     if fmt == CSV_SADDR:
-        fields = line.rstrip("\r\n").split(",")
-        if saddr_index >= len(fields):
-            return None
-        return parse_ipv4(fields[saddr_index].strip())
+        return _saddr_field(saddr_index, line.rstrip("\r\n"))
     raise ValueError(f"unknown scan format: {fmt!r}")
+
+
+def _saddr_field(saddr_index: int, row: str) -> int | None:
+    fields = row.split(",")
+    return parse_ipv4(fields[saddr_index].strip()) if saddr_index < len(fields) else None
 
 
 def open_scan_source(
@@ -211,8 +244,7 @@ def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> 
         header = [name.strip() for name in stripped.split(",")]
         if SADDR_COLUMN not in header:
             raise IngestError(f"header row has no {SADDR_COLUMN!r} column: {stripped!r}", line_number)
-        saddr_index = header.index(SADDR_COLUMN)
-        return lambda row: parse_address_line(row, CSV_SADDR, saddr_index)
+        return partial(_saddr_field, header.index(SADDR_COLUMN))
     return parse_ipv4  # no header, so no rows follow either
 
 

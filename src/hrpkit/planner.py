@@ -18,12 +18,13 @@ the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from itertools import groupby, islice
+from typing import IO, Iterable, Mapping, Sequence
 
 from .applayer import SUCCESS, AppResult
-from .ingest import format_ipv4, parse_ipv4, read_csv
+from .ingest import _OCTETS, format_ipv4, parse_ipv4, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
 STRATEGY_FULL = "full"
@@ -44,6 +45,7 @@ SCENARIOS = (PROXY, CDN_LIKE, DIVERSE)
 PLAN_COLUMNS = ("ip", "prefix", "strategy", "provenance")
 DNS_SEED_COLUMNS = ("ip", "name_count")
 
+_MAX_NAME_COUNT = (1 << 63) - 1
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -130,16 +132,27 @@ class SamplePolicy:
 
 
 @dataclass(frozen=True)
-class PlanTarget:
-    address: int
-    provenance: str
-
-
-@dataclass(frozen=True)
 class PlanEntry:
+    """Targets of one /24 in plan order, with their provenances as runs: the maximal
+    ``(provenance, length)`` segments over addresses, so equal plans compare equal.
+    The writers rely on the runs covering the addresses, all in the prefix; both are checked."""
+
     prefix: int
     strategy: str
-    targets: tuple[PlanTarget, ...]
+    addresses: tuple[int, ...]
+    runs: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        if self.runs != _runs(self.runs) or sum(length for _, length in self.runs) != len(self.addresses):
+            raise ValueError(f"runs {self.runs} are not the maximal runs over {len(self.addresses)} targets")
+        if self.addresses and not self.prefix == min(self.addresses) >> 8 == max(self.addresses) >> 8:
+            raise ValueError(f"targets outside {format_slash24(self.prefix)}")
+
+
+def _runs(segments: Iterable[Sequence]) -> tuple[tuple[str, int], ...]:
+    """Maximal runs over consecutive ``(provenance, length)`` segments; empty ones drop out."""
+    nonempty = [(provenance, length) for provenance, length in segments if length > 0]
+    return tuple((p, sum(length for _, length in group)) for p, group in groupby(nonempty, lambda s: s[0]))
 
 
 @dataclass
@@ -148,20 +161,11 @@ class TargetPlan:
 
     entries: dict[int, PlanEntry]
 
-    def prefixes(self) -> list[int]:
-        return sorted(self.entries)
-
-    def iter_targets(self) -> Iterator[tuple[int, PlanTarget]]:
-        """(prefix, target) pairs, prefixes ascending, targets in plan order."""
-        for prefix in sorted(self.entries):
-            for target in self.entries[prefix].targets:
-                yield prefix, target
-
     def total_targets(self) -> int:
-        return sum(len(entry.targets) for entry in self.entries.values())
+        return sum(len(entry.addresses) for entry in self.entries.values())
 
     def target_addresses(self) -> set[int]:
-        return {t.address for _, t in self.iter_targets()}
+        return {address for entry in self.entries.values() for address in entry.addresses}
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,8 @@ def build_plan(
     for prefix in occupancy.prefixes():
         responsive = occupancy.addresses(prefix)
         if prefix not in hrp_set:
-            targets = tuple(PlanTarget(addr, NON_HRP_FULL) for addr in responsive)
-            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, targets)
+            runs = _runs([(NON_HRP_FULL, len(responsive))])
+            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, tuple(responsive), runs)
             continue
         entries[prefix] = _sample_hrp(prefix, responsive, seeds_by_prefix.get(prefix, {}), policy)
     return TargetPlan(entries)
@@ -211,14 +215,14 @@ def _sample_hrp(
     ]
     eligible.sort(key=lambda pair: (-pair[1], pair[0]))
     seeded = [address for address, _ in eligible[: policy.k]]
-    targets = [PlanTarget(address, DNS_SEED) for address in seeded]
+    drawn: list[int] = []
     fill_budget = policy.k - len(seeded)
     if fill_budget > 0:
         candidates = [addr for addr in responsive if addr not in seed_names]
         rng = _prefix_stream(policy.rng_seed, prefix)
         drawn = _sample_without_replacement(candidates, min(fill_budget, len(candidates)), rng)
-        targets.extend(PlanTarget(address, UNIFORM_FILL) for address in drawn)
-    return PlanEntry(prefix, STRATEGY_SAMPLED, tuple(targets))
+    runs = _runs([(DNS_SEED, len(seeded)), (UNIFORM_FILL, len(drawn))])
+    return PlanEntry(prefix, STRATEGY_SAMPLED, tuple(seeded + drawn), runs)
 
 
 def classify_sample(sample_results: Sequence[AppResult], policy: SamplePolicy) -> str:
@@ -246,23 +250,19 @@ def classify_sample(sample_results: Sequence[AppResult], policy: SamplePolicy) -
 
 def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTable) -> TargetPlan:
     """Grow diverse prefixes to their full responsive sets; others unchanged."""
+    entries = dict(plan.entries)
     for prefix, scenario in classes.items():
         if prefix not in plan.entries:
             raise ValueError(f"classified prefix not in plan: {format_slash24(prefix)}")
         if scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r} for {format_slash24(prefix)}")
-    entries = dict(plan.entries)
-    for prefix, scenario in classes.items():
         if scenario != DIVERSE:
             continue
         entry = entries[prefix]
-        planned = {t.address for t in entry.targets}
-        additions = tuple(
-            PlanTarget(addr, ESCALATION)
-            for addr in occupancy.addresses(prefix)
-            if addr not in planned
-        )
-        entries[prefix] = replace(entry, targets=entry.targets + additions)
+        planned = set(entry.addresses)
+        additions = tuple(addr for addr in occupancy.addresses(prefix) if addr not in planned)
+        runs = _runs([*entry.runs, (ESCALATION, len(additions))])
+        entries[prefix] = PlanEntry(prefix, entry.strategy, entry.addresses + additions, runs)
     return TargetPlan(entries)
 
 
@@ -283,12 +283,8 @@ def evaluate_plan(final_plan: TargetPlan, truth: Iterable[AppResult]) -> PlanMet
             f"first: {format_ipv4(uncovered[0])}"
         )
     baseline = len(truth_by_target)
-    all_identifiers = {r.identifier for r in truth_by_target.values() if r.identifier is not None}
-    reached = {
-        truth_by_target[a].identifier
-        for a in planned
-        if truth_by_target[a].identifier is not None
-    }
+    all_identifiers = {r.identifier for r in truth_by_target.values()} - {None}
+    reached = {truth_by_target[a].identifier for a in planned} - {None}
     return PlanMetrics(
         handshakes_planned=len(planned),
         handshakes_full_baseline=baseline,
@@ -304,13 +300,7 @@ def read_dns_seeds(lines: Iterable[str]) -> list[DnsSeed]:
         address = parse_ipv4(fields[0].strip())
         if address is None:
             raise ValueError(f"invalid address {fields[0]!r}")
-        try:
-            name_count = int(fields[1])
-        except ValueError:
-            raise ValueError(f"invalid name_count {fields[1]!r}") from None
-        if name_count < 1:
-            raise ValueError("name_count must be >= 1")
-        return address, name_count
+        return address, parse_uint(fields[1].strip(), 1, _MAX_NAME_COUNT, "name_count")
 
     merged: dict[int, int] = {}
     for address, name_count in read_csv(lines, DNS_SEED_COLUMNS, parse_row):
@@ -321,18 +311,21 @@ def read_dns_seeds(lines: Iterable[str]) -> list[DnsSeed]:
 def write_plan_csv(plan: TargetPlan, out: IO[str]) -> None:
     """CSV form, prefixes ascending and targets in plan order."""
     out.write(",".join(PLAN_COLUMNS) + "\n")
-    for prefix, target in plan.iter_targets():
+    for prefix in sorted(plan.entries):
         entry = plan.entries[prefix]
-        out.write(
-            f"{format_ipv4(target.address)},{format_slash24(prefix)},"
-            f"{entry.strategy},{target.provenance}\n"
-        )
+        slash24 = format_slash24(prefix)
+        base = slash24[:-4]  # a.b.c.
+        addresses = iter(entry.addresses)
+        for provenance, length in entry.runs:
+            tail = f",{slash24},{entry.strategy},{provenance}\n"
+            out.write("".join([f"{base}{a & 0xFF}{tail}" for a in islice(addresses, length)]))
 
 
 def write_plan_targets(plan: TargetPlan, out: IO[str]) -> None:
     """One target address per line: a ready-made input list for a scanner."""
-    for _, target in plan.iter_targets():
-        out.write(format_ipv4(target.address) + "\n")
+    for prefix in sorted(plan.entries):
+        base = format_slash24(prefix)[:-4]
+        out.write("".join([f"{base}{a & 0xFF}\n" for a in plan.entries[prefix].addresses]))
 
 
 def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
@@ -341,10 +334,23 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     Each address must lie in its row's prefix and appear once; every row of
     one prefix must name the same strategy.
     """
-    rows: dict[int, tuple[str, list[PlanTarget]]] = {}
-    seen: dict[int, int] = {}  # prefix -> bitmap of the host bytes read so far
+    rows: dict[int, tuple[str, list[int], list[list]]] = {}  # prefix -> strategy, addresses, runs
+    seen: set[int] = set()
+    last = None  # raw prefix, strategy and provenance fields of the last fully checked row
+    base, network, append, run = "", 0, None, None  # its a.b.c. text, network, addresses and run
 
     def parse_row(fields: list[str]) -> None:
+        nonlocal last, base, network, append, run
+        # Valid address text is unique per address, so a row that repeats the
+        # last checked row's other fields and names a canonical host of its
+        # prefix passes every check but the repeat check.
+        if fields[1:] == last and fields[0].startswith(base):
+            host = _OCTETS.get(fields[0][len(base) :])
+            if host is not None and network | host not in seen:
+                seen.add(network | host)
+                append(network | host)
+                run[1] += 1
+                return
         ip_text, prefix_text, strategy, provenance = map(str.strip, fields)
         address = parse_ipv4(ip_text)
         if address is None:
@@ -356,23 +362,20 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
         prefix = parse_slash24(prefix_text)
         if address >> 8 != prefix:
             raise ValueError(f"address {ip_text} is outside {prefix_text}")
-        stored_strategy, targets = rows.setdefault(prefix, (strategy, []))
+        stored_strategy, addresses, runs = rows.setdefault(prefix, (strategy, [], []))
         if stored_strategy != strategy:
             raise ValueError(f"mixed strategies for {prefix_text}")
-        bits = seen.get(prefix, 0)
-        if bits >> (address & 0xFF) & 1:
+        if address in seen:  # in this prefix, as the address lies in it
             raise ValueError(f"repeated address {ip_text} in {prefix_text}")
-        seen[prefix] = bits | 1 << (address & 0xFF)
-        targets.append(PlanTarget(address, provenance))
+        seen.add(address)
+        addresses.append(address)
+        run = [provenance, 1]
+        runs.append(run)
+        last, base, network, append = fields[1:], format_slash24(prefix)[:-4], prefix << 8, addresses.append
 
     for _ in read_csv(lines, PLAN_COLUMNS, parse_row):
         pass
-    return TargetPlan(
-        {
-            prefix: PlanEntry(prefix, strategy, tuple(targets))
-            for prefix, (strategy, targets) in rows.items()
-        }
-    )
+    return TargetPlan({p: PlanEntry(p, s, tuple(a), _runs(r)) for p, (s, a, r) in rows.items()})
 
 
 def plan_summary(plan: TargetPlan) -> dict:
@@ -381,8 +384,8 @@ def plan_summary(plan: TargetPlan) -> dict:
     provenance_counts = {p: 0 for p in PROVENANCES}
     for entry in plan.entries.values():
         strategy_counts[entry.strategy] += 1
-        for target in entry.targets:
-            provenance_counts[target.provenance] += 1
+        for provenance, length in entry.runs:
+            provenance_counts[provenance] += length
     return {
         "prefixes": len(plan.entries),
         "targets": plan.total_targets(),

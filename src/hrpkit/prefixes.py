@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from fractions import Fraction
 from typing import IO, Iterable
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_ipv4, read_csv
+from .ingest import ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_ipv4, parse_uint, read_csv, row_meta
 
 SLASH24_SIZE = 256
 
@@ -110,15 +110,8 @@ class PrefixTable:
     def __len__(self) -> int:
         return len(self.bitmaps)
 
-    def add(self, addr: int) -> None:
-        prefix = addr >> 8
-        self.bitmaps[prefix] = self.bitmaps.get(prefix, 0) | (1 << (addr & 0xFF))
-
     def count(self, prefix: int) -> int:
         return self.bitmaps.get(prefix, 0).bit_count()
-
-    def has_address(self, addr: int) -> bool:
-        return bool(self.bitmaps.get(addr >> 8, 0) >> (addr & 0xFF) & 1)
 
     def addresses(self, prefix: int) -> list[int]:
         """Member addresses of one prefix, ascending."""
@@ -295,31 +288,21 @@ def read_prefix_stats(
 
     The CSV schema carries no scan identity, so the caller supplies it.
     Rows that break the stats' invariants raise ValueError naming the line:
-    count outside 1-256, is_hrp other than ``true``/``false`` or disagreeing
-    with count and threshold, threshold fraction outside (0, 1], an origin
-    ASN other than ASCII digits for 0-4294967295, or a covering prefix that
-    is not a valid route with a canonical length.
+    port or count not ASCII digits in 0-65535 or 1-256, is_hrp other than
+    ``true``/``false`` or disagreeing with count and threshold, threshold
+    fraction outside (0, 1], an origin ASN not ASCII digits for 0-4294967295,
+    or a covering prefix that is not a valid route with a canonical length.
     """
-    if timestamp is None:
-        timestamp = datetime(1970, 1, 1, tzinfo=timezone.utc)
-    meta: ScanMeta | None = None
+    meta_of = row_meta(scan_id, timestamp, vantage)
     thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
 
     def parse_row(fields: list[str]) -> PrefixStat:
-        nonlocal meta
         prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        if meta is None:
-            meta = ScanMeta(proto, int(port_text), scan_id, timestamp, vantage)
-        elif (proto, int(port_text)) != meta.port_key():
-            raise ValueError(
-                f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
-            )
+        meta = meta_of(port_text.strip(), proto)
         threshold = thresholds.get(fraction_text)
         if threshold is None:
             threshold = thresholds[fraction_text] = HrpThreshold(float(fraction_text))
-        count = int(count_text)
-        if not 1 <= count <= SLASH24_SIZE:
-            raise ValueError(f"count must be in [1, {SLASH24_SIZE}], got {count_text!r}")
+        count = parse_uint(count_text.strip(), 1, SLASH24_SIZE, "count")
         is_hrp = _HRP_FLAGS.get(hrp_text)
         if is_hrp is None:
             raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")

@@ -181,7 +181,7 @@ def test_criterion_6_planner_economy_on_cdn_corpus():
             truth[addr] = AppResult(addr, META, SUCCESS, f"cert{prefix}")
     classes = {
         prefix: classify_sample(
-            [truth[t.address] for t in plan.entries[prefix].targets], policy
+            [truth[a] for a in plan.entries[prefix].addresses], policy
         )
         for prefix in plan.entries
     }
@@ -213,14 +213,14 @@ def test_criterion_7_escalation_completeness():
     plan = build_plan(occupancy, set(counts), [], policy)
     classes = {
         prefix: classify_sample(
-            [truth[t.address] for t in plan.entries[prefix].targets], policy
+            [truth[a] for a in plan.entries[prefix].addresses], policy
         )
         for prefix in plan.entries
     }
     assert {p for p, c in classes.items() if c == DIVERSE} == diverse_prefixes
     final = escalate(plan, classes, occupancy)
     for prefix in diverse_prefixes:
-        assert {t.address for t in final.entries[prefix].targets} == set(
+        assert set(final.entries[prefix].addresses) == set(
             occupancy.addresses(prefix)
         )
     metrics = evaluate_plan(final, truth.values())

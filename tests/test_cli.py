@@ -116,6 +116,10 @@ def test_enrich_pipeline(tmp_path):
     "10.1.3.0/24,443,tcp,3,false,0.900000,-5,",  # origin ASN not ASCII digits
     "10.1.3.0/24,443,tcp,3,false,0.900000,+64500,",
     "10.1.3.0/24,443,tcp,3,false,0.900000,,10.1.0.0/016",  # non-canonical covering length
+    "10.1.3.0/24,+443,tcp,3,false,0.900000,,",  # port or count not ASCII digits
+    "10.1.3.0/24,4_43,tcp,3,false,0.900000,,",
+    "10.1.3.0/24,443,tcp,2_40,true,0.900000,,",
+    "10.1.3.0/24,443,tcp,\u0662\u0664\u0660,true,0.900000,,",
 ])
 def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_row):
     stats = _detect(tmp_path, "s443", {0x0A0102: 256})
@@ -238,6 +242,39 @@ def test_plan_is_byte_identical_across_runs(tmp_path):
     targets = (tmp_path / "targets.txt").read_text().splitlines()
     assert len(targets) == 23
     assert targets == sorted(set(targets), key=targets.index)  # no duplicates
+
+
+@pytest.mark.parametrize("bad_count", ["0", "+2", "2_0", "\u0662"])
+def test_plan_rejects_bad_seed_name_count_with_file_and_line(tmp_path, capsys, bad_count):
+    scan = write_scan(tmp_path / "scan.txt", {5: 256})
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text(f"ip,name_count\n0.0.5.4,{bad_count}\n", encoding="utf-8")
+    assert run("plan", "--port", 443, "--output", tmp_path / "plan.csv",
+               "--summary", tmp_path / "s.json", scan, seeds) == 2
+    assert f"{seeds}: line 2: " in capsys.readouterr().err
+
+
+def test_applayer_comparison_counts_app_errors_as_failures_even_when_reports_exclude_them(tmp_path):
+    # One HRP: 220 successes and 36 app errors. Counting the errors as failures
+    # its success share is 220/256 (not above 90%); excluding them it is 220/220.
+    scan = write_scan(tmp_path / "scan.txt", {5: 256, 9: 2})
+    results = tmp_path / "results.csv"
+    rows = ["ip,port,proto,status,identifier"]
+    rows += [f"{format_ipv4((5 << 8) | host)},443,tcp,success,certA" for host in range(220)]
+    rows += [f"{format_ipv4((5 << 8) | host)},443,tcp,app_error," for host in range(220, 256)]
+    results.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    docs = {}
+    for flag in ((), ("--exclude-app-errors",)):
+        report = tmp_path / "applayer.json"
+        assert run("applayer", "--port", 443, *flag, "--output", report, results, scan) == 0
+        docs[bool(flag)] = json.loads(report.read_text())
+    assert [r["gt90_success"] for r in docs[False]["reports"]] == [False]
+    assert [r["gt90_success"] for r in docs[True]["reports"]] == [True]
+    assert [r["denominator"] for r in docs[True]["reports"]] == [220]
+    for doc in docs.values():
+        assert doc["address_comparison"]["gt90_subset_share"] == 0.0
+        assert doc["address_comparison"]["gt90_same_identifier_share"] is None
+    assert docs[True]["address_comparison"] == docs[False]["address_comparison"]
 
 
 def test_escalate_and_evaluate_pipeline(tmp_path):
@@ -375,6 +412,9 @@ def test_escalate_counts_a_repeated_result_row_once(tmp_path):
     "0.0.5.1,443,tcp,ok,",  # unknown status
     "0.0.5.1,443,sctp,success,x",  # unknown protocol
     "0.0.5.1,70000,tcp,success,x",  # port out of range
+    "0.0.5.1,+443,tcp,success,x",  # port not ASCII digits
+    "0.0.5.1,4_43,tcp,success,x",
+    "0.0.5.1,\u0664\u0664\u0663,tcp,success,x",
     "0.0.5.1,443,tcp,success",  # missing field
 ])
 def test_applayer_rejects_bad_results_row_with_file_and_line(tmp_path, capsys, bad_row):

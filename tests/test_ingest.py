@@ -25,6 +25,7 @@ from hrpkit.ingest import (
     parse_cidr,
     parse_ipv4,
     parse_timestamp,
+    parse_uint,
 )
 
 from conftest import EPOCH, make_meta
@@ -118,6 +119,17 @@ def _asn_or_none(text):
 def test_parse_asn_matches_a_digit_pattern(text):
     expected = int(text) if re.fullmatch(r"[0-9]+", text) and int(text) < 2**32 else None
     assert _asn_or_none(text) == expected
+
+
+@given(st.text(alphabet="0123456789+-_ \u0660\u0666", max_size=8), st.integers(0, 300), st.integers(0, 300))
+def test_parse_uint_matches_a_digit_pattern_in_range(text, low, high):
+    expected = int(text) if re.fullmatch(r"[0-9]+", text) and low <= int(text) <= high else None
+    try:
+        value = parse_uint(text, low, high, "count")
+    except ValueError as exc:
+        assert str(exc).startswith(f"invalid count {text!r}")
+        value = None
+    assert value == expected
 
 
 def test_ipv4_roundtrips_exactly():

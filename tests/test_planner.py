@@ -6,6 +6,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult
 from hrpkit.planner import (
@@ -15,10 +16,12 @@ from hrpkit.planner import (
     ESCALATION,
     NON_HRP_FULL,
     PROXY,
+    SCENARIOS,
     STRATEGY_FULL,
     STRATEGY_SAMPLED,
     UNIFORM_FILL,
     DnsSeed,
+    PlanEntry,
     PlanEvaluationError,
     SamplePolicy,
     SplitMix64,
@@ -38,6 +41,15 @@ META = make_meta(scan_id="app")
 
 def _truth(addr: int, status: str = SUCCESS, identifier: str | None = None) -> AppResult:
     return AppResult(addr, META, status, identifier)
+
+
+def _provenances(entry) -> list[str]:
+    return [provenance for provenance, length in entry.runs for _ in range(length)]
+
+
+def _targets(entry) -> list[tuple[int, str]]:
+    """(address, provenance) per target, in plan order."""
+    return list(zip(entry.addresses, _provenances(entry), strict=True))
 
 
 def test_splitmix64_matches_published_vector():
@@ -74,29 +86,30 @@ def test_plan_mixes_seeds_and_uniform_fill():
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
     entry = plan.entries[5]
     assert entry.strategy == STRATEGY_SAMPLED
-    assert [t.provenance for t in entry.targets] == [DNS_SEED] * 5 + [UNIFORM_FILL] * 5
+    assert _provenances(entry) == [DNS_SEED] * 5 + [UNIFORM_FILL] * 5
+    assert entry.runs == ((DNS_SEED, 5), (UNIFORM_FILL, 5))
     seed_addresses = {s.address for s in seeds}
-    fill_addresses = {t.address for t in entry.targets if t.provenance == UNIFORM_FILL}
+    fill_addresses = {a for a, provenance in _targets(entry) if provenance == UNIFORM_FILL}
     assert not (fill_addresses & seed_addresses)
-    assert len({t.address for t in entry.targets}) == 10
+    assert len(set(entry.addresses)) == 10
 
 
 def test_plan_truncates_excess_seeds_by_name_count():
     occupancy = table_with_counts({5: 256})
     seeds = [DnsSeed((5 << 8) | host, 100 - host) for host in range(12)]
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
-    targets = plan.entries[5].targets
-    assert len(targets) == 10
-    assert all(t.provenance == DNS_SEED for t in targets)
+    entry = plan.entries[5]
+    assert len(entry.addresses) == 10
+    assert entry.runs == ((DNS_SEED, 10),)
     # Highest name_count first; host 0 has the most references.
-    assert [t.address & 0xFF for t in targets] == list(range(10))
+    assert [a & 0xFF for a in entry.addresses] == list(range(10))
 
 
 def test_seed_tie_break_is_ascending_address():
     occupancy = table_with_counts({5: 256})
     seeds = [DnsSeed((5 << 8) | host, 7) for host in (9, 3, 6)]
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=2, rng_seed=1))
-    assert [t.address & 0xFF for t in plan.entries[5].targets] == [3, 6]
+    assert [a & 0xFF for a in plan.entries[5].addresses] == [3, 6]
 
 
 def test_non_hrp_prefixes_are_planned_in_full():
@@ -104,26 +117,26 @@ def test_non_hrp_prefixes_are_planned_in_full():
     plan = build_plan(occupancy, set(), [], SamplePolicy(k=10, rng_seed=1))
     entry = plan.entries[7]
     assert entry.strategy == STRATEGY_FULL
-    assert [t.provenance for t in entry.targets] == [NON_HRP_FULL] * 3
+    assert _provenances(entry) == [NON_HRP_FULL] * 3
 
 
 def test_small_hrp_takes_all_responsive():
     # k exceeding the responsive count takes everything, without error.
     occupancy = table_with_counts({6: 4})
     plan = build_plan(occupancy, {6}, [], SamplePolicy(k=10, rng_seed=1))
-    assert len(plan.entries[6].targets) == 4
-    assert {t.provenance for t in plan.entries[6].targets} == {UNIFORM_FILL}
+    assert len(plan.entries[6].addresses) == 4
+    assert set(_provenances(plan.entries[6])) == {UNIFORM_FILL}
 
 
 def test_unresponsive_seeds_follow_the_policy_flag():
     occupancy = table_with_counts({5: 100})  # hosts 0..99 responsive
     seeds = [DnsSeed((5 << 8) | 200, 50)]  # not responsive
     kept = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
-    assert (5 << 8) | 200 in {t.address for t in kept.entries[5].targets}
+    assert (5 << 8) | 200 in kept.entries[5].addresses
     dropped = build_plan(
         occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1, include_unresponsive_seeds=False)
     )
-    addresses = {t.address for t in dropped.entries[5].targets}
+    addresses = set(dropped.entries[5].addresses)
     assert (5 << 8) | 200 not in addresses
     assert len(addresses) == 10
 
@@ -141,12 +154,12 @@ def test_plan_determinism_and_seed_isolation():
     # A different rng seed reshuffles only the uniform fill.
     reseeded = build_plan(occupancy, {5, 6}, seeds, SamplePolicy(k=10, rng_seed=8))
     for prefix in (5, 6):
-        kept = [t for t in first.entries[prefix].targets if t.provenance == DNS_SEED]
-        kept_reseeded = [t for t in reseeded.entries[prefix].targets if t.provenance == DNS_SEED]
+        kept = [t for t in _targets(first.entries[prefix]) if t[1] == DNS_SEED]
+        kept_reseeded = [t for t in _targets(reseeded.entries[prefix]) if t[1] == DNS_SEED]
         assert kept == kept_reseeded
     assert reseeded.entries[7] == first.entries[7]
     fills = lambda plan: [
-        t.address for t in plan.entries[5].targets if t.provenance == UNIFORM_FILL
+        a for a, provenance in _targets(plan.entries[5]) if provenance == UNIFORM_FILL
     ]
     assert fills(first) != fills(reseeded)
 
@@ -165,7 +178,7 @@ def test_plan_has_no_duplicates_and_respects_k():
         policy = SamplePolicy(k=rng.randrange(1, 20) % 256 + 1, rng_seed=rng.getrandbits(32))
         plan = build_plan(occupancy, hrps, seeds, policy)
         for prefix, entry in plan.entries.items():
-            addresses = [t.address for t in entry.targets]
+            addresses = list(entry.addresses)
             assert len(addresses) == len(set(addresses))
             assert all(addr >> 8 == prefix for addr in addresses)
             if entry.strategy == STRATEGY_SAMPLED:
@@ -204,10 +217,48 @@ def test_escalate_grows_only_diverse_prefixes():
     occupancy = table_with_counts({5: 256, 6: 256})
     plan = build_plan(occupancy, {5, 6}, [], SamplePolicy(k=10, rng_seed=2))
     grown = escalate(plan, {5: DIVERSE, 6: PROXY}, occupancy)
-    added = [t for t in grown.entries[5].targets if t.provenance == ESCALATION]
+    added = [t for t in _targets(grown.entries[5]) if t[1] == ESCALATION]
     assert len(added) == 246
-    assert {t.address for t in grown.entries[5].targets} == set(occupancy.addresses(5))
+    assert set(grown.entries[5].addresses) == set(occupancy.addresses(5))
     assert grown.entries[6] == plan.entries[6]
+
+
+def test_escalating_again_grows_the_trailing_escalation_run():
+    plan = build_plan(table_with_counts({5: 240}), {5}, [], SamplePolicy(k=10, rng_seed=2))
+    once = escalate(plan, {5: DIVERSE}, table_with_counts({5: 240}))
+    twice = escalate(once, {5: DIVERSE}, table_with_counts({5: 256}))
+    assert once.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 230))
+    assert twice.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 246))
+    assert twice.entries[5].addresses[:240] == once.entries[5].addresses
+
+
+@given(st.data())
+def test_plan_runs_are_maximal_through_escalate_and_csv(data):
+    counts = data.draw(st.dictionaries(st.integers(0, 30), st.integers(1, 256), min_size=1, max_size=6))
+    occupancy = table_with_counts(counts, META)
+    prefixes = st.sampled_from(sorted(counts))
+    hrps = data.draw(st.sets(prefixes))
+    seeds = [
+        DnsSeed((prefix << 8) | host, names)
+        for prefix, host, names in data.draw(
+            st.lists(st.tuples(prefixes, st.integers(0, 255), st.integers(1, 5)), max_size=12)
+        )
+    ]
+    policy = SamplePolicy(
+        k=data.draw(st.integers(1, 20)),
+        rng_seed=data.draw(st.integers(0, 99)),
+        include_unresponsive_seeds=data.draw(st.booleans()),
+    )
+    classes = data.draw(st.dictionaries(prefixes, st.sampled_from(SCENARIOS)))
+    plan = escalate(build_plan(occupancy, hrps, seeds, policy), classes, occupancy)
+    out = io.StringIO()
+    write_plan_csv(plan, out)
+    entries = read_plan_csv(io.StringIO(out.getvalue())).entries
+    assert entries == plan.entries
+    for entry in entries.values():
+        assert sum(length for _, length in entry.runs) == len(entry.addresses)
+        assert all(length > 0 for _, length in entry.runs)
+        assert all(a != b for (a, _), (b, _) in zip(entry.runs, entry.runs[1:]))
 
 
 def test_escalate_all_cdn_like_is_identity():
@@ -272,6 +323,23 @@ def test_seeds_csv_parses_and_merges_duplicates():
         read_dns_seeds(io.StringIO("ip,name_count\nbad,1\n"))
     with pytest.raises(ValueError):
         read_dns_seeds(io.StringIO("ip,name_count\n1.2.3.4,0\n"))
+    top = read_dns_seeds(io.StringIO(f"ip,name_count\n1.2.3.4,{(1 << 63) - 1}\n"))
+    assert top == [DnsSeed(0x01020304, (1 << 63) - 1)]
+    with pytest.raises(ValueError, match="^line 2: invalid name_count"):
+        read_dns_seeds(io.StringIO(f"ip,name_count\n1.2.3.4,{1 << 63}\n"))
+
+
+@pytest.mark.parametrize("addresses, runs", [
+    ((0x0505_01, 0x0505_02), ((DNS_SEED, 1),)),  # runs cover fewer targets
+    ((0x0505_01,), ((DNS_SEED, 1), (UNIFORM_FILL, 1))),  # runs cover more targets
+    ((0x0505_01, 0x0505_02), ((DNS_SEED, 1), (DNS_SEED, 1))),  # runs not maximal
+    ((0x0505_01, 0x0505_02), ((DNS_SEED, 2), (UNIFORM_FILL, 0))),  # empty run
+    ((0x0505_01, 0x0505_02), ((DNS_SEED, 3), (UNIFORM_FILL, -1))),  # negative run
+    ((0x0505_01, 0x0506_02), ((DNS_SEED, 2),)),  # target outside the prefix
+])
+def test_plan_entry_rejects_runs_or_targets_the_writers_would_change(addresses, runs):
+    with pytest.raises(ValueError):
+        PlanEntry(0x0505, STRATEGY_SAMPLED, addresses, runs)
 
 
 def test_plan_csv_roundtrip():
