@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime
 from typing import IO, Iterable
 
 from .ingest import ScanMeta, format_ipv4, parse_ipv4, read_csv, row_meta
@@ -63,15 +62,6 @@ class HrpAppReport:
 
 
 @dataclass
-class AppReportSet:
-    """Per-HRP reports plus join accounting."""
-
-    reports: list[HrpAppReport]
-    anomaly_count: int  # results at addresses without an occupancy bit
-    duplicate_count: int  # repeated result rows for one address (first kept)
-
-
-@dataclass
 class AddressComparison:
     """Address-level success rates inside vs outside HRPs for one port.
 
@@ -92,6 +82,16 @@ class AddressComparison:
 
 
 @dataclass
+class AppReportSet:
+    """Per-HRP reports plus join accounting."""
+
+    reports: list[HrpAppReport]
+    anomaly_count: int  # results at addresses without an occupancy bit
+    duplicate_count: int  # repeated result rows for one address (first kept)
+    comparison: AddressComparison  # always with app_error counted as failure
+
+
+@dataclass
 class SuccessCdf:
     """Cumulative distribution of per-HRP success counts over 0..256."""
 
@@ -102,19 +102,30 @@ class SuccessCdf:
         return self.cumulative[success_count]
 
 
-def _report(
-    results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable, exclude_app_errors: bool
-) -> tuple[dict[int, AppResult], AppReportSet]:
-    """The first result per target, and the report set built from those."""
+def hrp_app_report(
+    results: Iterable[AppResult],
+    hrps: Iterable[int],
+    occupancy: PrefixTable,
+    exclude_app_errors: bool = False,
+) -> AppReportSet:
+    """Per-HRP application-layer report (every HRP appears, ascending), with
+    the address comparison taken from the same pass over the results.
+
+    By default app_error counts as a failed target. With exclude_app_errors
+    those targets are disregarded entirely: they leave the denominator, so a
+    prefix where every reachable host trips an SNI-style error is judged on
+    the remaining targets only. The comparison always counts app_error as a
+    failed target, whatever the reports say.
+    """
     hrp_prefixes = sorted(set(hrps))
     missing = [p for p in hrp_prefixes if not occupancy.count(p)]
     if missing:
         raise ValueError(f"HRPs missing from the occupancy table: {missing[:5]}")
     hrp_set = set(hrp_prefixes)
-    by_target: dict[int, AppResult] = {}
+    seen: set[int] = set()  # targets whose first row was kept
     successes: dict[int, list[AppResult]] = defaultdict(list)  # per HRP, first rows only
     app_errors: Counter[int] = Counter()
-    duplicates = anomalies = 0
+    duplicates = anomalies = hrp_targets = non_hrp_successes = 0
     port_key = occupancy.meta.port_key()
     bitmaps = occupancy.bitmaps
     checked = None  # the last meta whose port/proto matched
@@ -127,25 +138,33 @@ def _report(
                 )
             checked = r.meta
         target, prefix = r.target, r.target >> 8
-        if target in by_target:
+        if target in seen:
             duplicates += 1
         elif not bitmaps.get(prefix, 0) >> (target & 0xFF) & 1:
             anomalies += 1
         else:
-            by_target[target] = r
-            if prefix in hrp_set and r.status == SUCCESS:
+            seen.add(target)
+            if prefix not in hrp_set:
+                if r.status == SUCCESS:
+                    non_hrp_successes += 1
+                continue
+            hrp_targets += 1
+            if r.status == SUCCESS:
                 successes[prefix].append(r)
-            elif prefix in hrp_set and r.status == APP_ERROR:
+            elif r.status == APP_ERROR:
                 app_errors[prefix] += 1
     reports = []
+    hrp_successes = gt90_successes = gt90_same_id_successes = 0
     for prefix in hrp_prefixes:
-        denominator = occupancy.count(prefix)
-        if exclude_app_errors:
-            denominator -= app_errors[prefix]
+        responsive = occupancy.count(prefix)
+        denominator = responsive - app_errors[prefix] if exclude_app_errors else responsive
         prefix_successes = successes.get(prefix, [])
         success_count = len(prefix_successes)
         identifiers = [r.identifier for r in prefix_successes if r.identifier is not None]
         dominant = max(Counter(identifiers).values()) if identifiers else 0
+        same_identifier = (
+            success_count > 0 and len(identifiers) == success_count and len(set(identifiers)) == 1
+        )
         reports.append(
             HrpAppReport(
                 prefix=prefix,
@@ -154,53 +173,17 @@ def _report(
                 success_fraction=success_count / denominator if denominator else 0.0,
                 any_success=success_count > 0,
                 gt90_success=success_count * 10 > denominator * 9 if denominator else False,
-                same_identifier=(
-                    success_count > 0
-                    and len(identifiers) == success_count
-                    and len(set(identifiers)) == 1
-                ),
+                same_identifier=same_identifier,
                 dominant_identifier_share=dominant / success_count if success_count else 0.0,
             )
         )
-    return by_target, AppReportSet(reports=reports, anomaly_count=anomalies, duplicate_count=duplicates)
-
-
-def hrp_app_report(
-    results: Iterable[AppResult],
-    hrps: Iterable[int],
-    occupancy: PrefixTable,
-    exclude_app_errors: bool = False,
-) -> AppReportSet:
-    """Per-HRP application-layer report (every HRP appears, ascending).
-
-    By default app_error counts as a failed target. With exclude_app_errors
-    those targets are disregarded entirely: they leave the denominator, so a
-    prefix where every reachable host trips an SNI-style error is judged on
-    the remaining targets only.
-    """
-    return _report(results, hrps, occupancy, exclude_app_errors)[1]
-
-
-def address_comparison(
-    results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
-) -> AddressComparison:
-    """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares.
-
-    The >90% subsets always come from reports that count app_error as a
-    failed target (hrp_app_report's default), whatever a report built with
-    exclude_app_errors says.
-    """
-    by_target, report_set = _report(results, hrps, occupancy, exclude_app_errors=False)
-    reports = report_set.reports
-    hrp_set = {r.prefix for r in reports}
-    hrp_targets = sum(1 for target in by_target if target >> 8 in hrp_set)
-    successes = sum(1 for r in by_target.values() if r.status == SUCCESS)
-    hrp_successes = sum(r.success_count for r in reports)
-    gt90_successes = sum(r.success_count for r in reports if r.gt90_success)
-    gt90_same_id_successes = sum(r.success_count for r in reports if r.gt90_success and r.same_identifier)
-    non_hrp_targets = len(by_target) - hrp_targets
-    non_hrp_successes = successes - hrp_successes
-    return AddressComparison(
+        hrp_successes += success_count
+        if success_count * 10 > responsive * 9:  # gt90_success of the default report
+            gt90_successes += success_count
+            if same_identifier:
+                gt90_same_id_successes += success_count
+    non_hrp_targets = len(seen) - hrp_targets
+    comparison = AddressComparison(
         non_hrp_targets=non_hrp_targets,
         non_hrp_successes=non_hrp_successes,
         hrp_targets=hrp_targets,
@@ -212,6 +195,16 @@ def address_comparison(
             gt90_same_id_successes / gt90_successes if gt90_successes else None
         ),
     )
+    return AppReportSet(reports, anomalies, duplicates, comparison)
+
+
+def address_comparison(
+    results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
+) -> AddressComparison:
+    """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares:
+    the comparison of hrp_app_report, which always counts app_error as a
+    failed target."""
+    return hrp_app_report(results, hrps, occupancy).comparison
 
 
 def success_cdf(reports: Iterable[HrpAppReport]) -> SuccessCdf:
@@ -234,20 +227,18 @@ def write_app_results_csv(results: Iterable[AppResult], out: IO[str]) -> None:
         out.write(f"{format_ipv4(r.target)},{r.meta.port},{r.meta.protocol},{r.status},{identifier}\n")
 
 
-def read_app_results(
-    lines: Iterable[str],
-    scan_id: str,
-    timestamp: datetime | None = None,
-    vantage: str | None = None,
-) -> list[AppResult]:
-    """Read the CSV form back; port/proto must agree across rows."""
-    meta_of = row_meta(scan_id, timestamp, vantage)
+def read_app_results(lines: Iterable[str], scan_id: str) -> list[AppResult]:
+    """Read the CSV form back; port/proto must agree across rows, and an identifier
+    holding U+FFFD (the mark of an undecodable input byte) is rejected."""
+    meta_of = row_meta(scan_id, None)
 
     def parse_row(fields: list[str]) -> AppResult:
         ip_text, port_text, proto, status, identifier = map(str.strip, fields)
         target = parse_ipv4(ip_text)
         if target is None:
             raise ValueError(f"invalid address {ip_text!r}")
+        if "\ufffd" in identifier:
+            raise ValueError(f"undecodable bytes in identifier {identifier!r}")
         return AppResult(target, meta_of(port_text, proto), status, identifier or None)
 
     return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))

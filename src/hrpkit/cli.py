@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from contextlib import nullcontext
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from functools import reduce
 from pathlib import Path
 from typing import IO, Callable, Sequence
@@ -21,6 +20,7 @@ from . import analytics, applayer, planner, prefixes, routing
 from .fmt import write_json_report
 from .ingest import (
     CSV_SADDR,
+    EPOCH,
     LENIENT,
     PLAIN,
     STRICT,
@@ -30,6 +30,7 @@ from .ingest import (
     format_timestamp,
     open_scan_source,
     parse_timestamp,
+    parse_uint,
 )
 from .planner import PlanEvaluationError
 from .prefixes import HrpThreshold, format_slash24
@@ -38,8 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class SchemaError(Exception):
@@ -53,24 +52,23 @@ def _threshold(text: str) -> float:
     return value
 
 
-def _port(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= 65535:
-        raise argparse.ArgumentTypeError(f"port must be in [0, 65535], got {text}")
-    return value
+def _uint(low: int, high: int) -> Callable[[str], int]:
+    """An integer flag's parser: ASCII digits for [low, high], as in input files."""
+
+    def parse(text: str) -> int:
+        try:
+            return parse_uint(text, low, high, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _timestamp(text: str) -> datetime:
-    try:
-        return parse_timestamp(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid timestamp {text!r}: {exc}") from None
-
-
-def _open_in(path: str):
-    if path == "-":
-        return nullcontext(sys.stdin)
-    return open(path, "r", encoding="utf-8")
+def _open_in(path: str) -> IO[str]:
+    """Every input, a file or '-' for stdin, decoded one way: UTF-8 without a leading BOM,
+    each undecodable byte read as U+FFFD so that it fails the field it lands in."""
+    stdin = path == "-"
+    return open(0 if stdin else path, "r", encoding="utf-8-sig", errors="replace", closefd=not stdin)
 
 
 def _write_to(path: str | None, write: Callable[[IO[str]], None], default=None) -> None:
@@ -90,19 +88,9 @@ def _stem(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
 
-def _meta_from_args(args, default_scan_id: str) -> ScanMeta:
-    return ScanMeta(
-        protocol=args.proto,
-        port=args.port,
-        scan_id=args.scan_id or default_scan_id,
-        timestamp=args.timestamp or _EPOCH,
-        vantage=args.vantage,
-    )
-
-
 def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     """Aggregate the scan file(s) named on the command line, sharded then merged."""
-    meta = _meta_from_args(args, default_scan_id=_stem(args.scan[0]))
+    meta = ScanMeta(args.proto, args.port, _stem(args.scan[0]), EPOCH)
     total = IngestStats()
     tables = []
     for path in args.scan:
@@ -250,7 +238,7 @@ def _series_inputs(args):
             )
     else:
         # Argument order is the series order when no explicit timestamps come in.
-        stamps = [_EPOCH + timedelta(days=i) for i in range(len(args.stats))]
+        stamps = [EPOCH + timedelta(days=i) for i in range(len(args.stats))]
     scans = [
         _read_table(path, prefixes.read_prefix_stats, scan_id, stamp)
         for path, scan_id, stamp in zip(args.stats, scan_ids, stamps)
@@ -305,7 +293,6 @@ def _cmd_applayer(args) -> int:
     results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
     _check_results_port(results, args, args.results)
     report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
-    comparison = applayer.address_comparison(results, hrps, occupancy)
     cdf = applayer.success_cdf(report_set.reports)
     steps = sorted({r.success_count for r in report_set.reports})
     doc = {
@@ -317,7 +304,7 @@ def _cmd_applayer(args) -> int:
         "anomalies": report_set.anomaly_count,
         "duplicate_results": report_set.duplicate_count,
         "reports": [_record(r, prefix=format_slash24) for r in report_set.reports],
-        "address_comparison": _record(comparison),
+        "address_comparison": _record(report_set.comparison),
         "success_cdf": {
             "total_reports": cdf.total_reports,
             "steps": [
@@ -329,22 +316,14 @@ def _cmd_applayer(args) -> int:
     return EXIT_OK
 
 
-def _policy_from_args(args) -> planner.SamplePolicy:
-    return planner.SamplePolicy(
-        k=args.k,
-        rng_seed=args.rng_seed,
-        proxy_max_success=args.proxy_max_success,
-        cdn_min_success=args.cdn_min_success,
-        include_unresponsive_seeds=not args.no_unresponsive_seeds,
-    )
-
-
 def _cmd_plan(args) -> int:
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
     hrps = prefixes.hrp_set(stats)
     seeds = [] if args.seeds is None else _read_table(args.seeds, planner.read_dns_seeds)
-    policy = _policy_from_args(args)
+    policy = planner.SamplePolicy(
+        k=args.k, rng_seed=args.rng_seed, include_unresponsive_seeds=not args.no_unresponsive_seeds
+    )
     plan = planner.build_plan(occupancy, hrps, seeds, policy)
     _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default=sys.stdout)
     if args.targets_out is not None:
@@ -368,7 +347,9 @@ def _cmd_escalate(args) -> int:
     results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
     _check_results_port(results, args, args.results)
     occupancy, _ = _load_occupancy(args)
-    policy = _policy_from_args(args)
+    policy = planner.SamplePolicy(
+        proxy_max_success=args.proxy_max_success, cdn_min_success=args.cdn_min_success
+    )
     sampled = {
         address
         for entry in plan.entries.values()
@@ -422,14 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     meta = argparse.ArgumentParser(add_help=False)
-    meta.add_argument("--port", type=_port, required=True, help="scanned port")
+    meta.add_argument("--port", type=_uint(0, 65535), required=True, help="scanned port")
     meta.add_argument("--proto", choices=("tcp", "udp"), default="tcp", help="scan protocol")
-    meta.add_argument("--scan-id", default=None, help="scan identifier (default: input file stem)")
-    meta.add_argument(
-        "--timestamp", type=_timestamp, default=None,
-        help="scan time, ISO 8601 (default: 1970-01-01T00:00:00Z for reproducible output)",
-    )
-    meta.add_argument("--vantage", default=None, help="vantage point label")
 
     scan_input = argparse.ArgumentParser(add_help=False)
     scan_input.add_argument("--format", choices=(PLAIN, CSV_SADDR), default=PLAIN,
@@ -476,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", parents=[output],
                        help="HRP share over an ordered series of scans, plus persistence")
-    p.add_argument("--persistence-n", type=int, default=5,
+    p.add_argument("--persistence-n", type=_uint(0, (1 << 63) - 1), default=5,
                    help="max missed scans for the missing-at-most-n share")
     p.add_argument("--scan-ids", default=None, help="comma-separated scan ids (default: file stems)")
     p.add_argument("--timestamps", default=None,
@@ -499,25 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scan", nargs="+", help="the port scan the results were targeted from")
     p.set_defaults(func=_cmd_applayer)
 
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--k", type=int, default=10, help="targets per HRP before escalation")
-    sampling.add_argument("--rng-seed", type=int, default=0, help="sampling seed (fixed generator)")
-    sampling.add_argument("--proxy-max-success", type=float, default=0.10,
-                          help="sampled success rate at or below this is a proxy")
-    sampling.add_argument("--cdn-min-success", type=float, default=0.90,
-                          help="sampled success rate at or above this with one identifier is cdn_like")
-    sampling.add_argument("--no-unresponsive-seeds", action="store_true",
-                          help="drop DNS seeds the port scan did not see")
-
-    p = sub.add_parser("plan", parents=[meta, scan_input, thresh, output, summary_opt, sampling],
+    p = sub.add_parser("plan", parents=[meta, scan_input, thresh, output, summary_opt],
                        help="build an HRP-aware application-layer target plan")
+    p.add_argument("--k", type=_uint(1, 256), default=10, help="targets per HRP before escalation")
+    p.add_argument("--rng-seed", type=_uint(0, (1 << 64) - 1), default=0,
+                   help="sampling seed (fixed generator)")
+    p.add_argument("--no-unresponsive-seeds", action="store_true",
+                   help="drop DNS seeds the port scan did not see")
     p.add_argument("--targets-out", default=None, help="also write targets one per line")
     p.add_argument("scan", nargs=1, help="port scan result file")
     p.add_argument("seeds", nargs="?", default=None, help="DNS seeds CSV: ip,name_count")
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("escalate", parents=[meta, scan_input, output, summary_opt, sampling],
+    p = sub.add_parser("escalate", parents=[meta, scan_input, output, summary_opt],
                        help="classify sampled outcomes and escalate diverse HRPs to full scans")
+    p.add_argument("--proxy-max-success", type=float, default=0.10,
+                   help="sampled success rate at or below this is a proxy")
+    p.add_argument("--cdn-min-success", type=float, default=0.90,
+                   help="sampled success rate at or above this with one identifier is cdn_like")
     p.add_argument("plan", help="plan CSV produced by plan")
     p.add_argument("results", help="application results CSV for the sampled targets")
     p.add_argument("scan", nargs="+", help="port scan result file(s) backing the plan; shards of one scan")

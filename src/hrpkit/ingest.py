@@ -36,7 +36,7 @@ SADDR_COLUMN = "saddr"
 
 _PROTOCOLS = ("tcp", "udp")
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the time of a scan given none
 
 _Row = TypeVar("_Row")
 
@@ -51,7 +51,7 @@ class IngestError(Exception):
 
 @dataclass(frozen=True)
 class ScanMeta:
-    """Identity of one scan: protocol, port, and provenance.
+    """Identity of one scan: protocol, port, label and time.
 
     The timestamp is normalized to UTC; naive datetimes are assumed UTC.
     """
@@ -60,7 +60,6 @@ class ScanMeta:
     port: int
     scan_id: str
     timestamp: datetime
-    vantage: str | None = None
 
     def __post_init__(self):
         if self.protocol not in _PROTOCOLS:
@@ -134,7 +133,7 @@ def parse_uint(text: str, low: int, high: int, name: str) -> int:
     raise ValueError(f"invalid {name} {text!r}: expected ASCII digits for {low}-{high}")
 
 
-def row_meta(scan_id: str, timestamp: datetime | None, vantage: str | None) -> Callable[[str, str], ScanMeta]:
+def row_meta(scan_id: str, timestamp: datetime | None) -> Callable[[str, str], ScanMeta]:
     """The ScanMeta of a table's rows from each row's port and protocol text: the first row fixes
     both, a row naming others raises ValueError, and text equal to the last row's is not re-parsed."""
     meta: ScanMeta | None = None
@@ -145,7 +144,7 @@ def row_meta(scan_id: str, timestamp: datetime | None, vantage: str | None) -> C
         if (port_text, proto) != last:
             port = parse_uint(port_text, 0, 65535, "port")
             if meta is None:
-                meta = ScanMeta(proto, port, scan_id, timestamp or _EPOCH, vantage)
+                meta = ScanMeta(proto, port, scan_id, timestamp or EPOCH)
             elif (proto, port) != meta.port_key():
                 raise ValueError(
                     f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"

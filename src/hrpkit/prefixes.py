@@ -279,10 +279,7 @@ def _stat_fields(s: PrefixStat) -> tuple[str, ...]:
 
 
 def read_prefix_stats(
-    lines: Iterable[str],
-    scan_id: str,
-    timestamp: datetime | None = None,
-    vantage: str | None = None,
+    lines: Iterable[str], scan_id: str, timestamp: datetime | None = None
 ) -> list[PrefixStat]:
     """Read the CSV form back; port/proto must agree across rows.
 
@@ -293,7 +290,7 @@ def read_prefix_stats(
     fraction outside (0, 1], an origin ASN not ASCII digits for 0-4294967295,
     or a covering prefix that is not a valid route with a canonical length.
     """
-    meta_of = row_meta(scan_id, timestamp, vantage)
+    meta_of = row_meta(scan_id, timestamp)
     thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
 
     def parse_row(fields: list[str]) -> PrefixStat:

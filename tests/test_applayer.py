@@ -4,20 +4,27 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hrpkit.applayer import (
     APP_ERROR,
+    STATUSES,
     SUCCESS,
     UNREACHABLE,
+    AddressComparison,
     AppResult,
+    HrpAppReport,
     address_comparison,
     hrp_app_report,
     read_app_results,
     success_cdf,
     write_app_results_csv,
 )
+
+from hrpkit.prefixes import PrefixTable
 
 from conftest import make_meta, table_with_counts
 
@@ -257,3 +264,119 @@ def test_results_csv_roundtrip():
     again = io.StringIO()
     write_app_results_csv(parsed, again)
     assert again.getvalue() == out.getvalue()
+
+
+# --- the one-pass join against the two-pass reference --------------------------
+
+
+def _reference_report(results, hrps, occupancy, exclude_app_errors):
+    """The first result per target and the per-HRP reports, one pass per call."""
+    hrp_prefixes = sorted(set(hrps))
+    by_target: dict[int, AppResult] = {}
+    successes: dict[int, list[AppResult]] = defaultdict(list)
+    app_errors: Counter[int] = Counter()
+    duplicates = anomalies = 0
+    for r in results:
+        if r.target in by_target:
+            duplicates += 1
+        elif not occupancy.bitmaps.get(r.target >> 8, 0) >> (r.target & 0xFF) & 1:
+            anomalies += 1
+        else:
+            by_target[r.target] = r
+            if r.target >> 8 in hrp_prefixes and r.status == SUCCESS:
+                successes[r.target >> 8].append(r)
+            elif r.target >> 8 in hrp_prefixes and r.status == APP_ERROR:
+                app_errors[r.target >> 8] += 1
+    reports = []
+    for prefix in hrp_prefixes:
+        denominator = occupancy.count(prefix) - (app_errors[prefix] if exclude_app_errors else 0)
+        success_count = len(successes[prefix])
+        identifiers = [r.identifier for r in successes[prefix] if r.identifier is not None]
+        dominant = max(Counter(identifiers).values()) if identifiers else 0
+        reports.append(HrpAppReport(
+            prefix=prefix,
+            denominator=denominator,
+            success_count=success_count,
+            success_fraction=success_count / denominator if denominator else 0.0,
+            any_success=success_count > 0,
+            gt90_success=success_count * 10 > denominator * 9 if denominator else False,
+            same_identifier=(
+                success_count > 0 and len(identifiers) == success_count and len(set(identifiers)) == 1
+            ),
+            dominant_identifier_share=dominant / success_count if success_count else 0.0,
+        ))
+    return by_target, reports, anomalies, duplicates
+
+
+def _reference_comparison(results, hrps, occupancy) -> AddressComparison:
+    """The comparison from a second join, always over the default reports."""
+    by_target, reports, _, _ = _reference_report(results, hrps, occupancy, False)
+    hrp_set = {r.prefix for r in reports}
+    hrp_targets = sum(1 for target in by_target if target >> 8 in hrp_set)
+    successes = sum(1 for r in by_target.values() if r.status == SUCCESS)
+    hrp_successes = sum(r.success_count for r in reports)
+    gt90 = sum(r.success_count for r in reports if r.gt90_success)
+    gt90_same_id = sum(r.success_count for r in reports if r.gt90_success and r.same_identifier)
+    non_hrp_targets = len(by_target) - hrp_targets
+    non_hrp_successes = successes - hrp_successes
+    return AddressComparison(
+        non_hrp_targets=non_hrp_targets,
+        non_hrp_successes=non_hrp_successes,
+        hrp_targets=hrp_targets,
+        hrp_successes=hrp_successes,
+        non_hrp_success_rate=non_hrp_successes / non_hrp_targets if non_hrp_targets else None,
+        hrp_success_rate=hrp_successes / hrp_targets if hrp_targets else None,
+        gt90_subset_share=gt90 / hrp_successes if hrp_successes else None,
+        gt90_same_identifier_share=gt90_same_id / gt90 if gt90 else None,
+    )
+
+
+_IDENTIFIERS = (lambda host: "a", lambda host: "ab"[host % 2], lambda host: None if host == 0 else "a")
+
+
+@st.composite
+def _joins(draw):
+    """Occupancy of /24s 5, 6 and 9, dense or cut short, and an HRP subset of them.
+    Results probe those and the dark /24 7, in any order: mostly successes under
+    one identifier, mixed ones or a missing one, with app errors, unreachable
+    targets, repeated rows and rows where the scan saw nothing."""
+    bitmaps = {}
+    results = []
+    for prefix in (5, 6, 7, 9):
+        if prefix != 7:
+            missing = draw(st.sets(st.integers(0, 255), max_size=30))
+            bits = sum(1 << host for host in range(256) if host not in missing)
+            if draw(st.booleans()):
+                bits &= (1 << draw(st.integers(1, 256))) - 1
+            if bits:
+                bitmaps[prefix] = bits
+        hosts = draw(st.permutations(range(256)))[: draw(st.integers(0, 256))]
+        app_errors = draw(st.sets(st.integers(0, 255), max_size=30))
+        unreachable = draw(st.sets(st.integers(0, 255), max_size=30))
+        identifier_of = draw(st.sampled_from(_IDENTIFIERS))
+        for host in hosts:
+            target = prefix << 8 | host
+            if host in app_errors:
+                results.append(_result(target, APP_ERROR))
+            elif host in unreachable:
+                results.append(_result(target, UNREACHABLE))
+            else:
+                results.append(_result(target, SUCCESS, identifier_of(host)))
+    if results:
+        repeats = draw(st.lists(st.sampled_from(results), max_size=10))
+        results += [_result(r.target, draw(st.sampled_from(STATUSES))) for r in repeats]
+    results = draw(st.permutations(results))
+    occupancy = PrefixTable(META, bitmaps)
+    hrps = draw(st.sets(st.sampled_from(sorted(bitmaps)))) if bitmaps else set()
+    return results, hrps, occupancy
+
+
+@given(_joins(), st.booleans())
+def test_one_pass_join_matches_the_two_pass_reference(join, exclude_app_errors):
+    results, hrps, occupancy = join
+    _, reports, anomalies, duplicates = _reference_report(results, hrps, occupancy, exclude_app_errors)
+    report_set = hrp_app_report(results, hrps, occupancy, exclude_app_errors)
+    assert report_set.reports == reports
+    assert (report_set.anomaly_count, report_set.duplicate_count) == (anomalies, duplicates)
+    assert report_set.comparison == _reference_comparison(results, hrps, occupancy)
+    assert address_comparison(results, hrps, occupancy) == report_set.comparison

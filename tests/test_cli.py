@@ -379,7 +379,7 @@ def test_escalate_from_shards_matches_the_concatenated_scan(tmp_path):
     outputs = []
     for name, scans in (("whole", [whole]), ("shards", [shard_a, shard_b])):
         out, summary = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
-        assert run("escalate", "--port", 443, "--scan-id", "scan", "--output", out,
+        assert run("escalate", "--port", 443, "--output", out,
                    "--summary", summary, plan_path, sample, *scans) == 0
         outputs.append((out.read_bytes(), summary.read_bytes()))
     assert outputs[0] == outputs[1]
