@@ -1,9 +1,10 @@
 """Cross-port, temporal, and vantage-point analysis of classified scans.
 
 All functions are pure over immutable inputs. A "classified scan" is the
-list of PrefixStat records from one scan; multi-scan inputs must agree on
-(protocol, port) and, where ordered, arrive with strictly ascending
-timestamps.
+list of PrefixStat records from one scan, possibly empty; the non-empty
+scans of a multi-scan input must agree on (protocol, port). A stability
+series takes each scan's label and time from its caller, strictly
+ascending in time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import ceil
 from typing import IO, Iterable, Sequence
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_timestamp
+from .ingest import ScanMeta, format_timestamp, shared_meta, to_utc
 from .prefixes import HrpThreshold, PrefixStat, format_slash24
 
 
@@ -93,9 +94,9 @@ def port_profile(scans: Sequence[Sequence[PrefixStat]]) -> PortProfileReport:
     A prefix is responsive on a port when visible there (count >= 1) and an
     HRP on a port when that scan classified it so.
     """
-    keys = [_scan_meta(scan).port_key() for scan in scans]
-    if len(set(keys)) != len(keys):
-        duplicates = [k for k, n in Counter(keys).items() if n > 1]
+    metas = Counter(meta for meta in map(shared_meta, scans) if meta is not None)
+    duplicates = [(m.protocol, m.port) for m, n in metas.items() if n > 1]
+    if duplicates:
         raise ValueError(f"duplicate (proto, port) in port profile input: {duplicates}")
     responsive: dict[int, int] = defaultdict(int)
     hrp: dict[int, int] = defaultdict(int)
@@ -117,20 +118,38 @@ def port_profile(scans: Sequence[Sequence[PrefixStat]]) -> PortProfileReport:
     )
 
 
-def stability_series(scans: Sequence[Sequence[PrefixStat]]) -> list[StabilityPoint]:
-    """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts."""
-    metas = _series_metas(scans)
+def stability_series(
+    scans: Sequence[Sequence[PrefixStat]], labels: Sequence[tuple[str, datetime]]
+) -> list[StabilityPoint]:
+    """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts.
+
+    labels gives each scan's (scan_id, timestamp): ids non-empty, times
+    strictly ascending and normalized to UTC, a naive time taken as UTC.
+    An empty scan is a point with both shares and hrp_count zero.
+    """
+    series_meta(scans)
+    if len(labels) != len(scans):
+        raise ValueError(f"{len(labels)} labels for {len(scans)} scans")
+    utc_labels = [(scan_id, to_utc(timestamp)) for scan_id, timestamp in labels]
+    if any(not scan_id for scan_id, _ in utc_labels):
+        raise ValueError("scan_id must be non-empty")
+    for (earlier_id, earlier), (later_id, later) in zip(utc_labels, utc_labels[1:]):
+        if later <= earlier:
+            raise ValueError(
+                f"scan timestamps must be strictly ascending: "
+                f"{later_id} ({later}) after {earlier_id} ({earlier})"
+            )
     t90 = HrpThreshold(0.90)
     t95 = HrpThreshold(0.95)
     points = []
-    for meta, scan in zip(metas, scans):
+    for (scan_id, timestamp), scan in zip(utc_labels, scans):
         total = sum(s.responsive_count for s in scan)
         addrs_90 = sum(s.responsive_count for s in scan if s.responsive_count >= t90.min_count)
         addrs_95 = sum(s.responsive_count for s in scan if s.responsive_count >= t95.min_count)
         points.append(
             StabilityPoint(
-                scan_id=meta.scan_id,
-                timestamp=meta.timestamp,
+                scan_id=scan_id,
+                timestamp=timestamp,
                 hrp_address_share_90=addrs_90 / total if total else 0.0,
                 hrp_address_share_95=addrs_95 / total if total else 0.0,
                 hrp_count=sum(1 for s in scan if s.responsive_count >= t90.min_count),
@@ -145,7 +164,7 @@ def persistence(scans: Sequence[Sequence[PrefixStat]], missing_at_most_n: int = 
         raise ValueError("persistence needs at least two scans")
     if missing_at_most_n < 0:
         raise ValueError("missing_at_most_n must be non-negative")
-    _series_metas(scans)
+    series_meta(scans)
     total = len(scans)
     classified: Counter[int] = Counter()
     for scan in scans:
@@ -182,35 +201,23 @@ def vantage_diff(a: Iterable[int], b: Iterable[int]) -> VantageDiff:
     )
 
 
-def _scan_meta(scan: Sequence[PrefixStat]) -> ScanMeta:
-    """The shared meta of one classified scan; empty scans are rejected."""
-    if not scan:
-        raise ValueError("classified scan is empty; cannot derive its scan meta")
-    meta = scan[0].meta
-    for s in scan:
-        if s.meta != meta:
-            raise ValueError(f"mixed scan meta within one scan: {s.meta} vs {meta}")
-    return meta
+def series_meta(scans: Sequence[Sequence[PrefixStat]], names: Sequence[str] = ()) -> ScanMeta | None:
+    """The meta the non-empty scans share, or None if every scan is empty.
 
-
-def _series_metas(scans: Sequence[Sequence[PrefixStat]]) -> list[ScanMeta]:
+    A mismatch raises ValueError naming both scans, by names or else by position.
+    """
     if not scans:
         raise ValueError("no scans supplied")
-    metas = [_scan_meta(scan) for scan in scans]
-    first = metas[0].port_key()
-    for meta in metas[1:]:
-        if meta.port_key() != first:
+    first_name, first = None, None
+    for name, meta in zip(names or [f"scan {i}" for i in range(len(scans))], map(shared_meta, scans)):
+        if first is None:
+            first_name, first = name, meta
+        elif meta is not None and meta != first:
             raise ValueError(
-                f"port/proto mismatch across scans: {meta.protocol}/{meta.port} "
-                f"vs {first[0]}/{first[1]}"
+                f"port/proto mismatch: {first.protocol}/{first.port} ({first_name}) "
+                f"vs {meta.protocol}/{meta.port} ({name})"
             )
-    for earlier, later in zip(metas, metas[1:]):
-        if later.timestamp <= earlier.timestamp:
-            raise ValueError(
-                f"scan timestamps must be strictly ascending: "
-                f"{later.scan_id} ({later.timestamp}) after {earlier.scan_id} ({earlier.timestamp})"
-            )
-    return metas
+    return first
 
 
 def write_series_csv(points: Iterable[StabilityPoint], out: IO[str]) -> None:

@@ -126,15 +126,15 @@ def hrp_app_report(
     successes: dict[int, list[AppResult]] = defaultdict(list)  # per HRP, first rows only
     app_errors: Counter[int] = Counter()
     duplicates = anomalies = hrp_targets = non_hrp_successes = 0
-    port_key = occupancy.meta.port_key()
+    meta = occupancy.meta
     bitmaps = occupancy.bitmaps
-    checked = None  # the last meta whose port/proto matched
+    checked = None  # the last meta found equal to the occupancy's
     for r in results:
         if r.meta is not checked:
-            if r.meta.port_key() != port_key:
+            if r.meta != meta:
                 raise ValueError(
                     f"result port/proto {r.meta.protocol}/{r.meta.port} does not match "
-                    f"occupancy {port_key[0]}/{port_key[1]}"
+                    f"occupancy {meta.protocol}/{meta.port}"
                 )
             checked = r.meta
         target, prefix = r.target, r.target >> 8
@@ -227,10 +227,10 @@ def write_app_results_csv(results: Iterable[AppResult], out: IO[str]) -> None:
         out.write(f"{format_ipv4(r.target)},{r.meta.port},{r.meta.protocol},{r.status},{identifier}\n")
 
 
-def read_app_results(lines: Iterable[str], scan_id: str) -> list[AppResult]:
+def read_app_results(lines: Iterable[str]) -> list[AppResult]:
     """Read the CSV form back; port/proto must agree across rows, and an identifier
     holding U+FFFD (the mark of an undecodable input byte) is rejected."""
-    meta_of = row_meta(scan_id, None)
+    meta_of = row_meta()
 
     def parse_row(fields: list[str]) -> AppResult:
         ip_text, port_text, proto, status, identifier = map(str.strip, fields)

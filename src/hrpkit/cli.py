@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from datetime import timedelta
+from datetime import datetime, timedelta
 from functools import reduce
 from pathlib import Path
 from typing import IO, Callable, Sequence
@@ -29,8 +29,10 @@ from .ingest import (
     ScanMeta,
     format_timestamp,
     open_scan_source,
+    parse_decimal,
     parse_timestamp,
     parse_uint,
+    shared_meta,
 )
 from .planner import PlanEvaluationError
 from .prefixes import HrpThreshold, format_slash24
@@ -45,23 +47,24 @@ class SchemaError(Exception):
     """Inputs that parse individually but disagree with each other or the flags."""
 
 
-def _threshold(text: str) -> float:
-    value = float(text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"threshold must be in (0, 1], got {text}")
-    return value
+def _flag(parse: Callable, *args) -> Callable[[str], float]:
+    """A flag's parser: ``parse(text, *args)``, which reads the same kind of field in input
+    files, with its ValueError as a usage error."""
 
-
-def _uint(low: int, high: int) -> Callable[[str], int]:
-    """An integer flag's parser: ASCII digits for [low, high], as in input files."""
-
-    def parse(text: str) -> int:
+    def parse_flag(text: str) -> float:
         try:
-            return parse_uint(text, low, high, "value")
+            return parse(text, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
+    return parse_flag
+
+
+def _threshold(text: str) -> float:
+    value = parse_decimal(text, "value")
+    if not 0 < value <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {text}")
+    return value
 
 
 def _open_in(path: str) -> IO[str]:
@@ -88,26 +91,30 @@ def _stem(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
 
-def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    """Aggregate the scan file(s) named on the command line, sharded then merged."""
-    meta = ScanMeta(args.proto, args.port, _stem(args.scan[0]), EPOCH)
-    total = IngestStats()
-    tables = []
-    for path in args.scan:
-        with _open_in(path) as source:
-            addresses, stats = open_scan_source(source, args.format, args.policy)
-            tables.append(prefixes.aggregate(addresses, meta))
-            total.merge(stats)
-    return reduce(prefixes.merge, tables), total
-
-
 def _read_table(path: str, reader: Callable, *args):
     """``reader(source, *args)`` over the named file, with the path in its errors."""
     with _open_in(path) as source:
         try:
             return reader(source, *args)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        except (ValueError, IngestError) as exc:
+            exc.args = (f"{path}: {exc}",)  # the same type, so the same exit code
+            raise
+
+
+def _aggregate_scan(source, args) -> tuple[prefixes.PrefixTable, IngestStats]:
+    addresses, stats = open_scan_source(source, args.format, args.policy)
+    return prefixes.aggregate(addresses, ScanMeta(args.proto, args.port)), stats
+
+
+def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
+    """Aggregate the scan file(s) named on the command line, sharded then merged."""
+    total = IngestStats()
+    tables = []
+    for path in args.scan:
+        table, stats = _read_table(path, _aggregate_scan, args)
+        tables.append(table)
+        total.merge(stats)
+    return reduce(prefixes.merge, tables), total
 
 
 def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
@@ -118,30 +125,11 @@ def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
     return doc
 
 
-def _file_port_key(stats) -> tuple[str, int] | None:
-    return stats[0].meta.port_key() if stats else None
-
-
-def _check_port_agreement(named_stats: Sequence[tuple[str, list]]) -> None:
-    seen: tuple[str, tuple[str, int]] | None = None
-    for name, stats in named_stats:
-        key = _file_port_key(stats)
-        if key is None:
-            continue
-        if seen is None:
-            seen = (name, key)
-        elif key != seen[1]:
-            raise SchemaError(
-                f"port/proto mismatch: {seen[1][0]}/{seen[1][1]} ({seen[0]}) "
-                f"vs {key[0]}/{key[1]} ({name})"
-            )
-
-
 def _check_results_port(results, args, name: str) -> None:
-    key = _file_port_key(results)
-    if key is not None and key != (args.proto, args.port):
+    meta = shared_meta(results)
+    if meta is not None and meta != ScanMeta(args.proto, args.port):
         raise SchemaError(
-            f"port/proto mismatch: {key[0]}/{key[1]} ({name}) vs "
+            f"port/proto mismatch: {meta.protocol}/{meta.port} ({name}) vs "
             f"{args.proto}/{args.port} (flags)"
         )
 
@@ -175,9 +163,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
-    stats = _read_table(args.stats, prefixes.read_prefix_stats, _stem(args.stats))
-    with _open_in(args.routes) as source:
-        table = routing.load_route_table(source, args.policy)
+    stats = _read_table(args.stats, prefixes.read_prefix_stats)
+    table = _read_table(args.routes, routing.load_route_table, args.policy)
     enriched = routing.enrich(stats, table)
     _write_stats(enriched, args)
     split = table.split_slash24s()
@@ -198,11 +185,11 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_portmatrix(args) -> int:
-    scans = [_read_table(p, prefixes.read_prefix_stats, _stem(p)) for p in args.stats]
+    scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
     report = analytics.port_profile(scans)
-    ports = sorted({s.meta.port_key() for scan in scans for s in scan})
+    ports = sorted(meta for meta in map(shared_meta, scans) if meta is not None)
     doc = {
-        "ports": [f"{proto}/{port}" for proto, port in ports],
+        "ports": [f"{meta.protocol}/{meta.port}" for meta in ports],
         "port_count": report.port_count,
         "prefixes": len(report.profiles),
         "hrp_prefixes": sum(1 for p in report.profiles if p.ports_hrp),
@@ -226,7 +213,7 @@ def _cmd_portmatrix(args) -> int:
     return EXIT_OK
 
 
-def _series_inputs(args):
+def _series_labels(args) -> list[tuple[str, datetime]]:
     scan_ids = args.scan_ids.split(",") if args.scan_ids else [_stem(p) for p in args.stats]
     if len(scan_ids) != len(args.stats):
         raise SchemaError(f"--scan-ids names {len(scan_ids)} scans but {len(args.stats)} files given")
@@ -239,22 +226,18 @@ def _series_inputs(args):
     else:
         # Argument order is the series order when no explicit timestamps come in.
         stamps = [EPOCH + timedelta(days=i) for i in range(len(args.stats))]
-    scans = [
-        _read_table(path, prefixes.read_prefix_stats, scan_id, stamp)
-        for path, scan_id, stamp in zip(args.stats, scan_ids, stamps)
-    ]
-    _check_port_agreement(list(zip(args.stats, scans)))
-    return scans
+    return list(zip(scan_ids, stamps))
 
 
 def _cmd_stability(args) -> int:
-    scans = _series_inputs(args)
-    points = analytics.stability_series(scans)
+    labels = _series_labels(args)
+    scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
+    meta = analytics.series_meta(scans, args.stats)
+    points = analytics.stability_series(scans, labels)
     summary = analytics.persistence(scans, args.persistence_n)
-    key = scans[0][0].meta.port_key()
     doc = {
-        "proto": key[0],
-        "port": key[1],
+        "proto": meta.protocol if meta else None,
+        "port": meta.port if meta else None,
         "series": [_record(p, timestamp=format_timestamp) for p in points],
         "persistence": _record(summary, drop=("scans_classified",)),
     }
@@ -265,14 +248,13 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_vantage(args) -> int:
-    stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats, _stem(args.stats_a))
-    stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats, _stem(args.stats_b))
-    _check_port_agreement([(args.stats_a, stats_a), (args.stats_b, stats_b)])
+    stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats)
+    stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats)
+    meta = analytics.series_meta([stats_a, stats_b], [args.stats_a, args.stats_b])
     diff = analytics.vantage_diff(prefixes.hrp_set(stats_a), prefixes.hrp_set(stats_b))
-    key = _file_port_key(stats_a) or _file_port_key(stats_b)
     doc = {
-        "proto": key[0] if key else None,
-        "port": key[1] if key else None,
+        "proto": meta.protocol if meta else None,
+        "port": meta.port if meta else None,
         "vantage_a": args.stats_a,
         "vantage_b": args.stats_b,
         "only_a": [format_slash24(p) for p in sorted(diff.only_a)],
@@ -290,7 +272,7 @@ def _cmd_applayer(args) -> int:
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
     hrps = prefixes.hrp_set(stats)
-    results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
+    results = _read_table(args.results, applayer.read_app_results)
     _check_results_port(results, args, args.results)
     report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
     cdf = applayer.success_cdf(report_set.reports)
@@ -344,7 +326,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_escalate(args) -> int:
     plan = _read_table(args.plan, planner.read_plan_csv)
-    results = _read_table(args.results, applayer.read_app_results, _stem(args.results))
+    results = _read_table(args.results, applayer.read_app_results)
     _check_results_port(results, args, args.results)
     occupancy, _ = _load_occupancy(args)
     policy = planner.SamplePolicy(
@@ -386,7 +368,7 @@ def _cmd_escalate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     plan = _read_table(args.plan, planner.read_plan_csv)
-    truth = _read_table(args.truth, applayer.read_app_results, _stem(args.truth))
+    truth = _read_table(args.truth, applayer.read_app_results)
     metrics = planner.evaluate_plan(plan, truth)
     _write_to(args.output, lambda out: write_json_report(_record(metrics), out), default=sys.stdout)
     return EXIT_OK
@@ -403,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     meta = argparse.ArgumentParser(add_help=False)
-    meta.add_argument("--port", type=_uint(0, 65535), required=True, help="scanned port")
+    meta.add_argument("--port", type=_flag(parse_uint, 0, 65535, "value"), required=True, help="scanned port")
     meta.add_argument("--proto", choices=("tcp", "udp"), default="tcp", help="scan protocol")
 
     scan_input = argparse.ArgumentParser(add_help=False)
@@ -413,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="invalid input lines: abort (strict) or count and skip")
 
     thresh = argparse.ArgumentParser(add_help=False)
-    thresh.add_argument("--threshold", type=_threshold, default=0.90,
+    thresh.add_argument("--threshold", type=_flag(_threshold), default=0.90,
                         help="responsive fraction of 256 that makes a /24 an HRP")
 
     output = argparse.ArgumentParser(add_help=False)
@@ -451,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", parents=[output],
                        help="HRP share over an ordered series of scans, plus persistence")
-    p.add_argument("--persistence-n", type=_uint(0, (1 << 63) - 1), default=5,
+    p.add_argument("--persistence-n", type=_flag(parse_uint, 0, (1 << 63) - 1, "value"), default=5,
                    help="max missed scans for the missing-at-most-n share")
     p.add_argument("--scan-ids", default=None, help="comma-separated scan ids (default: file stems)")
     p.add_argument("--timestamps", default=None,
@@ -476,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", parents=[meta, scan_input, thresh, output, summary_opt],
                        help="build an HRP-aware application-layer target plan")
-    p.add_argument("--k", type=_uint(1, 256), default=10, help="targets per HRP before escalation")
-    p.add_argument("--rng-seed", type=_uint(0, (1 << 64) - 1), default=0,
+    p.add_argument("--k", type=_flag(parse_uint, 1, 256, "value"), default=10, help="targets per HRP before escalation")
+    p.add_argument("--rng-seed", type=_flag(parse_uint, 0, (1 << 64) - 1, "value"), default=0,
                    help="sampling seed (fixed generator)")
     p.add_argument("--no-unresponsive-seeds", action="store_true",
                    help="drop DNS seeds the port scan did not see")
@@ -488,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("escalate", parents=[meta, scan_input, output, summary_opt],
                        help="classify sampled outcomes and escalate diverse HRPs to full scans")
-    p.add_argument("--proxy-max-success", type=float, default=0.10,
+    p.add_argument("--proxy-max-success", type=_flag(parse_decimal, "value"), default=0.10,
                    help="sampled success rate at or below this is a proxy")
-    p.add_argument("--cdn-min-success", type=float, default=0.90,
+    p.add_argument("--cdn-min-success", type=_flag(parse_decimal, "value"), default=0.90,
                    help="sampled success rate at or above this with one identifier is cdn_like")
     p.add_argument("plan", help="plan CSV produced by plan")
     p.add_argument("results", help="application results CSV for the sampled targets")

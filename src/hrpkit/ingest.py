@@ -36,7 +36,7 @@ SADDR_COLUMN = "saddr"
 
 _PROTOCOLS = ("tcp", "udp")
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the time of a scan given none
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the first time of a scan series given none
 
 _Row = TypeVar("_Row")
 
@@ -49,32 +49,18 @@ class IngestError(Exception):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ScanMeta:
-    """Identity of one scan: protocol, port, label and time.
-
-    The timestamp is normalized to UTC; naive datetimes are assumed UTC.
-    """
+    """The scan a table's rows come from: its protocol and port."""
 
     protocol: str
     port: int
-    scan_id: str
-    timestamp: datetime
 
     def __post_init__(self):
         if self.protocol not in _PROTOCOLS:
             raise ValueError(f"protocol must be one of {_PROTOCOLS}, got {self.protocol!r}")
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
-        if not self.scan_id:
-            raise ValueError("scan_id must be non-empty")
-        if self.timestamp.tzinfo is None:
-            object.__setattr__(self, "timestamp", self.timestamp.replace(tzinfo=timezone.utc))
-        else:
-            object.__setattr__(self, "timestamp", self.timestamp.astimezone(timezone.utc))
-
-    def port_key(self) -> tuple[str, int]:
-        return (self.protocol, self.port)
 
 
 @dataclass
@@ -133,7 +119,16 @@ def parse_uint(text: str, low: int, high: int, name: str) -> int:
     raise ValueError(f"invalid {name} {text!r}: expected ASCII digits for {low}-{high}")
 
 
-def row_meta(scan_id: str, timestamp: datetime | None) -> Callable[[str, str], ScanMeta]:
+def parse_decimal(text: str, name: str) -> float:
+    """ASCII digits, optionally followed by ``.`` and ASCII digits, as a float; signs, exponents,
+    underscores, whitespace, nan/inf and non-ASCII digits raise ValueError naming the field."""
+    whole, dot, fraction = text.partition(".")
+    if whole.isascii() and whole.isdigit() and (not dot or fraction.isascii() and fraction.isdigit()):
+        return float(text)
+    raise ValueError(f"invalid {name} {text!r}: expected ASCII digits with an optional decimal point")
+
+
+def row_meta() -> Callable[[str, str], ScanMeta]:
     """The ScanMeta of a table's rows from each row's port and protocol text: the first row fixes
     both, a row naming others raises ValueError, and text equal to the last row's is not re-parsed."""
     meta: ScanMeta | None = None
@@ -144,8 +139,8 @@ def row_meta(scan_id: str, timestamp: datetime | None) -> Callable[[str, str], S
         if (port_text, proto) != last:
             port = parse_uint(port_text, 0, 65535, "port")
             if meta is None:
-                meta = ScanMeta(proto, port, scan_id, timestamp or EPOCH)
-            elif (proto, port) != meta.port_key():
+                meta = ScanMeta(proto, port)
+            elif (proto, port) != (meta.protocol, meta.port):
                 raise ValueError(
                     f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
                 )
@@ -153,6 +148,12 @@ def row_meta(scan_id: str, timestamp: datetime | None) -> Callable[[str, str], S
         return meta
 
     return meta_of
+
+
+def shared_meta(rows: Sequence) -> ScanMeta | None:
+    """The ScanMeta of one table's rows, or None for a table without rows such as a header-only
+    file. The readers and classify give every row of a table one meta, so the first row's stands."""
+    return rows[0].meta if rows else None
 
 
 def parse_asn(text: str) -> int:
@@ -282,10 +283,12 @@ def parse_timestamp(text: str) -> datetime:
     """Parse an ISO 8601 timestamp; a trailing Z and naive forms mean UTC."""
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    return to_utc(datetime.fromisoformat(text))
+
+
+def to_utc(value: datetime) -> datetime:
+    """The same instant in UTC; a naive datetime is taken to be UTC."""
+    return value.replace(tzinfo=timezone.utc) if value.tzinfo is None else value.astimezone(timezone.utc)
 
 
 def format_timestamp(value: datetime) -> str:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
 from fractions import Fraction
 from typing import IO, Iterable
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_ipv4, parse_uint, read_csv, row_meta
+from .ingest import (
+    ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_decimal, parse_ipv4, parse_uint, read_csv, row_meta,
+)
 
 SLASH24_SIZE = 256
 
@@ -278,19 +279,17 @@ def _stat_fields(s: PrefixStat) -> tuple[str, ...]:
     )
 
 
-def read_prefix_stats(
-    lines: Iterable[str], scan_id: str, timestamp: datetime | None = None
-) -> list[PrefixStat]:
+def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
     """Read the CSV form back; port/proto must agree across rows.
 
-    The CSV schema carries no scan identity, so the caller supplies it.
     Rows that break the stats' invariants raise ValueError naming the line:
     port or count not ASCII digits in 0-65535 or 1-256, is_hrp other than
     ``true``/``false`` or disagreeing with count and threshold, threshold
-    fraction outside (0, 1], an origin ASN not ASCII digits for 0-4294967295,
-    or a covering prefix that is not a valid route with a canonical length.
+    fraction not ASCII digits with an optional decimal point or outside
+    (0, 1], an origin ASN not ASCII digits for 0-4294967295, or a covering
+    prefix that is not a valid route with a canonical length.
     """
-    meta_of = row_meta(scan_id, timestamp)
+    meta_of = row_meta()
     thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
 
     def parse_row(fields: list[str]) -> PrefixStat:
@@ -298,7 +297,8 @@ def read_prefix_stats(
         meta = meta_of(port_text.strip(), proto)
         threshold = thresholds.get(fraction_text)
         if threshold is None:
-            threshold = thresholds[fraction_text] = HrpThreshold(float(fraction_text))
+            fraction = parse_decimal(fraction_text.strip(), "threshold fraction")
+            threshold = thresholds[fraction_text] = HrpThreshold(fraction)
         count = parse_uint(count_text.strip(), 1, SLASH24_SIZE, "count")
         is_hrp = _HRP_FLAGS.get(hrp_text)
         if is_hrp is None:

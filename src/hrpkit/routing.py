@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from .ingest import LENIENT, STRICT, IngestError, iter_text_lines, parse_asn, parse_cidr
+from .ingest import LENIENT, STRICT, IngestError, ScanMeta, iter_text_lines, parse_asn, parse_cidr
 from .prefixes import PrefixStat
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
@@ -205,16 +205,16 @@ def as_summary(stats: Iterable[PrefixStat]) -> list[AsSummary]:
     """Per-AS rollup of enriched stats, ordered by HRP count descending."""
     visible: dict[int, set[int]] = defaultdict(set)
     hrps: dict[int, set[int]] = defaultdict(set)
-    ports: dict[int, set[tuple[str, int]]] = defaultdict(set)
-    hrp_ports: dict[int, set[tuple[str, int]]] = defaultdict(set)
+    ports: dict[int, set[ScanMeta]] = defaultdict(set)
+    hrp_ports: dict[int, set[ScanMeta]] = defaultdict(set)
     for s in stats:
         if s.origin_asn is None:
             continue
         visible[s.origin_asn].add(s.prefix)
-        ports[s.origin_asn].add(s.meta.port_key())
+        ports[s.origin_asn].add(s.meta)
         if s.is_hrp:
             hrps[s.origin_asn].add(s.prefix)
-            hrp_ports[s.origin_asn].add(s.meta.port_key())
+            hrp_ports[s.origin_asn].add(s.meta)
     summaries = [
         AsSummary(
             asn=asn,

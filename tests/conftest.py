@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 from hrpkit.ingest import ScanMeta
 from hrpkit.prefixes import PrefixTable, aggregate
@@ -10,8 +10,8 @@ from hrpkit.prefixes import PrefixTable, aggregate
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-def make_meta(port=443, proto="tcp", scan_id="s1", week=0) -> ScanMeta:
-    return ScanMeta(proto, port, scan_id, EPOCH + timedelta(weeks=week))
+def make_meta(port=443, proto="tcp") -> ScanMeta:
+    return ScanMeta(proto, port)
 
 
 def table_with_counts(counts: dict[int, int], meta: ScanMeta | None = None) -> PrefixTable:

@@ -233,7 +233,7 @@ def test_criterion_8_persistence_metrics():
     scans = []
     for week in range(10):
         counts = {2: 256, 1: 256 if week < 7 else 10}
-        meta = make_meta(scan_id=f"w{week}", week=week)
+        meta = make_meta()
         scans.append(classify(table_with_counts(counts, meta)))
     summary = persistence(scans, missing_at_most_n=5)
     assert summary.scans_classified == {1: 7, 2: 10}

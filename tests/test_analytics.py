@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -11,15 +13,19 @@ from hrpkit.analytics import (
     port_profile,
     stability_series,
     vantage_diff,
+    write_series_csv,
 )
 from hrpkit.prefixes import classify
 
-from conftest import make_meta, table_with_counts
+from conftest import EPOCH, make_meta, table_with_counts
 
 
-def _scan(counts: dict[int, int], port=443, scan_id="s", week=0):
-    meta = make_meta(port=port, scan_id=scan_id, week=week)
-    return classify(table_with_counts(counts, meta))
+def _scan(counts: dict[int, int], port=443):
+    return classify(table_with_counts(counts, make_meta(port=port)))
+
+
+def _weeks(n: int, first: int = 0) -> list[tuple[str, datetime]]:
+    return [(f"w{week}", EPOCH + timedelta(weeks=week)) for week in range(first, first + n)]
 
 
 def test_port_profile_counts():
@@ -60,8 +66,7 @@ def test_port_profile_rejects_duplicate_ports():
 
 def test_stability_identical_scans_give_identical_shares():
     counts = {1: 256, 2: 100}
-    scans = [_scan(counts, scan_id="a", week=0), _scan(counts, scan_id="b", week=1)]
-    points = stability_series(scans)
+    points = stability_series([_scan(counts), _scan(counts)], _weeks(2))
     assert len(points) == 2
     assert points[0].hrp_address_share_90 == points[1].hrp_address_share_90
     assert points[0].hrp_address_share_95 == points[1].hrp_address_share_95
@@ -69,18 +74,24 @@ def test_stability_identical_scans_give_identical_shares():
 
 
 def test_stability_no_hrps_gives_zero_shares():
-    (point,) = stability_series([_scan({1: 10, 2: 30})])
+    (point,) = stability_series([_scan({1: 10, 2: 30})], _weeks(1))
     assert point.hrp_address_share_90 == 0.0
     assert point.hrp_address_share_95 == 0.0
     assert point.hrp_count == 0
+
+
+def test_stability_empty_scan_is_a_zero_point():
+    points = stability_series([[], _scan({1: 256}, port=80), []], _weeks(3))
+    assert [(p.hrp_address_share_90, p.hrp_address_share_95, p.hrp_count) for p in points] == [
+        (0.0, 0.0, 0), (1.0, 1.0, 1), (0.0, 0.0, 0)]
+    assert persistence([[], _scan({1: 256}, port=80), []]).total_scans == 3
 
 
 def test_stability_flat_planted_series():
     # Per scan: 3 full /24s (768 addresses) + 256 prefixes of 7 (1792) -> share 0.30.
     counts = {p: 256 for p in range(3)}
     counts.update({100 + p: 7 for p in range(256)})
-    scans = [_scan(counts, scan_id=f"w{i}", week=i) for i in range(10)]
-    points = stability_series(scans)
+    points = stability_series([_scan(counts) for _ in range(10)], _weeks(10))
     assert [p.hrp_address_share_90 for p in points] == [768 / 2560] * 10
     assert [p.hrp_address_share_95 for p in points] == [768 / 2560] * 10
 
@@ -89,20 +100,43 @@ def test_stability_share95_never_exceeds_share90():
     rng = random.Random(8)
     for week in range(20):
         counts = {p: rng.choice([1, 50, 231, 240, 244, 256]) for p in range(30)}
-        (point,) = stability_series([_scan(counts, week=week)])
+        (point,) = stability_series([_scan(counts)], _weeks(1, week))
         assert point.hrp_address_share_95 <= point.hrp_address_share_90
 
 
 def test_stability_rejects_unordered_timestamps():
-    scans = [_scan({1: 5}, scan_id="late", week=3), _scan({1: 5}, scan_id="early", week=1)]
+    scans = [_scan({1: 5}), _scan({1: 5})]
+    labels = [("late", EPOCH + timedelta(weeks=3)), ("early", EPOCH + timedelta(weeks=1))]
     with pytest.raises(ValueError, match="ascending"):
-        stability_series(scans)
+        stability_series(scans, labels)
+
+
+def test_stability_rejects_an_empty_scan_id():
+    with pytest.raises(ValueError, match="scan_id must be non-empty"):
+        stability_series([_scan({1: 5})], [("", EPOCH)])
+
+
+def test_stability_labels_normalize_to_utc():
+    plus_two = timezone(timedelta(hours=2))
+    labels = [("a", datetime(2022, 8, 1, 12, 0, tzinfo=plus_two)), ("b", datetime(2022, 8, 1, 11, 0))]
+    points = stability_series([_scan({1: 5}), _scan({1: 5})], labels)
+    assert [p.timestamp for p in points] == [
+        datetime(2022, 8, 1, 10, 0, tzinfo=timezone.utc),
+        datetime(2022, 8, 1, 11, 0, tzinfo=timezone.utc),
+    ]
+    assert all(p.timestamp.tzinfo == timezone.utc for p in points)
+    out = io.StringIO()
+    write_series_csv(points, out)
+    assert [row.split(",")[:2] for row in out.getvalue().splitlines()[1:]] == [
+        ["a", "2022-08-01T10:00:00Z"],
+        ["b", "2022-08-01T11:00:00Z"],
+    ]
 
 
 def test_stability_rejects_port_mismatch():
-    scans = [_scan({1: 5}, port=443, week=0), _scan({1: 5}, port=80, week=1)]
+    scans = [_scan({1: 5}, port=443), _scan({1: 5}, port=80)]
     with pytest.raises(ValueError, match="mismatch"):
-        stability_series(scans)
+        stability_series(scans, _weeks(2))
 
 
 def test_persistence_counts():
@@ -111,7 +145,7 @@ def test_persistence_counts():
     for week in range(10):
         counts = {2: 256}
         counts[1] = 256 if week < 7 else 10
-        scans.append(_scan(counts, scan_id=f"w{week}", week=week))
+        scans.append(_scan(counts))
     summary = persistence(scans, missing_at_most_n=5)
     assert summary.total_scans == 10
     assert summary.distinct_hrps == 2
@@ -126,7 +160,7 @@ def test_persistence_excludes_prefixes_missing_too_often():
     scans = []
     for week in range(10):
         counts = {1: 256 if week < 4 else 10, 2: 256}
-        scans.append(_scan(counts, week=week))
+        scans.append(_scan(counts))
     summary = persistence(scans, missing_at_most_n=5)
     assert summary.scans_classified[1] == 4
     assert summary.missing_at_most_n_count == 1  # prefix 1 misses 6 > 5
@@ -137,11 +171,11 @@ def test_persistence_excludes_prefixes_missing_too_often():
 def test_persistence_is_order_insensitive():
     rng = random.Random(13)
     memberships = [{1: 256, 2: 256}, {1: 256, 2: 10}, {2: 256, 3: 256}, {1: 256}]
-    baseline = persistence([_scan(m, week=i) for i, m in enumerate(memberships)])
+    baseline = persistence([_scan(m) for m in memberships])
     for _ in range(5):
         shuffled = memberships[:]
         rng.shuffle(shuffled)
-        again = persistence([_scan(m, week=i) for i, m in enumerate(shuffled)])
+        again = persistence([_scan(m) for m in shuffled])
         assert again.scans_classified == baseline.scans_classified
         assert again.half_period_count == baseline.half_period_count
         assert again.missing_at_most_n_share == baseline.missing_at_most_n_share

@@ -28,7 +28,7 @@ from hrpkit.prefixes import PrefixTable
 
 from conftest import make_meta, table_with_counts
 
-META = make_meta(scan_id="app")
+META = make_meta()
 
 
 def _result(addr: int, status: str = SUCCESS, identifier: str | None = None) -> AppResult:
@@ -257,7 +257,7 @@ def test_results_csv_roundtrip():
     ]
     out = io.StringIO()
     write_app_results_csv(results, out)
-    parsed = read_app_results(io.StringIO(out.getvalue()), scan_id="app")
+    parsed = read_app_results(io.StringIO(out.getvalue()))
     assert [(r.target, r.status, r.identifier) for r in parsed] == [
         (r.target, r.status, r.identifier) for r in results
     ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -120,6 +121,9 @@ def test_enrich_pipeline(tmp_path):
     "10.1.3.0/24,4_43,tcp,3,false,0.900000,,",
     "10.1.3.0/24,443,tcp,2_40,true,0.900000,,",
     "10.1.3.0/24,443,tcp,\u0662\u0664\u0660,true,0.900000,,",
+    "10.1.3.0/24,443,tcp,3,false,0.9_0,,",  # threshold fraction not ASCII digits and a point
+    "10.1.3.0/24,443,tcp,3,false,9e-1,,",
+    "10.1.3.0/24,443,tcp,3,false,\u0660.\u0669,,",
 ])
 def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_row):
     stats = _detect(tmp_path, "s443", {0x0A0102: 256})
@@ -187,6 +191,55 @@ def test_stability_rejects_port_mismatch(tmp_path, capsys):
     assert run("stability", week0, week1) == 2
     err = capsys.readouterr().err
     assert "443" in err and "80" in err
+
+
+# A week whose scan saw nothing gives detect a header-only stats file.
+
+
+@pytest.mark.parametrize("empty_week", [0, 1])
+def test_stability_counts_an_empty_week(tmp_path, empty_week):
+    weeks = [_detect(tmp_path, f"w{i}", {} if i == empty_week else {1: 256, 2: 100}, port=80)
+             for i in range(3)]
+    report = tmp_path / "stability.json"
+    series = tmp_path / "series.csv"
+    assert run("stability", "--output", report, "--series-csv", series, *weeks) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["proto"], doc["port"]) == ("tcp", 80)
+    assert [(p["scan_id"], p["hrp_count"]) for p in doc["series"]] == [
+        (f"w{i}", 0 if i == empty_week else 1) for i in range(3)]
+    assert series.read_text().splitlines()[1 + empty_week] == (
+        f"w{empty_week},1970-01-0{1 + empty_week}T00:00:00Z,0.000000,0.000000,0")
+    persistence = doc["persistence"]
+    assert (persistence["total_scans"], persistence["distinct_hrps"]) == (3, 1)
+    assert (persistence["half_period_count"], persistence["full_period_count"]) == (1, 0)
+
+
+def test_stability_of_empty_weeks_only(tmp_path):
+    weeks = [_detect(tmp_path, f"w{i}", {}) for i in range(2)]
+    report = tmp_path / "stability.json"
+    assert run("stability", "--output", report, *weeks) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["proto"], doc["port"]) == (None, None)
+    assert [(p["hrp_address_share_90"], p["hrp_address_share_95"], p["hrp_count"])
+            for p in doc["series"]] == [(0.0, 0.0, 0)] * 2
+    assert (doc["persistence"]["total_scans"], doc["persistence"]["distinct_hrps"]) == (2, 0)
+
+
+def test_stability_port_mismatch_across_an_empty_week_names_both_files(tmp_path, capsys):
+    weeks = [_detect(tmp_path, "m0", {1: 10}, port=443), _detect(tmp_path, "m1", {}),
+             _detect(tmp_path, "m2", {1: 10}, port=80)]
+    assert run("stability", *weeks) == 2
+    assert f"port/proto mismatch: tcp/443 ({weeks[0]}) vs tcp/80 ({weeks[2]})" in capsys.readouterr().err
+
+
+def test_portmatrix_counts_an_empty_file_without_its_port(tmp_path):
+    stats_80 = _detect(tmp_path, "p80", {1: 256}, port=80)
+    empty = _detect(tmp_path, "p443", {}, port=443)
+    report = tmp_path / "matrix.json"
+    assert run("portmatrix", "--output", report, empty, stats_80) == 0
+    doc = json.loads(report.read_text())
+    assert (doc["ports"], doc["port_count"], doc["prefixes"], doc["hrp_prefixes"]) == (["tcp/80"], 2, 1, 1)
+    assert doc["hrp_histogram"] == [{"ports": 1, "prefixes": 1}]
 
 
 def test_vantage_pipeline(tmp_path):
@@ -424,3 +477,63 @@ def test_applayer_rejects_bad_results_row_with_file_and_line(tmp_path, capsys, b
                        + bad_row + "\n", encoding="utf-8")
     assert run("applayer", "--port", 443, "--output", tmp_path / "a.json", results, scan) == 2
     assert f"{results}: line 3: " in capsys.readouterr().err
+
+
+# --- every input error names its file ------------------------------------------------
+
+
+@pytest.fixture
+def corpus(tmp_path) -> dict[str, str]:
+    """One valid file of each kind a command reads, all for tcp/443."""
+    scan = write_scan(tmp_path / "scan.txt", {5: 256, 9: 3})
+    shard = write_scan(tmp_path / "shard.txt", {6: 2})
+    results = tmp_path / "results.csv"
+    results.write_text("ip,port,proto,status,identifier\n0.0.5.1,443,tcp,success,certA\n", encoding="utf-8")
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("ip,name_count\n0.0.5.4,2\n", encoding="utf-8")
+    routes = tmp_path / "routes.csv"
+    routes.write_text("0.0.0.0/8,64500\n", encoding="utf-8")
+    plan = tmp_path / "plan.csv"
+    assert run("plan", "--port", 443, "--output", plan, "--summary", tmp_path / "p.json", scan) == 0
+    files = {
+        "scan": scan, "shard": shard, "results": results, "seeds": seeds, "routes": routes, "plan": plan,
+        "stats": _detect(tmp_path, "stats", {5: 256}), "stats2": _detect(tmp_path, "stats2", {5: 3}),
+        "headerless": tmp_path / "headerless.csv",
+    }
+    files["headerless"].write_text("", encoding="utf-8")
+    return {name: str(path) for name, path in files.items()}
+
+
+SCAN_FLAGS = ["--port", "443", "--policy", "strict"]
+
+# (command, argv over corpus names, the file given a bad line, that line, exit code)
+NAMED_ERRORS = [
+    ("detect", [*SCAN_FLAGS, "scan", "shard"], "scan", "junk", 3),
+    ("detect", [*SCAN_FLAGS, "scan", "shard"], "shard", "junk", 3),
+    ("detect", ["--port", "443", "--format", "csv_saddr", "headerless"], "headerless", "ip,sport", 3),
+    ("enrich", ["stats", "routes"], "stats", "junk", 2),
+    ("enrich", ["--policy", "strict", "stats", "routes"], "routes", "junk", 3),
+    ("portmatrix", ["stats", "stats2"], "stats2", "junk", 2),
+    ("stability", ["stats", "stats2"], "stats2", "junk", 2),
+    ("vantage", ["stats", "stats2"], "stats", "junk", 2),
+    ("vantage", ["stats", "stats2"], "stats2", "junk", 2),
+    ("applayer", [*SCAN_FLAGS, "results", "scan"], "results", "junk", 2),
+    ("applayer", [*SCAN_FLAGS, "results", "scan", "shard"], "shard", "junk", 3),
+    ("plan", [*SCAN_FLAGS, "scan", "seeds"], "scan", "junk", 3),
+    ("plan", [*SCAN_FLAGS, "scan", "seeds"], "seeds", "junk", 2),
+    ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "plan", "junk", 2),
+    ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "results", "junk", 2),
+    ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "shard", "junk", 3),
+    ("evaluate", ["plan", "results"], "plan", "junk", 2),
+    ("evaluate", ["plan", "results"], "results", "junk", 2),
+]
+
+
+@pytest.mark.parametrize("command, argv, bad, line, code", NAMED_ERRORS)
+def test_input_errors_name_the_file_and_line(corpus, capsys, command, argv, bad, line, code):
+    path = Path(corpus[bad])
+    path.write_text(path.read_text() + line + "\n", encoding="utf-8")
+    line_number = len(path.read_text().splitlines())
+    capsys.readouterr()
+    assert main([command, *(corpus.get(arg, arg) for arg in argv)]) == code
+    assert capsys.readouterr().err.startswith(f"hrpkit {command}: {path}: line {line_number}: ")

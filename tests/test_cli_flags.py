@@ -1,5 +1,5 @@
-"""The command line's options and inputs: every option changes an output, integer
-flags follow the file rules, and every input file decodes one way."""
+"""The command line's options and inputs: every option changes an output, integer and
+decimal flags follow the file rules, and every input file decodes one way."""
 
 from __future__ import annotations
 
@@ -200,6 +200,44 @@ def test_integer_flags_take_their_whole_range(tmp_path, inputs, weeks):
                  "--summary", str(summary)]) == 0
 
 
+# --- decimal flags read as in input files -----------------------------------------
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("detect", "--threshold", "\u0660.\u0669_0"),
+    ("detect", "--threshold", "0.9_0"),
+    ("detect", "--threshold", "+0.9"),
+    ("detect", "--threshold", "9e-1"),
+    ("detect", "--threshold", ".9"),
+    ("detect", "--threshold", " 0.9"),
+    ("detect", "--threshold", "nan"),
+    ("applayer", "--threshold", "inf"),
+    ("plan", "--threshold", "0.9\u0660"),
+    ("escalate", "--proxy-max-success", "0.1_0"),
+    ("escalate", "--proxy-max-success", "1e-1"),
+    ("escalate", "--proxy-max-success", "-0"),
+    ("escalate", "--cdn-min-success", "nan"),
+    ("escalate", "--cdn-min-success", "\u0661"),
+    ("escalate", "--cdn-min-success", "0.9 "),
+])
+def test_decimal_flags_reject_what_files_reject(inputs, capsys, command, flag, value):
+    assert main([command, *inputs[command], flag, value]) == 2
+    assert f"argument {flag}: invalid value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, hrp_prefixes", [("0.90", 1), ("1", 0), ("1.0", 0), ("0.900000", 1)])
+def test_threshold_spellings_that_load(tmp_path, inputs, value, hrp_prefixes):
+    summary = tmp_path / "s.json"
+    assert main(["detect", *inputs["detect"], "--threshold", value, "--output", str(tmp_path / "d.csv"),
+                 "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["hrp_prefixes"] == hrp_prefixes
+
+
+def test_escalate_cutoffs_take_their_bounds(tmp_path, inputs):
+    assert main(["escalate", *inputs["escalate"], "--proxy-max-success", "0", "--cdn-min-success", "1",
+                 "--output", str(tmp_path / "e.csv"), "--summary", str(tmp_path / "e.json")]) == 0
+
+
 # --- applayer joins its results once ------------------------------------------------
 
 
@@ -212,7 +250,7 @@ def test_applayer_joins_its_results_once(tmp_path, inputs, monkeypatch):
             return super().__iter__()
 
     read = applayer.read_app_results
-    monkeypatch.setattr(applayer, "read_app_results", lambda lines, scan_id: Rows(read(lines, scan_id)))
+    monkeypatch.setattr(applayer, "read_app_results", lambda lines: Rows(read(lines)))
     assert main(["applayer", "--output", str(tmp_path / "a.json"), *inputs["applayer"]]) == 0
     assert len(passes) == 1
 

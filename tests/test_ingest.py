@@ -16,13 +16,13 @@ from hrpkit.ingest import (
     PLAIN,
     STRICT,
     IngestError,
-    ScanMeta,
     format_ipv4,
     format_timestamp,
     open_scan_source,
     parse_address_line,
     parse_asn,
     parse_cidr,
+    parse_decimal,
     parse_ipv4,
     parse_timestamp,
     parse_uint,
@@ -128,6 +128,24 @@ def test_parse_uint_matches_a_digit_pattern_in_range(text, low, high):
         value = parse_uint(text, low, high, "count")
     except ValueError as exc:
         assert str(exc).startswith(f"invalid count {text!r}")
+        value = None
+    assert value == expected
+
+
+DECIMAL = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+@given(st.one_of(
+    st.text(alphabet="0123456789.+-_eE \u0660\u0669", max_size=10),
+    st.sampled_from(["nan", "inf", "-inf", "Infinity", "0x1", "1e-1", ".5", "5.", "0.9\n"]),
+    st.from_regex(DECIMAL, fullmatch=True),
+))
+def test_parse_decimal_matches_its_pattern(text):
+    expected = float(text) if DECIMAL.fullmatch(text) else None
+    try:
+        value = parse_decimal(text, "fraction")
+    except ValueError as exc:
+        assert str(exc).startswith(f"invalid fraction {text!r}")
         value = None
     assert value == expected
 
@@ -276,19 +294,6 @@ def test_scan_meta_validation():
         make_meta(port=70000)
     with pytest.raises(ValueError):
         make_meta(proto="icmp")
-    with pytest.raises(ValueError):
-        make_meta(scan_id="")
-
-
-def test_scan_meta_normalizes_to_utc():
-    from datetime import datetime, timedelta, timezone
-
-    plus_two = timezone(timedelta(hours=2))
-    meta = ScanMeta("tcp", 443, "s1", datetime(2022, 8, 1, 12, 0, tzinfo=plus_two))
-    assert meta.timestamp.tzinfo == timezone.utc
-    assert meta.timestamp.hour == 10
-    naive = ScanMeta("tcp", 443, "s1", datetime(2022, 8, 1, 12, 0))
-    assert naive.timestamp.tzinfo == timezone.utc
 
 
 def test_timestamp_text_roundtrip():

@@ -36,7 +36,7 @@ from hrpkit.planner import (
 
 from conftest import make_meta, table_with_counts
 
-META = make_meta(scan_id="app")
+META = make_meta()
 
 
 def _truth(addr: int, status: str = SUCCESS, identifier: str | None = None) -> AppResult:

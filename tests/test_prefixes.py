@@ -288,7 +288,7 @@ def test_csv_roundtrip_is_stable():
     stats = classify(table_with_counts({0xC63364: 231, 0xCB0071: 12}), HrpThreshold(0.90))
     first = io.StringIO()
     write_prefix_stats_csv(stats, first)
-    parsed = read_prefix_stats(io.StringIO(first.getvalue()), scan_id="s1")
+    parsed = read_prefix_stats(io.StringIO(first.getvalue()))
     second = io.StringIO()
     write_prefix_stats_csv(parsed, second)
     assert first.getvalue() == second.getvalue()
@@ -316,7 +316,7 @@ def test_read_prefix_stats_rejects_mixed_ports():
         "1.2.4.0/24,80,tcp,5,false,0.900000,,\n"
     )
     with pytest.raises(ValueError, match="mismatch"):
-        read_prefix_stats(io.StringIO(text), scan_id="s1")
+        read_prefix_stats(io.StringIO(text))
 
 
 _STATS_HEADER = "prefix,port,proto,count,is_hrp,threshold_fraction,origin_asn,covering_prefix\n"
@@ -336,6 +336,12 @@ _GOOD_ROW = "1.2.3.0/24,443,tcp,240,true,0.900000,64500,1.2.0.0/16\n"
     "1.2.4.0/24,443,tcp,5,false,1.5,,",
     "1.2.4.0/24,443,tcp,5,false,-0.1,,",
     "1.2.4.0/24,443,tcp,5,false,nan,,",
+    "1.2.4.0/24,443,tcp,5,false,inf,,",  # fraction not ASCII digits with an optional point
+    "1.2.4.0/24,443,tcp,5,false,0.9_0,,",
+    "1.2.4.0/24,443,tcp,5,false,+0.9,,",
+    "1.2.4.0/24,443,tcp,5,false,9e-1,,",
+    "1.2.4.0/24,443,tcp,5,false,.9,,",
+    "1.2.4.0/24,443,tcp,5,false,\u0660.\u0669,,",
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.256/16",  # bad covering address
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0/33",  # covering length out of range
     "1.2.4.0/24,443,tcp,5,false,0.900000,,1.2.0.0",
@@ -356,7 +362,7 @@ _GOOD_ROW = "1.2.3.0/24,443,tcp,240,true,0.900000,64500,1.2.0.0/16\n"
 def test_read_prefix_stats_rejects_invalid_rows_naming_the_line(row):
     text = _STATS_HEADER + _GOOD_ROW + row + "\n"
     with pytest.raises(ValueError, match="^line 3: "):
-        read_prefix_stats(io.StringIO(text), scan_id="s1")
+        read_prefix_stats(io.StringIO(text))
 
 
 def test_read_prefix_stats_accepts_boundaries():
@@ -365,10 +371,20 @@ def test_read_prefix_stats_accepts_boundaries():
         "1.2.4.0/24,443,tcp,256,true,1,,1.2.4.0/24\n"
         "1.2.5.0/24,443,tcp,231,true,0.900000,,1.2.5.128/32\n"
     )
-    stats = read_prefix_stats(io.StringIO(text), scan_id="s1")
+    stats = read_prefix_stats(io.StringIO(text))
     assert [s.responsive_count for s in stats] == [1, 256, 231]
     assert [s.is_hrp for s in stats] == [False, True, True]
     assert [s.covering_route for s in stats] == [(0, 0), (0x01020400, 24), (0x01020580, 32)]
+
+
+def test_read_prefix_stats_reads_each_spelling_of_a_fraction():
+    text = _STATS_HEADER + "".join(
+        f"1.2.{n}.0/24,443,tcp,240,{hrp},{fraction},,\n"
+        for n, (fraction, hrp) in enumerate([("0.90", "true"), ("1", "false"), ("1.0", "false"),
+                                              (" 0.900000 ", "true"), ("0.900000", "true")])
+    )
+    stats = read_prefix_stats(io.StringIO(text))
+    assert [s.threshold.fraction for s in stats] == [0.9, 1.0, 1.0, 0.9, 0.9]
 
 
 def test_read_prefix_stats_strips_origin_and_covering_fields():
@@ -376,7 +392,7 @@ def test_read_prefix_stats_strips_origin_and_covering_fields():
         "1.2.3.0/24,443,tcp,1,false,0.900000, 4294967295 , 1.2.0.0/16 \n"
         "1.2.4.0/24,443,tcp,1,false,0.900000,0,1.2.4.0/24\n"
     )
-    stats = read_prefix_stats(io.StringIO(text), scan_id="s1")
+    stats = read_prefix_stats(io.StringIO(text))
     assert [(s.origin_asn, s.covering_route) for s in stats] == [
         (2**32 - 1, (0x01020000, 16)), (0, (0x01020400, 24))]
 
@@ -385,6 +401,6 @@ def test_read_prefix_stats_shares_one_threshold_per_fraction():
     stats = classify(table_with_counts({p: 5 + p for p in range(1, 50)}), HrpThreshold(0.90))
     out = io.StringIO()
     write_prefix_stats_csv(stats, out)
-    parsed = read_prefix_stats(io.StringIO(out.getvalue()), scan_id="s1")
+    parsed = read_prefix_stats(io.StringIO(out.getvalue()))
     assert len({id(s.threshold) for s in parsed}) == 1
     assert parsed[0].threshold == HrpThreshold(0.90)

@@ -36,12 +36,12 @@ from conftest import make_meta
 # name -> (reader over lines, header, one good row)
 READERS = {
     "prefix_stats": (
-        lambda lines: read_prefix_stats(lines, scan_id="s1"),
+        read_prefix_stats,
         "prefix,port,proto,count,is_hrp,threshold_fraction,origin_asn,covering_prefix",
         "1.2.3.0/24,443,tcp,5,false,0.900000,,",
     ),
     "app_results": (
-        lambda lines: read_app_results(lines, scan_id="app"),
+        read_app_results,
         "ip,port,proto,status,identifier",
         "1.2.3.4,443,tcp,success,certA",
     ),
@@ -154,7 +154,7 @@ def _prefix_stats(draw):
 def test_prefix_stats_csv_roundtrip(stats):
     out = io.StringIO()
     write_prefix_stats_csv(stats, out)
-    assert read_prefix_stats(io.StringIO(out.getvalue()), scan_id="s1") == stats
+    assert read_prefix_stats(io.StringIO(out.getvalue())) == stats
 
 
 _identifiers = st.text(string.ascii_letters + string.digits + ":-_", min_size=1, max_size=12)
@@ -162,8 +162,7 @@ _identifiers = st.text(string.ascii_letters + string.digits + ":-_", min_size=1,
 
 @st.composite
 def _app_results(draw):
-    meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])),
-                     scan_id="app")
+    meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])))
     results = []
     for _ in range(draw(st.integers(0, 8))):
         status = draw(st.sampled_from(STATUSES))
@@ -176,7 +175,7 @@ def _app_results(draw):
 def test_app_results_csv_roundtrip(results):
     out = io.StringIO()
     write_app_results_csv(results, out)
-    assert read_app_results(io.StringIO(out.getvalue()), scan_id="app") == results
+    assert read_app_results(io.StringIO(out.getvalue())) == results
 
 
 def _runs_of(provenances: list[str]) -> tuple[tuple[str, int], ...]:
