@@ -123,8 +123,9 @@ def stability_series(
 ) -> list[StabilityPoint]:
     """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts.
 
-    labels gives each scan's (scan_id, timestamp): ids non-empty, times
-    strictly ascending and normalized to UTC, a naive time taken as UTC.
+    labels gives each scan's (scan_id, timestamp): ids non-empty and without
+    commas or line breaks, times strictly ascending and normalized to UTC, a
+    naive time taken as UTC.
     An empty scan is a point with both shares and hrp_count zero.
     """
     series_meta(scans)
@@ -133,6 +134,9 @@ def stability_series(
     utc_labels = [(scan_id, to_utc(timestamp)) for scan_id, timestamp in labels]
     if any(not scan_id for scan_id, _ in utc_labels):
         raise ValueError("scan_id must be non-empty")
+    for scan_id, _ in utc_labels:
+        if any(c in scan_id for c in ",\r\n"):  # the series CSV writes ids unquoted
+            raise ValueError(f"scan_id {scan_id!r} holds a comma or line break")
     for (earlier_id, earlier), (later_id, later) in zip(utc_labels, utc_labels[1:]):
         if later <= earlier:
             raise ValueError(

@@ -6,21 +6,30 @@ hash for HTTP). The join is against the port scan's occupancy table: the
 denominator for a prefix is its previously responsive address count, and
 results aimed at addresses the port scan never saw are excluded and
 counted as anomalies. Repeated rows for one address keep the first row.
+
+A results file reads into an :class:`AppResults` table: one column each of
+targets, status codes and identifiers, every row kept in file order. The
+joins read the columns; iterating the table gives :class:`AppResult` rows.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import compress
+from typing import IO, Iterable, Iterator
 
-from .ingest import ScanMeta, format_ipv4, parse_ipv4, read_csv, row_meta
+from .ingest import ScanMeta, each_has_dots, format_ipv4, octet_values, parse_ipv4, read_csv, row_meta
 from .prefixes import PrefixTable
 
 SUCCESS = "success"
 APP_ERROR = "app_error"
 UNREACHABLE = "unreachable"
 STATUSES = (SUCCESS, APP_ERROR, UNREACHABLE)
+STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}  # a status's code in AppResults
+_SUCCESS, _APP_ERROR = STATUS_CODES[SUCCESS], STATUS_CODES[APP_ERROR]
 
 APP_RESULT_COLUMNS = ("ip", "port", "proto", "status", "identifier")
 
@@ -37,8 +46,62 @@ class AppResult:
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        if self.identifier is not None and self.status != SUCCESS:
+        identifier = self.identifier
+        if identifier is not None and self.status != SUCCESS:
             raise ValueError("identifier is only valid on success results")
+        if identifier is not None and (
+            not identifier or identifier != identifier.strip() or any(c in identifier for c in ",\r\n\ufffd")
+        ):  # the CSV row could not carry it back unchanged
+            raise ValueError(
+                f"identifier must be non-empty text without surrounding whitespace, commas, "
+                f"line breaks or U+FFFD, got {identifier!r}"
+            )
+
+
+@dataclass
+class AppResults:
+    """Application-layer results of one scan as columns, one entry per results row in file
+    order, repeats kept: targets as address ints, status codes (STATUS_CODES) and identifiers.
+    meta is None only for a table without rows."""
+
+    meta: ScanMeta | None
+    targets: array
+    statuses: bytes
+    identifiers: list[str | None]
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __iter__(self) -> Iterator[AppResult]:
+        meta = self.meta
+        for target, code, identifier in zip(self.targets, self.statuses, self.identifiers):
+            yield AppResult(target, meta, STATUSES[code], identifier)
+
+    @classmethod
+    def of(cls, results: Iterable[AppResult]) -> AppResults:
+        """The table of result rows, which must share one meta; a table is returned as it is."""
+        if isinstance(results, AppResults):
+            return results
+        rows = list(results)
+        metas = {r.meta for r in rows}
+        if len(metas) > 1:
+            raise ValueError(f"results from more than one port/proto: {sorted(metas)}")
+        return cls(
+            rows[0].meta if rows else None,
+            array("I", [r.target for r in rows]),
+            bytes(STATUS_CODES[r.status] for r in rows),
+            [r.identifier for r in rows],
+        )
+
+    def select(self, rows: Iterable[int]) -> AppResults:
+        """The table of the given rows, in the given order."""
+        rows = list(rows)
+        return AppResults(
+            self.meta,
+            array("I", [self.targets[i] for i in rows]),
+            bytes(self.statuses[i] for i in rows),
+            [self.identifiers[i] for i in rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -103,7 +166,7 @@ class SuccessCdf:
 
 
 def hrp_app_report(
-    results: Iterable[AppResult],
+    results: AppResults | Iterable[AppResult],
     hrps: Iterable[int],
     occupancy: PrefixTable,
     exclude_app_errors: bool = False,
@@ -121,23 +184,21 @@ def hrp_app_report(
     missing = [p for p in hrp_prefixes if not occupancy.count(p)]
     if missing:
         raise ValueError(f"HRPs missing from the occupancy table: {missing[:5]}")
+    results = AppResults.of(results)
+    meta = occupancy.meta
+    if results.meta is not None and results.meta != meta:
+        raise ValueError(
+            f"result port/proto {results.meta.protocol}/{results.meta.port} does not match "
+            f"occupancy {meta.protocol}/{meta.port}"
+        )
     hrp_set = set(hrp_prefixes)
     seen: set[int] = set()  # targets whose first row was kept
-    successes: dict[int, list[AppResult]] = defaultdict(list)  # per HRP, first rows only
+    successes: dict[int, list[str | None]] = defaultdict(list)  # identifiers per HRP, first rows only
     app_errors: Counter[int] = Counter()
     duplicates = anomalies = hrp_targets = non_hrp_successes = 0
-    meta = occupancy.meta
     bitmaps = occupancy.bitmaps
-    checked = None  # the last meta found equal to the occupancy's
-    for r in results:
-        if r.meta is not checked:
-            if r.meta != meta:
-                raise ValueError(
-                    f"result port/proto {r.meta.protocol}/{r.meta.port} does not match "
-                    f"occupancy {meta.protocol}/{meta.port}"
-                )
-            checked = r.meta
-        target, prefix = r.target, r.target >> 8
+    for target, code, identifier in zip(results.targets, results.statuses, results.identifiers):
+        prefix = target >> 8
         if target in seen:
             duplicates += 1
         elif not bitmaps.get(prefix, 0) >> (target & 0xFF) & 1:
@@ -145,13 +206,13 @@ def hrp_app_report(
         else:
             seen.add(target)
             if prefix not in hrp_set:
-                if r.status == SUCCESS:
+                if code == _SUCCESS:
                     non_hrp_successes += 1
                 continue
             hrp_targets += 1
-            if r.status == SUCCESS:
-                successes[prefix].append(r)
-            elif r.status == APP_ERROR:
+            if code == _SUCCESS:
+                successes[prefix].append(identifier)
+            elif code == _APP_ERROR:
                 app_errors[prefix] += 1
     reports = []
     hrp_successes = gt90_successes = gt90_same_id_successes = 0
@@ -160,7 +221,7 @@ def hrp_app_report(
         denominator = responsive - app_errors[prefix] if exclude_app_errors else responsive
         prefix_successes = successes.get(prefix, [])
         success_count = len(prefix_successes)
-        identifiers = [r.identifier for r in prefix_successes if r.identifier is not None]
+        identifiers = [i for i in prefix_successes if i is not None]
         dominant = max(Counter(identifiers).values()) if identifiers else 0
         same_identifier = (
             success_count > 0 and len(identifiers) == success_count and len(set(identifiers)) == 1
@@ -199,7 +260,7 @@ def hrp_app_report(
 
 
 def address_comparison(
-    results: Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
+    results: AppResults | Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
 ) -> AddressComparison:
     """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares:
     the comparison of hrp_app_report, which always counts app_error as a
@@ -227,18 +288,43 @@ def write_app_results_csv(results: Iterable[AppResult], out: IO[str]) -> None:
         out.write(f"{format_ipv4(r.target)},{r.meta.port},{r.meta.protocol},{r.status},{identifier}\n")
 
 
-def read_app_results(lines: Iterable[str]) -> list[AppResult]:
-    """Read the CSV form back; port/proto must agree across rows, and an identifier
-    holding U+FFFD (the mark of an undecodable input byte) is rejected."""
+def read_app_results(lines: Iterable[str]) -> AppResults:
+    """Read the CSV form back into a table, every row in file order; port/proto must agree
+    across rows, and an identifier holding U+FFFD (the mark of an undecodable input byte) is
+    rejected."""
     meta_of = row_meta()
 
-    def parse_row(fields: list[str]) -> AppResult:
+    def parse_row(fields: list[str]) -> tuple[ScanMeta, array, bytes, list[str | None]]:
         ip_text, port_text, proto, status, identifier = map(str.strip, fields)
         target = parse_ipv4(ip_text)
         if target is None:
             raise ValueError(f"invalid address {ip_text!r}")
         if "\ufffd" in identifier:
             raise ValueError(f"undecodable bytes in identifier {identifier!r}")
-        return AppResult(target, meta_of(port_text, proto), status, identifier or None)
+        identifier = sys.intern(identifier) if identifier else None
+        row = AppResult(target, meta_of(port_text, proto), status, identifier)
+        return row.meta, array("I", [target]), bytes([STATUS_CODES[status]]), [identifier]
 
-    return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))
+    def parse_block(columns: list[list[str]]) -> tuple[ScanMeta, array, bytes, list[str | None]]:
+        ips, ports, protos, statuses, identifiers = columns
+        n = len(ips)
+        if ports.count(ports[0]) != n or protos.count(protos[0]) != n:
+            raise KeyError("port/proto varies within the block")
+        if not each_has_dots(ips, 3):
+            raise KeyError("an address without four octets")
+        targets = octet_values(".".join(ips).split("."))
+        codes = bytes(map(STATUS_CODES.__getitem__, statuses))
+        if any(compress(identifiers, codes)):  # a code other than success's 0 with an identifier
+            raise KeyError("identifier on a result other than success")
+        identifiers = [text or None for text in map(sys.intern, identifiers)]
+        return meta_of(ports[0], protos[0]), targets, codes, identifiers
+
+    meta = None
+    targets, codes, identifiers = array("I"), bytearray(), []
+    for meta, block_targets, block_codes, block_identifiers in read_csv(
+        lines, APP_RESULT_COLUMNS, parse_row, parse_block
+    ):
+        targets += block_targets
+        codes += block_codes
+        identifiers += block_identifiers
+    return AppResults(meta, targets, bytes(codes), identifiers)

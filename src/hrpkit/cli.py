@@ -125,8 +125,8 @@ def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
     return doc
 
 
-def _check_results_port(results, args, name: str) -> None:
-    meta = shared_meta(results)
+def _check_results_port(results: applayer.AppResults, args, name: str) -> None:
+    meta = results.meta
     if meta is not None and meta != ScanMeta(args.proto, args.port):
         raise SchemaError(
             f"port/proto mismatch: {meta.protocol}/{meta.port} ({name}) vs "
@@ -338,17 +338,18 @@ def _cmd_escalate(args) -> int:
         if entry.strategy == planner.STRATEGY_SAMPLED
         for address in entry.addresses
     }
-    by_prefix: dict[int, list] = {}
+    rows_by_prefix: dict[int, list[int]] = {}
     seen: set[int] = set()
     off_plan = 0
-    for r in results:
-        if r.target not in sampled:  # outside every sampled prefix, or never planned there
+    for row, target in enumerate(results.targets):
+        if target not in sampled:  # outside every sampled prefix, or never planned there
             off_plan += 1
-        elif r.target not in seen:  # the first row per target counts, as in applayer
-            seen.add(r.target)
-            by_prefix.setdefault(r.target >> 8, []).append(r)
+        elif target not in seen:  # the first row per target counts, as in applayer
+            seen.add(target)
+            rows_by_prefix.setdefault(target >> 8, []).append(row)
     classes = {
-        prefix: planner.classify_sample(sample, policy) for prefix, sample in sorted(by_prefix.items())
+        prefix: planner.classify_sample(results.select(rows), policy)
+        for prefix, rows in sorted(rows_by_prefix.items())
     }
     escalated = planner.escalate(plan, classes, occupancy)
     _write_to(args.output, lambda out: planner.write_plan_csv(escalated, out), default=sys.stdout)

@@ -19,9 +19,12 @@ form the standard library's IPv4Address accepts), parsed by table lookup.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
+from itertools import islice, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 PLAIN = "plain"
@@ -39,6 +42,12 @@ _PROTOCOLS = ("tcp", "udp")
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the first time of a scan series given none
 
 _Row = TypeVar("_Row")
+
+BLOCK_LINES = 1024  # lines per block of a table read in columns
+# Bytes to delete to keep only a block's field and line separators, ASCII whitespace and NULs,
+# or only an address column's dots and the commas between addresses.
+_NOT_SHAPE = bytes(c for c in range(256) if c not in b",\n\t\x0b\x0c\r\x1c\x1d\x1e\x1f \0")
+_NOT_DOT = bytes(c for c in range(256) if c not in b".,")
 
 
 class IngestError(Exception):
@@ -96,6 +105,15 @@ def parse_ipv4(text: str) -> int | None:
         return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
     except (ValueError, KeyError):
         return None
+
+
+def octet_values(texts: list[str]) -> array:
+    """The 32-bit values whose big-endian octets are ``texts``, four texts per value, as an
+    ``array('I')``; KeyError unless every text is a canonical octet."""
+    values = array("I", bytes(map(_OCTETS.__getitem__, texts)))
+    if sys.byteorder == "little":
+        values.byteswap()
+    return values
 
 
 def parse_cidr(text: str) -> tuple[int, int] | None:
@@ -249,7 +267,10 @@ def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> 
 
 
 def read_csv(
-    lines: Iterable[str], columns: Sequence[str], parse_row: Callable[[list[str]], _Row]
+    lines: Iterable[str],
+    columns: Sequence[str],
+    parse_row: Callable[[list[str]], _Row],
+    parse_block: Callable[[list[list[str]]], _Row] | None = None,
 ) -> Iterator[_Row]:
     """Stream ``parse_row(fields)`` over the rows of a headed CSV table.
 
@@ -257,26 +278,91 @@ def read_csv(
     other line must name exactly ``columns`` (each stripped), and every later
     row must have that many comma-separated fields. A malformed row, or a
     ValueError raised by ``parse_row``, raises ValueError naming the line.
+
+    With ``parse_block``, the rows after the header are read BLOCK_LINES lines
+    at a time. A block of plainly written rows (see ``_plain_columns``) goes to
+    ``parse_block(columns)`` as one list of field texts per column, and its
+    result, which stands for all the block's rows as parse_row's does for one,
+    is yielded once. If parse_block declines the block by raising KeyError or
+    ValueError, or the block is not plain, its rows go through ``parse_row``
+    one at a time, so every error is the row path's, with its line.
     """
     expected = list(columns)
-    header_ok = False
-    for line_number, line in enumerate(lines, start=1):
+    source = iter(lines)
+    line_number = 0
+    for line in source:
+        line_number += 1
+        row = line.rstrip("\r\n")
+        if not row or row.startswith("#"):
+            continue
+        if [name.strip() for name in row.split(",")] != expected:
+            raise ValueError(f"line {line_number}: expected header row {','.join(expected)}")
+        break
+    while block := list(islice(source, BLOCK_LINES)):
+        first = line_number + 1
+        line_number += len(block)
+        if parse_block is not None:
+            fields = _plain_columns(block, len(expected), final=len(block) < BLOCK_LINES)
+            if fields is not None:
+                try:
+                    parsed = parse_block(fields)
+                except (KeyError, ValueError):
+                    pass
+                else:
+                    yield parsed
+                    continue
+        yield from _parse_rows(enumerate(block, first), len(expected), parse_row)
+
+
+def _parse_rows(
+    numbered: Iterable[tuple[int, str]], width: int, parse_row: Callable[[list[str]], _Row]
+) -> Iterator[_Row]:
+    for line_number, line in numbered:
         row = line.rstrip("\r\n")
         if not row or row.startswith("#"):
             continue
         fields = row.split(",")
-        if not header_ok:
-            if [name.strip() for name in fields] != expected:
-                raise ValueError(f"line {line_number}: expected header row {','.join(expected)}")
-            header_ok = True
-            continue
-        if len(fields) != len(expected):
-            raise ValueError(f"line {line_number}: expected {len(expected)} fields, got {len(fields)}")
+        if len(fields) != width:
+            raise ValueError(f"line {line_number}: expected {width} fields, got {len(fields)}")
         try:
             parsed = parse_row(fields)
         except ValueError as exc:
             raise ValueError(f"line {line_number}: {exc}") from None
         yield parsed
+
+
+def _plain_columns(block: list[str], width: int, final: bool) -> list[list[str]] | None:
+    """The fields of a block of table lines as ``width`` columns, or None unless the block is
+    ASCII (so holds no U+FFFD), every line ends in ``\\n`` (the last one may not if ``final``),
+    none is blank or starts with ``#``, no whitespace or NUL appears but those line ends, and
+    each row has ``width - 1`` commas."""
+    text = "".join(block)
+    if block[-1].endswith("\n"):
+        text = text[:-1]
+    elif not final:
+        return None
+    row = "," * (width - 1)
+    if (
+        not text.isascii()
+        # the commas, line breaks, other whitespace and NULs, in order: exactly the rows' commas
+        or text.encode().translate(None, _NOT_SHAPE) != "\n".join(repeat(row, len(block))).encode()
+        # every line but the last ends in a line break, so with n-1 of them none holds two (a NUL
+        # in a line could fake the mark, but fails the check above)
+        or "\0".join(block).count("\n\0") != len(block) - 1
+        or "\n" in block
+        or "" in block
+        or text.startswith("#")
+        or "\n#" in text
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    return [fields[i::width] for i in range(width)]
+
+
+def each_has_dots(texts: list[str], dots: int) -> bool:
+    """Whether each of ``texts``, ASCII without commas as in a plain block, holds ``dots`` dots."""
+    marks = ",".join(texts).encode().translate(None, _NOT_DOT)
+    return marks == b",".join(repeat(b"." * dots, len(texts)))
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import groupby, islice
 from typing import IO, Iterable, Mapping, Sequence
 
-from .applayer import SUCCESS, AppResult
+from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults
 from .ingest import _OCTETS, format_ipv4, parse_ipv4, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
@@ -225,20 +225,21 @@ def _sample_hrp(
     return PlanEntry(prefix, STRATEGY_SAMPLED, tuple(seeded + drawn), runs)
 
 
-def classify_sample(sample_results: Sequence[AppResult], policy: SamplePolicy) -> str:
+def classify_sample(sample_results: AppResults | Sequence[AppResult], policy: SamplePolicy) -> str:
     """Scenario for one HRP from its sampled outcomes.
 
     success rate <= proxy_max_success -> proxy; rate >= cdn_min_success with
     every success carrying one shared identifier -> cdn_like; else diverse.
     """
-    if not sample_results:
+    sample = AppResults.of(sample_results)
+    if not len(sample):
         raise ValueError("classify_sample needs at least one result")
-    n = len(sample_results)
-    successes = [r for r in sample_results if r.status == SUCCESS]
-    rate = Fraction(len(successes), n)
+    success = STATUS_CODES[SUCCESS]
+    successes = [i for code, i in zip(sample.statuses, sample.identifiers) if code == success]
+    rate = Fraction(len(successes), len(sample))
     if rate <= Fraction(str(policy.proxy_max_success)):
         return PROXY
-    identifiers = {r.identifier for r in successes}
+    identifiers = set(successes)
     if (
         rate >= Fraction(str(policy.cdn_min_success))
         and None not in identifiers
@@ -266,25 +267,25 @@ def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTabl
     return TargetPlan(entries)
 
 
-def evaluate_plan(final_plan: TargetPlan, truth: Iterable[AppResult]) -> PlanMetrics:
+def evaluate_plan(final_plan: TargetPlan, truth: AppResults | Iterable[AppResult]) -> PlanMetrics:
     """Cost/coverage of a plan against ground truth for every responsive address.
 
     Raises PlanEvaluationError when a planned target has no truth row. With
     an empty plan and empty truth, reduction is 0 and coverage 1 (vacuous).
     """
-    truth_by_target: dict[int, AppResult] = {}
-    for r in truth:
-        truth_by_target.setdefault(r.target, r)
+    truth = AppResults.of(truth)
+    # Each target's identifier from its first row: built backwards, the first row is set last.
+    identifier_of = dict(zip(reversed(truth.targets), reversed(truth.identifiers)))
     planned = final_plan.target_addresses()
-    uncovered = sorted(a for a in planned if a not in truth_by_target)
+    uncovered = sorted(a for a in planned if a not in identifier_of)
     if uncovered:
         raise PlanEvaluationError(
             f"{len(uncovered)} planned targets missing from ground truth, "
             f"first: {format_ipv4(uncovered[0])}"
         )
-    baseline = len(truth_by_target)
-    all_identifiers = {r.identifier for r in truth_by_target.values()} - {None}
-    reached = {truth_by_target[a].identifier for a in planned} - {None}
+    baseline = len(identifier_of)
+    all_identifiers = set(identifier_of.values()) - {None}
+    reached = {identifier_of[a] for a in planned} - {None}
     return PlanMetrics(
         handshakes_planned=len(planned),
         handshakes_full_baseline=baseline,

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import IO, Iterable
 
 from .fmt import fmt_real
 from .ingest import (
-    ScanMeta, format_ipv4, parse_asn, parse_cidr, parse_decimal, parse_ipv4, parse_uint, read_csv, row_meta,
+    ScanMeta, each_has_dots, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal, parse_ipv4, parse_uint,
+    read_csv, row_meta,
 )
 
 SLASH24_SIZE = 256
@@ -38,6 +40,7 @@ PREFIX_STAT_COLUMNS = (
 )
 
 _HRP_FLAGS = {"true": True, "false": False}
+_COUNTS = {str(count): count for count in range(1, SLASH24_SIZE + 1)}  # canonical count text -> value
 
 
 def slash24_of(addr: int) -> int:
@@ -291,14 +294,20 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
     """
     meta_of = row_meta()
     thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
+    asns: dict[str, int | None] = {"": None}  # field text -> value, for the block path
+    routes: dict[str, tuple[int, int] | None] = {"": None}
 
-    def parse_row(fields: list[str]) -> PrefixStat:
-        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        meta = meta_of(port_text.strip(), proto)
+    def threshold_of(fraction_text: str) -> HrpThreshold:
         threshold = thresholds.get(fraction_text)
         if threshold is None:
             fraction = parse_decimal(fraction_text.strip(), "threshold fraction")
             threshold = thresholds[fraction_text] = HrpThreshold(fraction)
+        return threshold
+
+    def parse_row(fields: list[str]) -> list[PrefixStat]:
+        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
+        meta = meta_of(port_text.strip(), proto)
+        threshold = threshold_of(fraction_text)
         count = parse_uint(count_text.strip(), 1, SLASH24_SIZE, "count")
         is_hrp = _HRP_FLAGS.get(hrp_text)
         if is_hrp is None:
@@ -307,7 +316,7 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
             raise ValueError(
                 f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}"
             )
-        return PrefixStat(
+        return [PrefixStat(
             prefix=parse_slash24(prefix_text),
             meta=meta,
             responsive_count=count,
@@ -315,9 +324,43 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
             threshold=threshold,
             origin_asn=parse_asn(asn_text.strip()) if asn_text else None,
             covering_route=_parse_covering(covering_text) if covering_text else None,
-        )
+        )]
 
-    return list(read_csv(lines, PREFIX_STAT_COLUMNS, parse_row))
+    def parse_block(columns: list[list[str]]) -> list[PrefixStat]:
+        prefix_texts, ports, protos, counts, flags, fractions, asn_texts, covering_texts = columns
+        n = len(prefix_texts)
+        if ports.count(ports[0]) != n or protos.count(protos[0]) != n:
+            raise KeyError("port/proto varies within the block")
+        if not each_has_dots(prefix_texts, 3):
+            raise KeyError("a prefix without four octets")
+        parts = ("0." + ".".join(prefix_texts)).split(".")  # 0, a, b, c, then "0/24" in place of 0
+        if parts.pop() != "0/24" or parts[4::4].count("0/24") != n - 1:
+            raise KeyError("a prefix other than a.b.c.0/24")
+        parts[4::4] = repeat("0", n - 1)
+        prefixes = octet_values(parts)  # each 0.a.b.c: the 24-bit network value
+        counts = map(_COUNTS.__getitem__, counts)
+        flags = list(map(_HRP_FLAGS.__getitem__, flags))
+        for text in set(asn_texts).difference(asns):
+            asns[text] = parse_asn(text)
+        for text in set(covering_texts).difference(routes):
+            routes[text] = _parse_covering(text)
+        for text in set(fractions):
+            threshold_of(text)
+        meta = meta_of(ports[0], protos[0])
+        stats = []
+        for prefix, count, is_hrp, threshold, asn, covering in zip(
+            prefixes, counts, flags, map(thresholds.__getitem__, fractions),
+            map(asns.__getitem__, asn_texts), map(routes.__getitem__, covering_texts),
+        ):
+            if is_hrp != (count >= threshold.min_count):
+                raise KeyError("is_hrp disagrees with count and threshold")
+            stats.append(PrefixStat(prefix, meta, count, is_hrp, threshold, asn, covering))
+        return stats
+
+    stats: list[PrefixStat] = []
+    for parsed in read_csv(lines, PREFIX_STAT_COLUMNS, parse_row, parse_block):
+        stats += parsed
+    return stats
 
 
 def _parse_covering(text: str) -> tuple[int, int]:

@@ -116,6 +116,13 @@ def test_stability_rejects_an_empty_scan_id():
         stability_series([_scan({1: 5})], [("", EPOCH)])
 
 
+@pytest.mark.parametrize("scan_id", ["w,0", "w\n0", "w\r0", ","])
+def test_stability_rejects_a_scan_id_the_series_csv_cannot_carry(scan_id):
+    with pytest.raises(ValueError, match="holds a comma or line break") as info:
+        stability_series([_scan({1: 5})], [(scan_id, EPOCH)])
+    assert repr(scan_id) in str(info.value)
+
+
 def test_stability_labels_normalize_to_utc():
     plus_two = timezone(timedelta(hours=2))
     labels = [("a", datetime(2022, 8, 1, 12, 0, tzinfo=plus_two)), ("b", datetime(2022, 8, 1, 11, 0))]

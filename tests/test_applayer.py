@@ -124,10 +124,11 @@ def test_anomalous_and_duplicate_results_are_counted():
         _result((5 << 8) | 1, SUCCESS, "h1"),
         _result((5 << 8) | 1, SUCCESS, "h2"),  # duplicate target, first kept
         _result((5 << 8) | 200, SUCCESS, "h3"),  # no occupancy bit
+        _result((5 << 8) | 200, SUCCESS, "h3"),  # no occupancy bit again: an anomaly, not a duplicate
     ]
     report_set = hrp_app_report(results, {5}, occupancy)
     assert report_set.duplicate_count == 1
-    assert report_set.anomaly_count == 1
+    assert report_set.anomaly_count == 2
     (report,) = report_set.reports
     assert report.success_count == 1
     assert report.same_identifier is True  # the h2 row was a duplicate

@@ -193,6 +193,18 @@ def test_stability_rejects_port_mismatch(tmp_path, capsys):
     assert "443" in err and "80" in err
 
 
+def test_stability_rejects_a_file_stem_with_a_comma_as_scan_id(tmp_path, capsys):
+    week0 = _detect(tmp_path, "w,0", {1: 10})
+    week1 = _detect(tmp_path, "w1", {1: 10})
+    series = tmp_path / "series.csv"
+    assert run("stability", "--series-csv", series, "--output", tmp_path / "s.json", week0, week1) == 2
+    assert "'w,0'" in capsys.readouterr().err
+    assert not series.exists()
+    assert run("stability", "--scan-ids", "w0,w1", "--series-csv", series,
+               "--output", tmp_path / "s.json", week0, week1) == 0
+    assert [len(row.split(",")) for row in series.read_text().splitlines()] == [5, 5, 5]
+
+
 # A week whose scan saw nothing gives detect a header-only stats file.
 
 
@@ -459,6 +471,30 @@ def test_escalate_counts_a_repeated_result_row_once(tmp_path):
         assert doc["off_plan_results"] == 0
         scenarios.append(doc["scenario_counts"])
     assert scenarios == [{"proxy": 1, "cdn_like": 0, "diverse": 0}] * 2
+
+
+def test_escalate_counts_each_off_plan_row_and_classifies_a_repeated_sample_once(tmp_path):
+    scan = write_scan(tmp_path / "scan.txt", {5: 256})
+    plan_path = tmp_path / "plan.csv"
+    assert run("plan", "--port", 443, "--k", 10, "--rng-seed", 1,
+               "--output", plan_path, "--summary", tmp_path / "ps.json", scan) == 0
+    sampled = [r.split(",")[0] for r in plan_path.read_text().splitlines()[1:]]
+    unplanned = next(ip for ip in map(format_ipv4, range(5 << 8, 6 << 8)) if ip not in sampled)
+    # Ten successes with one identifier are cdn_like; the repeat of a sampled row, with
+    # another identifier, must not make the prefix diverse.
+    sample = tmp_path / "sample.csv"
+    sample.write_text(_sample_results(plan_path, lambda ip: "success", [
+        f"{unplanned},443,tcp,success,shared",
+        f"{sampled[3]},443,tcp,success,other",
+        f"{unplanned},443,tcp,success,shared",
+    ]), encoding="utf-8")
+    summary = tmp_path / "esc.json"
+    assert run("escalate", "--port", 443, "--output", tmp_path / "plan2.csv",
+               "--summary", summary, plan_path, sample, scan) == 0
+    doc = json.loads(summary.read_text())
+    assert doc["off_plan_results"] == 2
+    assert doc["classified_prefixes"] == 1
+    assert doc["scenario_counts"] == {"proxy": 0, "cdn_like": 1, "diverse": 0}
 
 
 @pytest.mark.parametrize("bad_row", [

@@ -4,6 +4,7 @@ decimal flags follow the file rules, and every input file decodes one way."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -244,13 +245,16 @@ def test_escalate_cutoffs_take_their_bounds(tmp_path, inputs):
 def test_applayer_joins_its_results_once(tmp_path, inputs, monkeypatch):
     passes = []
 
-    class Rows(list):
+    class Targets(list):
         def __iter__(self):
             passes.append(1)
             return super().__iter__()
 
     read = applayer.read_app_results
-    monkeypatch.setattr(applayer, "read_app_results", lambda lines: Rows(read(lines)))
+    monkeypatch.setattr(
+        applayer, "read_app_results",
+        lambda lines: dataclasses.replace(table := read(lines), targets=Targets(table.targets)),
+    )
     assert main(["applayer", "--output", str(tmp_path / "a.json"), *inputs["applayer"]]) == 0
     assert len(passes) == 1
 

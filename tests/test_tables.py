@@ -3,14 +3,34 @@
 from __future__ import annotations
 
 import io
+import random
 import string
 from itertools import groupby
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hrpkit.applayer import STATUSES, SUCCESS, AppResult, read_app_results, write_app_results_csv
-from hrpkit.ingest import parse_ipv4, read_csv
+from hrpkit import ingest
+from hrpkit.applayer import (
+    APP_RESULT_COLUMNS,
+    STATUSES,
+    SUCCESS,
+    AppResult,
+    read_app_results,
+    write_app_results_csv,
+)
+from hrpkit.ingest import (
+    BLOCK_LINES,
+    format_ipv4,
+    parse_asn,
+    parse_cidr,
+    parse_decimal,
+    parse_ipv4,
+    parse_uint,
+    read_csv,
+    row_meta,
+)
 from hrpkit.planner import (
     DNS_SEED,
     PLAN_COLUMNS,
@@ -23,6 +43,7 @@ from hrpkit.planner import (
     write_plan_csv,
 )
 from hrpkit.prefixes import (
+    PREFIX_STAT_COLUMNS,
     HrpThreshold,
     PrefixStat,
     format_slash24,
@@ -162,20 +183,43 @@ _identifiers = st.text(string.ascii_letters + string.digits + ":-_", min_size=1,
 
 @st.composite
 def _app_results(draw):
+    """Results whose identifiers are arbitrary text, except those AppResult rejects."""
     meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])))
     results = []
     for _ in range(draw(st.integers(0, 8))):
         status = draw(st.sampled_from(STATUSES))
-        identifier = draw(st.none() | _identifiers) if status == SUCCESS else None
-        results.append(AppResult(draw(st.integers(0, 0xFFFFFFFF)), meta, status, identifier))
+        identifier = draw(st.none() | _identifiers | st.text(max_size=12)) if status == SUCCESS else None
+        try:
+            results.append(AppResult(draw(st.integers(0, 0xFFFFFFFF)), meta, status, identifier))
+        except ValueError:
+            assert not _reads_back(identifier)
     return results
+
+
+def _reads_back(identifier: str) -> bool:
+    """Whether a results row written with this identifier reads back with it unchanged."""
+    try:
+        text = f"ip,port,proto,status,identifier\n1.2.3.4,443,tcp,success,{identifier}\n"
+        (row,) = read_app_results(io.StringIO(text))
+    except ValueError:
+        return False
+    return row.identifier == identifier
 
 
 @given(_app_results())
 def test_app_results_csv_roundtrip(results):
     out = io.StringIO()
     write_app_results_csv(results, out)
-    assert read_app_results(io.StringIO(out.getvalue())) == results
+    table = read_app_results(io.StringIO(out.getvalue()))
+    assert len(table) == len(results)
+    assert list(table) == results
+
+
+@pytest.mark.parametrize("identifier", ["a,b", "a\nb", "a\rb", "a\ufffdb", " a", "a\t", ""])
+def test_app_result_rejects_an_identifier_its_row_cannot_carry(identifier):
+    with pytest.raises(ValueError, match="identifier"):
+        AppResult(1, make_meta(), SUCCESS, identifier)
+    assert not _reads_back(identifier)
 
 
 def _runs_of(provenances: list[str]) -> tuple[tuple[str, int], ...]:
@@ -294,3 +338,233 @@ def _outcome(reader, text: str):
 def test_plan_reader_matches_the_per_row_reference(text):
     expected = _outcome(_reference_read_plan, text)
     assert _outcome(lambda lines: read_plan_csv(lines).entries, text) == expected
+
+
+# --- the block-parsed readers against per-row references ------------------------
+
+
+def _reference_read_app_results(lines) -> list[AppResult]:
+    """Application results read one row at a time, as one AppResult each."""
+    meta_of = row_meta()
+
+    def parse_row(fields: list[str]) -> AppResult:
+        ip_text, port_text, proto, status, identifier = map(str.strip, fields)
+        target = parse_ipv4(ip_text)
+        if target is None:
+            raise ValueError(f"invalid address {ip_text!r}")
+        if "\ufffd" in identifier:
+            raise ValueError(f"undecodable bytes in identifier {identifier!r}")
+        return AppResult(target, meta_of(port_text, proto), status, identifier or None)
+
+    return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))
+
+
+def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
+    """Prefix stats read one row at a time, every field parsed on every row."""
+    meta_of = row_meta()
+
+    def parse_row(fields: list[str]) -> PrefixStat:
+        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
+        meta = meta_of(port_text.strip(), proto)
+        threshold = HrpThreshold(parse_decimal(fraction_text.strip(), "threshold fraction"))
+        count = parse_uint(count_text.strip(), 1, 256, "count")
+        is_hrp = {"true": True, "false": False}.get(hrp_text)
+        if is_hrp is None:
+            raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
+        if is_hrp != (count >= threshold.min_count):
+            raise ValueError(f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}")
+        return PrefixStat(
+            prefix=parse_slash24(prefix_text),
+            meta=meta,
+            responsive_count=count,
+            is_hrp=is_hrp,
+            threshold=threshold,
+            origin_asn=parse_asn(asn_text.strip()) if asn_text else None,
+            covering_route=_reference_covering(covering_text) if covering_text else None,
+        )
+
+    return list(read_csv(lines, PREFIX_STAT_COLUMNS, parse_row))
+
+
+def _reference_covering(text: str) -> tuple[int, int]:
+    route = parse_cidr(text.strip())
+    if route is None:
+        raise ValueError(f"invalid covering prefix {text!r}")
+    if route[0] & (0xFFFFFFFF >> route[1]):
+        raise ValueError(f"host bits set in covering prefix {text!r}")
+    return route
+
+
+def _results_row(rng: random.Random) -> str:
+    status = rng.choice(STATUSES)
+    identifier = rng.choice(["", "certA", "b3973a7e", "cdn-41ca70"]) if status == SUCCESS else ""
+    return f"{format_ipv4(rng.getrandbits(32))},443,tcp,{status},{identifier}\n"
+
+
+def _stats_row(rng: random.Random) -> str:
+    count = rng.randint(1, 256)
+    asn = rng.choice(["", "64500", "4294967295"])
+    covering = rng.choice(["", "10.0.0.0/8", "0.0.0.0/0", "1.2.3.0/24"])
+    flag = "true" if count >= 231 else "false"
+    return f"{format_slash24(rng.getrandbits(24))},443,tcp,{count},{flag},0.900000,{asn},{covering}\n"
+
+
+# Changes to one line of a table. The two tables share field positions: address or prefix,
+# port, proto, then status or count; an edit of a field the table lacks changes nothing.
+_FIELD_TEXTS = [
+    ["1.2.3.256", "01.2.3.4", "1.2.3", "1.2.3.4.5", "1.2.3.0/24", "1.2.3.1/24", "1.2.3.0/024", "\uff11.2.3.4"],
+    ["80", "0443", "+443", "65536", "\u0664\u0664\u0663"],
+    ["udp", "TCP", "sctp"],
+    ["0", "257", "05", "2_3", "231", "230", "ok", "unreachable", "success", "app_error"],
+    ["", "x", "true", "false", "True"],
+    ["0.95", "1.5", ".9", "0.9", "0.90_0"],
+    ["", "64500", "+64500", "4294967296"],
+    ["", "10.0.0.0/08", "10.0.0.0/33", "10.0.0.0/7", "10.0.0.1/32", "10.0.0.0/8"],
+]
+
+
+def _edit_field(line: str, rng: random.Random) -> str:
+    fields = line[:-1].split(",")
+    index = rng.randrange(min(len(fields), len(_FIELD_TEXTS)))
+    fields[index] = rng.choice(_FIELD_TEXTS[index])
+    return ",".join(fields) + "\n"
+
+
+def _pad_field(line: str, rng: random.Random, pads: str) -> str:
+    fields = line[:-1].split(",")
+    index = rng.randrange(len(fields))
+    pad = rng.choice(pads)
+    fields[index] = rng.choice([pad + fields[index], fields[index] + pad])
+    return ",".join(fields) + "\n"
+
+
+def _shift_octets(line: str, rng: random.Random) -> list[str]:
+    """Two rows whose first fields lose and gain parts, so that the dots still add up: one
+    loses its last part to the other, or one gains three parts and the other keeps only
+    the last."""
+    first, comma, rest = line.partition(",")
+    head, _, last = first.rpartition(".")
+    pairs = [(head, first + ".1"), (first + ".1.2.3", last)]
+    return [field + comma + rest for field in rng.choice(pairs)]
+
+
+# Edits of one line, each giving the lines that replace it: its text stays one line with
+# its terminator unless the edit is about terminators or line breaks.
+_EDITS = {
+    "comment": lambda line, rng: [rng.choice(["# note\n", "#" + line])],
+    "blank": lambda line, rng: [line, rng.choice(["\n", "\r\n", ""])],
+    "crlf": lambda line, rng: [line[:-1] + "\r\n"],
+    "bom": lambda line, rng: ["\ufeff" + line],
+    "pad": lambda line, rng: [_pad_field(line, rng, " \t\r\x0b\x0c\x1c\x1f\u00a0\u2028\u3000")],
+    "mark": lambda line, rng: [_pad_field(line, rng, "\ufeff\ufffd\0#")],
+    "octets": _shift_octets,
+    "insert": lambda line, rng: [_insert(line, rng, rng.choice([" ", "\t", "\ufffd", "\u00a0", ",", "#"]))],
+    "drop field": lambda line, rng: [line.replace(",", "", 1)],
+    "field": lambda line, rng: [_edit_field(line, rng)],
+    "no terminator": lambda line, rng: [line[:-1]],
+    "embedded newline": lambda line, rng: [_insert(line[:-1], rng, "\n") + "\n"],
+    "split": lambda line, rng: [line[: (at := _cut(line, rng))], line[at:]],
+    "joined": lambda line, rng: [line + line],
+    "rejoined": lambda line, rng: [(twice := line + line)[: (at := _cut(twice, rng))], twice[at:]],
+    "repeat": lambda line, rng: [line, line],
+}
+
+
+_EDIT_DRAWS = sorted(_EDITS) + ["pad"] * 4 + ["field"] * 4  # padding changes a row only at a field's ends
+
+
+def _cut(text: str, rng: random.Random) -> int:
+    """A place to cut the text: often at either end, which leaves an empty line."""
+    return rng.choice([0, len(text), rng.randrange(len(text) + 1)])
+
+
+def _insert(line: str, rng: random.Random, text: str) -> str:
+    at = rng.randrange(len(line) + 1)
+    return line[:at] + text + line[at:]
+
+
+@st.composite
+def _long_tables(draw, header: str, make_row) -> tuple[int, list[str]]:
+    """A block size, either the reader's or a small one that puts many blocks in a short
+    table, and the lines of a table longer than one block, with a few lines edited, mostly
+    in a later block, and maybe without the last line's terminator, without any, or with an
+    empty last line. Choices come from a drawn seed, so that each edit is as likely as the
+    next."""
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    block = rng.choice([2, 3, 8, BLOCK_LINES])
+    lines = [[header + "\n"]] + [[make_row(rng)] for _ in range(rng.randint(block + 1, 2 * block + 40))]
+    for _ in range(rng.randint(1, 8)):
+        at = rng.randint(rng.choice([1, block]), len(lines) - 1)
+        lines[at] = _EDITS[rng.choice(_EDIT_DRAWS)](lines[at][-1], rng)
+    lines = [line for edited in lines for line in edited]
+    terminators = rng.choice(["all", "all", "not the last", "none", "an empty last line"])
+    if terminators in ("not the last", "none"):
+        lines[-1] = lines[-1].rstrip("\n")
+    if terminators == "none":
+        lines = [line.rstrip("\n") for line in lines]
+    if terminators == "an empty last line":
+        lines.append("")
+    return block, lines
+
+
+def _outcome_in_blocks(block: int, read, lines: list[str]):
+    """read(lines) as a list, or its error text, with tables read ``block`` lines at a time."""
+    try:
+        with mock.patch.object(ingest, "BLOCK_LINES", block):
+            return list(read(iter(lines)))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _generic_rows(width: int):
+    def make_row(rng: random.Random) -> str:
+        rest = (rng.choice(["a", "0", "#", "x-y"]) for _ in range(width - 1))
+        return ",".join([rng.choice(["a", "b1", "x.y"]), *rest]) + "\n"
+
+    return make_row
+
+
+def _stripped_rows(fields: list[str]) -> list[tuple[str, ...]]:
+    """A reader's row: its fields stripped, and an undecodable byte rejected."""
+    if any("\ufffd" in field for field in fields):
+        raise ValueError("undecodable bytes")
+    return [tuple(field.strip() for field in fields)]
+
+
+def _generic_reader(parse_block=None):
+    def read(lines):
+        lines = list(lines)
+        columns = lines[0].rstrip("\n").split(",")
+        return [row for rows in read_csv(lines, columns, _stripped_rows, parse_block) for row in rows]
+
+    return read
+
+
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda width: _long_tables(",".join(f"c{i}" for i in range(width)), _generic_rows(width))
+))
+def test_a_block_takes_the_column_path_only_when_its_rows_read_alike(case):
+    """A block parser that checks nothing returns the fields of the blocks read_csv gives it;
+    they must be what the row path gives after stripping, with the same errors."""
+    block, lines = case
+    unchecked = _generic_reader(lambda columns: list(zip(*columns)))
+    assert _outcome_in_blocks(block, unchecked, lines) == _outcome_in_blocks(block, _generic_reader(), lines)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_long_tables(",".join(APP_RESULT_COLUMNS), _results_row))
+def test_results_reader_matches_the_per_row_reference(case):
+    block, lines = case
+    expected = _outcome_in_blocks(block, _reference_read_app_results, lines)
+    assert _outcome_in_blocks(block, read_app_results, lines) == expected
+    if isinstance(expected, list):
+        assert len(read_app_results(lines)) == len(expected)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_long_tables(",".join(PREFIX_STAT_COLUMNS), _stats_row))
+def test_stats_reader_matches_the_per_row_reference(case):
+    block, lines = case
+    expected = _outcome_in_blocks(block, _reference_read_prefix_stats, lines)
+    assert _outcome_in_blocks(block, read_prefix_stats, lines) == expected
