@@ -18,10 +18,10 @@ import sys
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import IO, Iterable, Iterator
 
-from .ingest import ScanMeta, each_has_dots, format_ipv4, octet_values, parse_ipv4, read_csv, row_meta
+from .ingest import ScanMeta, block_meta, format_ipv4, ipv4_column, read_csv
 from .prefixes import PrefixTable
 
 SUCCESS = "success"
@@ -292,38 +292,27 @@ def read_app_results(lines: Iterable[str]) -> AppResults:
     """Read the CSV form back into a table, every row in file order; port/proto must agree
     across rows, and an identifier holding U+FFFD (the mark of an undecodable input byte) is
     rejected."""
-    meta_of = row_meta()
+    meta = None  # the rows' so far
 
-    def parse_row(fields: list[str]) -> tuple[ScanMeta, array, bytes, list[str | None]]:
-        ip_text, port_text, proto, status, identifier = map(str.strip, fields)
-        target = parse_ipv4(ip_text)
-        if target is None:
-            raise ValueError(f"invalid address {ip_text!r}")
-        if "\ufffd" in identifier:
-            raise ValueError(f"undecodable bytes in identifier {identifier!r}")
-        identifier = sys.intern(identifier) if identifier else None
-        row = AppResult(target, meta_of(port_text, proto), status, identifier)
-        return row.meta, array("I", [target]), bytes([STATUS_CODES[status]]), [identifier]
-
-    def parse_block(columns: list[list[str]]) -> tuple[ScanMeta, array, bytes, list[str | None]]:
+    def parse(columns: list[list[str]]) -> tuple[ScanMeta, array, bytes, list[str | None]]:
         ips, ports, protos, statuses, identifiers = columns
-        n = len(ips)
-        if ports.count(ports[0]) != n or protos.count(protos[0]) != n:
-            raise KeyError("port/proto varies within the block")
-        if not each_has_dots(ips, 3):
-            raise KeyError("an address without four octets")
-        targets = octet_values(".".join(ips).split("."))
-        codes = bytes(map(STATUS_CODES.__getitem__, statuses))
-        if any(compress(identifiers, codes)):  # a code other than success's 0 with an identifier
-            raise KeyError("identifier on a result other than success")
-        identifiers = [text or None for text in map(sys.intern, identifiers)]
-        return meta_of(ports[0], protos[0]), targets, codes, identifiers
+        targets = ipv4_column(ips)
+        joined = "".join(identifiers)
+        if "\ufffd" in joined:
+            bad = next(text for text in identifiers if "\ufffd" in text)
+            raise ValueError(f"undecodable bytes in identifier {bad!r}")
+        rows_meta = block_meta(ports, protos, meta)
+        codes = bytes(map(STATUS_CODES.get, statuses, repeat(255)))  # 255 for an unknown status
+        # AppResult names the first row it rejects: one with an unknown status, an identifier on a
+        # result other than success (code 0), or one that its row might not carry back unchanged.
+        uncarried = not joined.isprintable() or any(map(str.isspace, identifiers))
+        if uncarried or 255 in codes or any(compress(identifiers, codes)):
+            for target, status, identifier in zip(targets, statuses, identifiers):
+                AppResult(target, rows_meta, status, identifier or None)
+        return rows_meta, targets, codes, [text or None for text in map(sys.intern, identifiers)]
 
-    meta = None
     targets, codes, identifiers = array("I"), bytearray(), []
-    for meta, block_targets, block_codes, block_identifiers in read_csv(
-        lines, APP_RESULT_COLUMNS, parse_row, parse_block
-    ):
+    for meta, block_targets, block_codes, block_identifiers in read_csv(lines, APP_RESULT_COLUMNS, parse):
         targets += block_targets
         codes += block_codes
         identifiers += block_identifiers

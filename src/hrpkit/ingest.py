@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -41,7 +42,7 @@ _PROTOCOLS = ("tcp", "udp")
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the first time of a scan series given none
 
-_Row = TypeVar("_Row")
+_T = TypeVar("_T")
 
 BLOCK_LINES = 1024  # lines per block of a table read in columns
 # Bytes to delete to keep only a block's field and line separators, ASCII whitespace and NULs,
@@ -116,6 +117,16 @@ def octet_values(texts: list[str]) -> array:
     return values
 
 
+def ipv4_column(texts: list[str]) -> array:
+    """The 32-bit values of dotted-quad texts as an ``array('I')``; ValueError names the first
+    text that is not an address."""
+    with suppress(KeyError):
+        if each_has_dots(texts, 3):
+            return octet_values(".".join(texts).split(".")) if texts else array("I")
+    # Some text has other than four parts or a part other than a canonical octet.
+    raise ValueError(f"invalid address {next(text for text in texts if parse_ipv4(text) is None)!r}")
+
+
 def parse_cidr(text: str) -> tuple[int, int] | None:
     """Parse ``a.b.c.d/length`` to (address value, length), or None.
 
@@ -146,26 +157,20 @@ def parse_decimal(text: str, name: str) -> float:
     raise ValueError(f"invalid {name} {text!r}: expected ASCII digits with an optional decimal point")
 
 
-def row_meta() -> Callable[[str, str], ScanMeta]:
-    """The ScanMeta of a table's rows from each row's port and protocol text: the first row fixes
-    both, a row naming others raises ValueError, and text equal to the last row's is not re-parsed."""
-    meta: ScanMeta | None = None
-    last: tuple[str, str] | None = None
-
-    def meta_of(port_text: str, proto: str) -> ScanMeta:
-        nonlocal meta, last
-        if (port_text, proto) != last:
-            port = parse_uint(port_text, 0, 65535, "port")
-            if meta is None:
-                meta = ScanMeta(proto, port)
-            elif (proto, port) != (meta.protocol, meta.port):
-                raise ValueError(
-                    f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
-                )
-            last = (port_text, proto)
-        return meta
-
-    return meta_of
+def block_meta(ports: list[str], protos: list[str], meta: ScanMeta | None) -> ScanMeta:
+    """The one ScanMeta of some rows of a table from their port and protocol texts, where ``meta``
+    is that of the table's earlier rows or None. ValueError names a bad port or protocol, or the
+    first row naming another port/proto than the rows before it."""
+    alike = ports.count(ports[0]) == len(ports) and protos.count(protos[0]) == len(protos)
+    for port_text, proto in [(ports[0], protos[0])] if alike else dict.fromkeys(zip(ports, protos)):
+        port = parse_uint(port_text, 0, 65535, "port")
+        if meta is None:
+            meta = ScanMeta(proto, port)
+        elif (proto, port) != (meta.protocol, meta.port):
+            raise ValueError(
+                f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}"
+            )
+    return meta
 
 
 def shared_meta(rows: Sequence) -> ScanMeta | None:
@@ -267,25 +272,23 @@ def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> 
 
 
 def read_csv(
-    lines: Iterable[str],
-    columns: Sequence[str],
-    parse_row: Callable[[list[str]], _Row],
-    parse_block: Callable[[list[list[str]]], _Row] | None = None,
-) -> Iterator[_Row]:
-    """Stream ``parse_row(fields)`` over the rows of a headed CSV table.
+    lines: Iterable[str], columns: Sequence[str], parse: Callable[[list[list[str]]], _T]
+) -> Iterator[_T]:
+    """Stream ``parse`` over the rows of a headed CSV table.
 
     Empty lines and lines starting with ``#`` are skipped anywhere. The first
-    other line must name exactly ``columns`` (each stripped), and every later
-    row must have that many comma-separated fields. A malformed row, or a
-    ValueError raised by ``parse_row``, raises ValueError naming the line.
+    other line is the header and must name exactly ``columns`` (each stripped);
+    a table without one raises ValueError. Every later row must have that many
+    comma-separated fields. Whitespace around a field's text is stripped, unless
+    the field holds nothing else: such a field is not empty, and fails any check.
 
-    With ``parse_block``, the rows after the header are read BLOCK_LINES lines
-    at a time. A block of plainly written rows (see ``_plain_columns``) goes to
-    ``parse_block(columns)`` as one list of field texts per column, and its
-    result, which stands for all the block's rows as parse_row's does for one,
-    is yielded once. If parse_block declines the block by raising KeyError or
-    ValueError, or the block is not plain, its rows go through ``parse_row``
-    one at a time, so every error is the row path's, with its line.
+    ``parse`` takes the fields of one row or of many, as one list of texts per
+    column, and returns one value for those rows, which is yielded. It raises
+    ValueError naming a bad value, and keeps no state from a call that raises.
+    The rows of each BLOCK_LINES lines go to ``parse`` together, a plainly
+    written block (see ``_plain_columns``) without a pass per line. If that
+    raises, they go again one at a time, so the error is the first bad line's,
+    as ``line N: message``; a malformed row raises in its place in file order.
     """
     expected = list(columns)
     source = iter(lines)
@@ -298,37 +301,53 @@ def read_csv(
         if [name.strip() for name in row.split(",")] != expected:
             raise ValueError(f"line {line_number}: expected header row {','.join(expected)}")
         break
+    else:
+        raise ValueError(f"line {line_number + 1}: no header row: expected {','.join(expected)}")
     while block := list(islice(source, BLOCK_LINES)):
         first = line_number + 1
         line_number += len(block)
-        if parse_block is not None:
-            fields = _plain_columns(block, len(expected), final=len(block) < BLOCK_LINES)
-            if fields is not None:
-                try:
-                    parsed = parse_block(fields)
-                except (KeyError, ValueError):
-                    pass
-                else:
-                    yield parsed
-                    continue
-        yield from _parse_rows(enumerate(block, first), len(expected), parse_row)
+        fields = _plain_columns(block, len(expected), final=len(block) < BLOCK_LINES)
+        if fields is not None:
+            try:
+                parsed = parse(fields)
+            except ValueError:
+                pass  # parsed again below, a row at a time, to name the first bad line
+            else:
+                yield parsed
+                continue
+        yield from _parse_rows(enumerate(block, first), len(expected), parse)
 
 
 def _parse_rows(
-    numbered: Iterable[tuple[int, str]], width: int, parse_row: Callable[[list[str]], _Row]
-) -> Iterator[_Row]:
+    numbered: Iterable[tuple[int, str]], width: int, parse: Callable[[list[list[str]]], _T]
+) -> Iterator[_T]:
+    """``parse`` over the rows of numbered lines up to the first malformed row: all at once, or, if
+    that raises, one row at a time with each error naming its line."""
+    rows: list[tuple[int, list[str]]] = []
+    malformed = None
     for line_number, line in numbered:
         row = line.rstrip("\r\n")
         if not row or row.startswith("#"):
             continue
         fields = row.split(",")
         if len(fields) != width:
-            raise ValueError(f"line {line_number}: expected {width} fields, got {len(fields)}")
+            malformed = ValueError(f"line {line_number}: expected {width} fields, got {len(fields)}")
+            break
+        rows.append((line_number, [field.strip() or field for field in fields]))
+    if rows:
         try:
-            parsed = parse_row(fields)
-        except ValueError as exc:
-            raise ValueError(f"line {line_number}: {exc}") from None
-        yield parsed
+            parsed = parse([list(column) for column in zip(*(fields for _, fields in rows))])
+        except ValueError:
+            for line_number, fields in rows:
+                try:
+                    parsed = parse([[field] for field in fields])
+                except ValueError as exc:
+                    raise ValueError(f"line {line_number}: {exc}") from None
+                yield parsed
+        else:
+            yield parsed
+    if malformed is not None:
+        raise malformed
 
 
 def _plain_columns(block: list[str], width: int, final: bool) -> list[list[str]] | None:
@@ -360,7 +379,7 @@ def _plain_columns(block: list[str], width: int, final: bool) -> list[list[str]]
 
 
 def each_has_dots(texts: list[str], dots: int) -> bool:
-    """Whether each of ``texts``, ASCII without commas as in a plain block, holds ``dots`` dots."""
+    """Whether each of ``texts``, none holding a comma, holds ``dots`` dots."""
     marks = ",".join(texts).encode().translate(None, _NOT_DOT)
     return marks == b",".join(repeat(b"." * dots, len(texts)))
 

@@ -18,13 +18,15 @@ the result.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import compress, groupby, islice, pairwise
+from operator import ne
 from typing import IO, Iterable, Mapping, Sequence
 
 from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults
-from .ingest import _OCTETS, format_ipv4, parse_ipv4, parse_uint, read_csv
+from .ingest import format_ipv4, ipv4_column, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
 STRATEGY_FULL = "full"
@@ -297,15 +299,15 @@ def evaluate_plan(final_plan: TargetPlan, truth: AppResults | Iterable[AppResult
 def read_dns_seeds(lines: Iterable[str]) -> list[DnsSeed]:
     """Seeds CSV ``ip,name_count`` with a header; duplicate addresses merge."""
 
-    def parse_row(fields: list[str]) -> tuple[int, int]:
-        address = parse_ipv4(fields[0].strip())
-        if address is None:
-            raise ValueError(f"invalid address {fields[0]!r}")
-        return address, parse_uint(fields[1].strip(), 1, _MAX_NAME_COUNT, "name_count")
+    def parse(columns: list[list[str]]) -> list[tuple[int, int]]:
+        ips, name_counts = columns
+        addresses = ipv4_column(ips)
+        return list(zip(addresses, [parse_uint(text, 1, _MAX_NAME_COUNT, "name_count") for text in name_counts]))
 
     merged: dict[int, int] = {}
-    for address, name_count in read_csv(lines, DNS_SEED_COLUMNS, parse_row):
-        merged[address] = merged.get(address, 0) + name_count
+    for rows in read_csv(lines, DNS_SEED_COLUMNS, parse):
+        for address, name_count in rows:
+            merged[address] = merged.get(address, 0) + name_count
     return [DnsSeed(address, merged[address]) for address in sorted(merged)]
 
 
@@ -335,47 +337,46 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     Each address must lie in its row's prefix and appear once; every row of
     one prefix must name the same strategy.
     """
-    rows: dict[int, tuple[str, list[int], list[list]]] = {}  # prefix -> strategy, addresses, runs
-    seen: set[int] = set()
-    last = None  # raw prefix, strategy and provenance fields of the last fully checked row
-    base, network, append, run = "", 0, None, None  # its a.b.c. text, network, addresses and run
+    rows: dict[int, tuple[str, array, list[tuple[str, int]]]] = {}  # prefix -> strategy, addresses, runs
+    seen: set[int] = set()  # the addresses so far
 
-    def parse_row(fields: list[str]) -> None:
-        nonlocal last, base, network, append, run
-        # Valid address text is unique per address, so a row that repeats the
-        # last checked row's other fields and names a canonical host of its
-        # prefix passes every check but the repeat check.
-        if fields[1:] == last and fields[0].startswith(base):
-            host = _OCTETS.get(fields[0][len(base) :])
-            if host is not None and network | host not in seen:
-                seen.add(network | host)
-                append(network | host)
-                run[1] += 1
-                return
-        ip_text, prefix_text, strategy, provenance = map(str.strip, fields)
-        address = parse_ipv4(ip_text)
-        if address is None:
-            raise ValueError(f"invalid address {ip_text!r}")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        prefix = parse_slash24(prefix_text)
-        if address >> 8 != prefix:
-            raise ValueError(f"address {ip_text} is outside {prefix_text}")
-        stored_strategy, addresses, runs = rows.setdefault(prefix, (strategy, [], []))
-        if stored_strategy != strategy:
-            raise ValueError(f"mixed strategies for {prefix_text}")
-        if address in seen:  # in this prefix, as the address lies in it
-            raise ValueError(f"repeated address {ip_text} in {prefix_text}")
-        seen.add(address)
-        addresses.append(address)
-        run = [provenance, 1]
-        runs.append(run)
-        last, base, network, append = fields[1:], format_slash24(prefix)[:-4], prefix << 8, addresses.append
+    def parse(columns: list[list[str]]) -> tuple[list[tuple[int, str, array, str]], set[int]]:
+        """The rows as segments ``(prefix, strategy, addresses, provenance)`` of consecutive rows
+        alike but for their address, and the addresses they add to ``seen``."""
+        ips, prefix_texts, strategies, provenances = columns
+        addresses = ipv4_column(ips)
+        for name, texts, known in ("strategy", strategies, STRATEGIES), ("provenance", provenances, PROVENANCES):
+            if not set(known).issuperset(texts):
+                raise ValueError(f"unknown {name} {next(t for t in texts if t not in known)!r}")
+        keys = list(zip(prefix_texts, strategies, provenances))
+        starts = [0, *compress(range(1, len(keys)), map(ne, keys[1:], keys)), len(keys)]
+        segments = []
+        strategy_of: dict[int, str] = {}  # of each prefix in the block
+        added: set[int] = set()
+        for start, end in pairwise(starts):
+            prefix_text, strategy, provenance = keys[start]
+            prefix = parse_slash24(prefix_text)
+            targets = addresses[start:end]
+            if not prefix == min(targets) >> 8 == max(targets) >> 8:
+                outside = next(a for a in targets if a >> 8 != prefix)
+                raise ValueError(f"address {format_ipv4(outside)} is outside {prefix_text}")
+            known = strategy_of.setdefault(prefix, rows[prefix][0] if prefix in rows else strategy)
+            if known != strategy:
+                raise ValueError(f"mixed strategies for {prefix_text}")
+            fresh = set(targets)
+            if len(fresh) != len(targets) or not seen.isdisjoint(fresh) or not added.isdisjoint(fresh):
+                repeated = next(a for i, a in enumerate(targets) if a in seen or a in added or a in targets[:i])
+                raise ValueError(f"repeated address {format_ipv4(repeated)} in {prefix_text}")
+            added |= fresh
+            segments.append((prefix, strategy, targets, provenance))
+        return segments, added
 
-    for _ in read_csv(lines, PLAN_COLUMNS, parse_row):
-        pass
+    for segments, added in read_csv(lines, PLAN_COLUMNS, parse):
+        seen |= added
+        for prefix, strategy, targets, provenance in segments:
+            _, addresses, runs = rows.setdefault(prefix, (strategy, array("I"), []))
+            addresses += targets
+            runs.append((provenance, len(targets)))
     return TargetPlan({p: PlanEntry(p, s, tuple(a), _runs(r)) for p, (s, a, r) in rows.items()})
 
 

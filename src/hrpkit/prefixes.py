@@ -15,15 +15,18 @@ over everything.
 from __future__ import annotations
 
 import math
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from typing import IO, Iterable
+from itertools import compress, repeat
+from operator import ge, ne
+from typing import IO, Callable, Iterable
 
 from .fmt import fmt_real
 from .ingest import (
-    ScanMeta, each_has_dots, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal, parse_ipv4, parse_uint,
-    read_csv, row_meta,
+    ScanMeta, block_meta, each_has_dots, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal,
+    parse_ipv4, parse_uint, read_csv,
 )
 
 SLASH24_SIZE = 256
@@ -292,79 +295,66 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
     (0, 1], an origin ASN not ASCII digits for 0-4294967295, or a covering
     prefix that is not a valid route with a canonical length.
     """
-    meta_of = row_meta()
-    thresholds: dict[str, HrpThreshold] = {}  # one per distinct fraction text
-    asns: dict[str, int | None] = {"": None}  # field text -> value, for the block path
+    meta = None  # the rows' so far
+    # Field text -> value, for the texts read so far and the canonical ones.
+    counts: dict[str, int] = dict(_COUNTS)
+    thresholds: dict[str, HrpThreshold] = {}
+    asns: dict[str, int | None] = {"": None}
     routes: dict[str, tuple[int, int] | None] = {"": None}
 
-    def threshold_of(fraction_text: str) -> HrpThreshold:
-        threshold = thresholds.get(fraction_text)
-        if threshold is None:
-            fraction = parse_decimal(fraction_text.strip(), "threshold fraction")
-            threshold = thresholds[fraction_text] = HrpThreshold(fraction)
-        return threshold
-
-    def parse_row(fields: list[str]) -> list[PrefixStat]:
-        prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        meta = meta_of(port_text.strip(), proto)
-        threshold = threshold_of(fraction_text)
-        count = parse_uint(count_text.strip(), 1, SLASH24_SIZE, "count")
-        is_hrp = _HRP_FLAGS.get(hrp_text)
-        if is_hrp is None:
-            raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
-        if is_hrp != (count >= threshold.min_count):
+    def parse(columns: list[list[str]]) -> tuple[ScanMeta, list[PrefixStat]]:
+        prefix_texts, ports, protos, count_texts, flag_texts, fraction_texts, asn_texts, route_texts = columns
+        rows_meta = block_meta(ports, protos, meta)
+        row_thresholds = _parse_column(
+            fraction_texts, thresholds, lambda text: HrpThreshold(parse_decimal(text, "threshold fraction"))
+        )
+        row_counts = _parse_column(count_texts, counts, lambda text: parse_uint(text, 1, SLASH24_SIZE, "count"))
+        flags = _parse_column(flag_texts, _HRP_FLAGS, _hrp_flag)  # _hrp_flag raises: _HRP_FLAGS stays
+        min_counts = [threshold.min_count for threshold in row_thresholds]
+        disagreeing = compress(range(len(flags)), map(ne, flags, map(ge, row_counts, min_counts)))
+        if (i := next(disagreeing, None)) is not None:
             raise ValueError(
-                f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}"
+                f"is_hrp={flag_texts[i]} disagrees with count {row_counts[i]} at threshold {fraction_texts[i]}"
             )
-        return [PrefixStat(
-            prefix=parse_slash24(prefix_text),
-            meta=meta,
-            responsive_count=count,
-            is_hrp=is_hrp,
-            threshold=threshold,
-            origin_asn=parse_asn(asn_text.strip()) if asn_text else None,
-            covering_route=_parse_covering(covering_text) if covering_text else None,
-        )]
-
-    def parse_block(columns: list[list[str]]) -> list[PrefixStat]:
-        prefix_texts, ports, protos, counts, flags, fractions, asn_texts, covering_texts = columns
-        n = len(prefix_texts)
-        if ports.count(ports[0]) != n or protos.count(protos[0]) != n:
-            raise KeyError("port/proto varies within the block")
-        if not each_has_dots(prefix_texts, 3):
-            raise KeyError("a prefix without four octets")
-        parts = ("0." + ".".join(prefix_texts)).split(".")  # 0, a, b, c, then "0/24" in place of 0
-        if parts.pop() != "0/24" or parts[4::4].count("0/24") != n - 1:
-            raise KeyError("a prefix other than a.b.c.0/24")
-        parts[4::4] = repeat("0", n - 1)
-        prefixes = octet_values(parts)  # each 0.a.b.c: the 24-bit network value
-        counts = map(_COUNTS.__getitem__, counts)
-        flags = list(map(_HRP_FLAGS.__getitem__, flags))
-        for text in set(asn_texts).difference(asns):
-            asns[text] = parse_asn(text)
-        for text in set(covering_texts).difference(routes):
-            routes[text] = _parse_covering(text)
-        for text in set(fractions):
-            threshold_of(text)
-        meta = meta_of(ports[0], protos[0])
-        stats = []
-        for prefix, count, is_hrp, threshold, asn, covering in zip(
-            prefixes, counts, flags, map(thresholds.__getitem__, fractions),
-            map(asns.__getitem__, asn_texts), map(routes.__getitem__, covering_texts),
-        ):
-            if is_hrp != (count >= threshold.min_count):
-                raise KeyError("is_hrp disagrees with count and threshold")
-            stats.append(PrefixStat(prefix, meta, count, is_hrp, threshold, asn, covering))
-        return stats
+        return rows_meta, list(map(
+            PrefixStat, _slash24_column(prefix_texts), repeat(rows_meta), row_counts, flags, row_thresholds,
+            _parse_column(asn_texts, asns, parse_asn), _parse_column(route_texts, routes, _parse_covering),
+        ))
 
     stats: list[PrefixStat] = []
-    for parsed in read_csv(lines, PREFIX_STAT_COLUMNS, parse_row, parse_block):
-        stats += parsed
+    for meta, block in read_csv(lines, PREFIX_STAT_COLUMNS, parse):
+        stats += block
     return stats
 
 
+def _hrp_flag(text: str) -> bool:
+    raise ValueError(f"is_hrp must be true or false, got {text!r}")
+
+
+def _parse_column(texts: list[str], known: dict, parse: Callable[[str], object]) -> list:
+    """Each text's value, looked up in ``known``; texts not there are parsed in order, so the first
+    bad one raises parse's ValueError, and the values of the others are added to ``known``."""
+    try:
+        return list(map(known.__getitem__, texts))
+    except KeyError:
+        for text in texts:
+            if text not in known:
+                known[text] = parse(text)
+        return list(map(known.__getitem__, texts))
+
+
+def _slash24_column(texts: list[str]) -> array:
+    """The 24-bit network values of ``a.b.c.0/24`` texts as an ``array('I')``; ValueError names
+    the first text that is not such a prefix."""
+    joined = ",".join(texts) + ","
+    if joined.count(".0/24,") == len(texts) and each_has_dots(texts, 3):
+        with suppress(KeyError):  # from each a.b.c.0/24 the octets 0.a.b.c: its network value
+            return octet_values(("0." + joined[:-6].replace(".0/24,", ".0.")).split("."))
+    return array("I", map(parse_slash24, texts))
+
+
 def _parse_covering(text: str) -> tuple[int, int]:
-    route = parse_cidr(text.strip())
+    route = parse_cidr(text)
     if route is None:
         raise ValueError(f"invalid covering prefix {text!r}")
     network, length = route

@@ -391,6 +391,17 @@ def test_evaluate_uncovered_plan_is_schema_error(tmp_path, capsys):
     assert "missing from ground truth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [("", 1), ("# no rows\n\n", 3)])
+def test_a_table_without_a_header_row_exits_2(tmp_path, capsys, text, line):
+    plan_path = tmp_path / "plan.csv"
+    plan_path.write_text(text, encoding="utf-8")
+    truth = tmp_path / "truth.csv"
+    truth.write_text("ip,port,proto,status,identifier\n0.0.5.0,443,tcp,success,x\n", encoding="utf-8")
+    assert run("evaluate", plan_path, truth) == 2
+    assert capsys.readouterr().err.startswith(
+        f"hrpkit evaluate: {plan_path}: line {line}: no header row: expected ip,prefix,strategy,provenance")
+
+
 def test_missing_subcommand_is_usage_error():
     assert run() == 2
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import io
 import random
 import string
-from itertools import groupby
+from itertools import groupby, islice, repeat
+from typing import Callable, Iterator
 from unittest import mock
 
 import pytest
@@ -22,6 +23,7 @@ from hrpkit.applayer import (
 )
 from hrpkit.ingest import (
     BLOCK_LINES,
+    ScanMeta,
     format_ipv4,
     parse_asn,
     parse_cidr,
@@ -29,7 +31,6 @@ from hrpkit.ingest import (
     parse_ipv4,
     parse_uint,
     read_csv,
-    row_meta,
 )
 from hrpkit.planner import (
     DNS_SEED,
@@ -84,6 +85,8 @@ BAD_VALUES = [
     ("app_results", "1.2.3.5,443,sctp,success,x"),
     ("app_results", "1.2.3.5,http,tcp,success,x"),
     ("app_results", "1.2.3.5,443,tcp,unreachable,x"),  # identifier on a failure
+    ("app_results", "1.2.3.5,443,tcp,unreachable, "),  # a field of only whitespace is not empty
+    ("app_results", "1.2.3.5,443,tcp,success, "),
     ("app_results", "1.2.3.256,443,tcp,success,x"),
     ("app_results", "1.2.3.5,+443,tcp,success,x"),
     ("app_results", "1.2.3.5,4_43,tcp,success,x"),
@@ -139,6 +142,20 @@ def test_a_bad_value_names_its_line(name, row):
     _, header, good = READERS[name]
     with pytest.raises(ValueError, match="^line 4: "):
         _read(name, f"{header}\n\n{good}\n{row}\n")
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_whitespace_around_any_field_is_ignored(name):
+    _, header, good = READERS[name]
+    padded = ",".join(f" {field}\t" if field else field for field in good.split(","))
+    assert _read(name, f"{header}\n{padded}\n") == _read(name, f"{header}\n{good}\n")
+
+
+@pytest.mark.parametrize("name", READERS)
+@pytest.mark.parametrize("text, line", [("", 1), ("# no rows\n\n", 3)])
+def test_a_table_without_a_header_row_is_rejected(name, text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: no header row: expected {READERS[name][1]}$"):
+        _read(name, text)
 
 
 # --- write -> read is the identity ------------------------------------------
@@ -239,14 +256,62 @@ def _plans(draw):
     return TargetPlan(entries)
 
 
-@given(_plans())
-def test_plan_csv_roundtrip(plan):
+@given(_plans(), st.sampled_from([2, 3, 8, BLOCK_LINES]))
+def test_plan_csv_roundtrip(plan, block):
+    """Read back in blocks of the reader's size, or so small that runs cross their boundaries."""
     out = io.StringIO()
     write_plan_csv(plan, out)
-    assert read_plan_csv(io.StringIO(out.getvalue())).entries == plan.entries
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        assert read_plan_csv(io.StringIO(out.getvalue())).entries == plan.entries
 
 
-# --- the plan reader against a per-row reference ------------------------------
+# --- per-row references, read line by line -------------------------------------
+
+
+def _reference_table(lines, columns, parse_row) -> list:
+    """parse_row over the rows of a headed CSV table, read one line at a time by read_csv's rules:
+    empty and ``#`` lines skipped anywhere, the header checked, then each row's width, and the
+    fields stripped unless they hold only whitespace. Errors name their line."""
+    expected = list(columns)
+    header_seen = False
+    parsed = []
+    line_number = 0
+    for line_number, line in enumerate(lines, start=1):
+        row = line.rstrip("\r\n")
+        if not row or row.startswith("#"):
+            continue
+        fields = row.split(",")
+        if not header_seen:
+            if [name.strip() for name in fields] != expected:
+                raise ValueError(f"line {line_number}: expected header row {','.join(expected)}")
+            header_seen = True
+            continue
+        if len(fields) != len(expected):
+            raise ValueError(f"line {line_number}: expected {len(expected)} fields, got {len(fields)}")
+        try:
+            parsed.append(parse_row([field.strip() or field for field in fields]))
+        except ValueError as exc:
+            raise ValueError(f"line {line_number}: {exc}") from None
+    if not header_seen:
+        raise ValueError(f"line {line_number + 1}: no header row: expected {','.join(expected)}")
+    return parsed
+
+
+def _reference_meta():
+    """The ScanMeta of a table's rows from each row's port and protocol text: the first row fixes
+    both, and a row naming others raises ValueError."""
+    meta = None
+
+    def meta_of(port_text: str, proto: str) -> ScanMeta:
+        nonlocal meta
+        port = parse_uint(port_text, 0, 65535, "port")
+        if meta is None:
+            meta = ScanMeta(proto, port)
+        elif (proto, port) != (meta.protocol, meta.port):
+            raise ValueError(f"port/proto mismatch within file: {proto}/{port_text} vs {meta.protocol}/{meta.port}")
+        return meta
+
+    return meta_of
 
 
 def _reference_read_plan(lines) -> dict[int, PlanEntry]:
@@ -255,7 +320,7 @@ def _reference_read_plan(lines) -> dict[int, PlanEntry]:
     seen: dict[int, int] = {}  # prefix -> bitmap of the host bytes read so far
 
     def parse_row(fields: list[str]) -> None:
-        ip_text, prefix_text, strategy, provenance = map(str.strip, fields)
+        ip_text, prefix_text, strategy, provenance = fields
         address = parse_ipv4(ip_text)
         if address is None:
             raise ValueError(f"invalid address {ip_text!r}")
@@ -275,8 +340,7 @@ def _reference_read_plan(lines) -> dict[int, PlanEntry]:
         seen[prefix] = bits | 1 << (address & 0xFF)
         targets.append((address, provenance))
 
-    for _ in read_csv(lines, PLAN_COLUMNS, parse_row):
-        pass
+    _reference_table(lines, PLAN_COLUMNS, parse_row)
     return {
         prefix: PlanEntry(
             prefix, strategy, tuple(a for a, _ in targets), _runs_of([p for _, p in targets])
@@ -340,15 +404,12 @@ def test_plan_reader_matches_the_per_row_reference(text):
     assert _outcome(lambda lines: read_plan_csv(lines).entries, text) == expected
 
 
-# --- the block-parsed readers against per-row references ------------------------
-
-
 def _reference_read_app_results(lines) -> list[AppResult]:
     """Application results read one row at a time, as one AppResult each."""
-    meta_of = row_meta()
+    meta_of = _reference_meta()
 
     def parse_row(fields: list[str]) -> AppResult:
-        ip_text, port_text, proto, status, identifier = map(str.strip, fields)
+        ip_text, port_text, proto, status, identifier = fields
         target = parse_ipv4(ip_text)
         if target is None:
             raise ValueError(f"invalid address {ip_text!r}")
@@ -356,18 +417,18 @@ def _reference_read_app_results(lines) -> list[AppResult]:
             raise ValueError(f"undecodable bytes in identifier {identifier!r}")
         return AppResult(target, meta_of(port_text, proto), status, identifier or None)
 
-    return list(read_csv(lines, APP_RESULT_COLUMNS, parse_row))
+    return _reference_table(lines, APP_RESULT_COLUMNS, parse_row)
 
 
 def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
     """Prefix stats read one row at a time, every field parsed on every row."""
-    meta_of = row_meta()
+    meta_of = _reference_meta()
 
     def parse_row(fields: list[str]) -> PrefixStat:
         prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
-        meta = meta_of(port_text.strip(), proto)
-        threshold = HrpThreshold(parse_decimal(fraction_text.strip(), "threshold fraction"))
-        count = parse_uint(count_text.strip(), 1, 256, "count")
+        meta = meta_of(port_text, proto)
+        threshold = HrpThreshold(parse_decimal(fraction_text, "threshold fraction"))
+        count = parse_uint(count_text, 1, 256, "count")
         is_hrp = {"true": True, "false": False}.get(hrp_text)
         if is_hrp is None:
             raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
@@ -379,15 +440,15 @@ def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
             responsive_count=count,
             is_hrp=is_hrp,
             threshold=threshold,
-            origin_asn=parse_asn(asn_text.strip()) if asn_text else None,
+            origin_asn=parse_asn(asn_text) if asn_text else None,
             covering_route=_reference_covering(covering_text) if covering_text else None,
         )
 
-    return list(read_csv(lines, PREFIX_STAT_COLUMNS, parse_row))
+    return _reference_table(lines, PREFIX_STAT_COLUMNS, parse_row)
 
 
 def _reference_covering(text: str) -> tuple[int, int]:
-    route = parse_cidr(text.strip())
+    route = parse_cidr(text)
     if route is None:
         raise ValueError(f"invalid covering prefix {text!r}")
     if route[0] & (0xFFFFFFFF >> route[1]):
@@ -407,6 +468,28 @@ def _stats_row(rng: random.Random) -> str:
     covering = rng.choice(["", "10.0.0.0/8", "0.0.0.0/0", "1.2.3.0/24"])
     flag = "true" if count >= 231 else "false"
     return f"{format_slash24(rng.getrandbits(24))},443,tcp,{count},{flag},0.900000,{asn},{covering}\n"
+
+
+def _plan_rows(rng: random.Random) -> Iterator[str]:
+    """Plan rows that mostly go on with the last row's prefix, strategy and provenance and a
+    fresh host, so that runs and prefixes cross block boundaries; now and then a row switches
+    provenance or prefix (prefixes come back later), or repeats a host or switches strategy."""
+    strategy_of: dict[int, str] = {}
+    next_host: dict[int, int] = {}
+    prefix, provenance = rng.getrandbits(24), rng.choice(PROVENANCES)
+    while True:
+        if rng.random() < 0.05:
+            provenance = rng.choice(PROVENANCES)
+        if rng.random() < 0.05 or next_host.get(prefix) == 256:
+            prefix = rng.choice([p for p, n in next_host.items() if n < 256] + [rng.getrandbits(24)])
+        host = next_host.get(prefix, 0)
+        if host and rng.random() < 0.0005:
+            host = rng.randrange(host)
+        next_host[prefix] = max(next_host.get(prefix, 0), host + 1)
+        strategy = strategy_of.setdefault(prefix, rng.choice(STRATEGIES))
+        if rng.random() < 0.0005:
+            strategy = rng.choice(STRATEGIES)
+        yield f"{format_ipv4(prefix << 8 | host)},{format_slash24(prefix)},{strategy},{provenance}\n"
 
 
 # Changes to one line of a table. The two tables share field positions: address or prefix,
@@ -484,7 +567,7 @@ def _insert(line: str, rng: random.Random, text: str) -> str:
 
 
 @st.composite
-def _long_tables(draw, header: str, make_row) -> tuple[int, list[str]]:
+def _long_tables(draw, header: str, rows: Callable[[random.Random], Iterator[str]]) -> tuple[int, list[str]]:
     """A block size, either the reader's or a small one that puts many blocks in a short
     table, and the lines of a table longer than one block, with a few lines edited, mostly
     in a later block, and maybe without the last line's terminator, without any, or with an
@@ -492,7 +575,7 @@ def _long_tables(draw, header: str, make_row) -> tuple[int, list[str]]:
     next."""
     rng = random.Random(draw(st.integers(0, 2**64)))
     block = rng.choice([2, 3, 8, BLOCK_LINES])
-    lines = [[header + "\n"]] + [[make_row(rng)] for _ in range(rng.randint(block + 1, 2 * block + 40))]
+    lines = [[header + "\n"]] + [[row] for row in islice(rows(rng), rng.randint(block + 1, 2 * block + 40))]
     for _ in range(rng.randint(1, 8)):
         at = rng.randint(rng.choice([1, block]), len(lines) - 1)
         lines[at] = _EDITS[rng.choice(_EDIT_DRAWS)](lines[at][-1], rng)
@@ -516,28 +599,38 @@ def _outcome_in_blocks(block: int, read, lines: list[str]):
         return str(exc)
 
 
+def _each(make_row: Callable[[random.Random], str]) -> Callable[[random.Random], Iterator[str]]:
+    """Rows made one at a time by ``make_row(rng)``."""
+    return lambda rng: map(make_row, repeat(rng))
+
+
 def _generic_rows(width: int):
     def make_row(rng: random.Random) -> str:
         rest = (rng.choice(["a", "0", "#", "x-y"]) for _ in range(width - 1))
         return ",".join([rng.choice(["a", "b1", "x.y"]), *rest]) + "\n"
 
-    return make_row
+    return _each(make_row)
 
 
-def _stripped_rows(fields: list[str]) -> list[tuple[str, ...]]:
-    """A reader's row: its fields stripped, and an undecodable byte rejected."""
+def _checked_fields(fields: list[str]) -> tuple[str, ...]:
+    """A row's fields as they are, with an undecodable byte rejected."""
     if any("\ufffd" in field for field in fields):
         raise ValueError("undecodable bytes")
-    return [tuple(field.strip() for field in fields)]
+    return tuple(fields)
 
 
-def _generic_reader(parse_block=None):
-    def read(lines):
-        lines = list(lines)
-        columns = lines[0].rstrip("\n").split(",")
-        return [row for rows in read_csv(lines, columns, _stripped_rows, parse_block) for row in rows]
+def _generic_reader(lines):
+    """The rows of a table whose columns are named by its first line, as read_csv gives them to a
+    parser that checks nothing but undecodable bytes."""
+    lines = list(lines)
+    columns = lines[0].rstrip("\n").split(",")
+    return [row for rows in read_csv(lines, columns, lambda texts: list(zip(*map(_checked_fields, texts))))
+            for row in rows]
 
-    return read
+
+def _reference_generic_reader(lines):
+    lines = list(lines)
+    return _reference_table(lines, lines[0].rstrip("\n").split(","), _checked_fields)
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -545,15 +638,15 @@ def _generic_reader(parse_block=None):
     lambda width: _long_tables(",".join(f"c{i}" for i in range(width)), _generic_rows(width))
 ))
 def test_a_block_takes_the_column_path_only_when_its_rows_read_alike(case):
-    """A block parser that checks nothing returns the fields of the blocks read_csv gives it;
-    they must be what the row path gives after stripping, with the same errors."""
+    """A parser that checks nothing but undecodable bytes gets the fields a line-by-line reader
+    gives, after stripping, with the same errors, whichever path each block takes."""
     block, lines = case
-    unchecked = _generic_reader(lambda columns: list(zip(*columns)))
-    assert _outcome_in_blocks(block, unchecked, lines) == _outcome_in_blocks(block, _generic_reader(), lines)
+    expected = _outcome_in_blocks(block, _reference_generic_reader, lines)
+    assert _outcome_in_blocks(block, _generic_reader, lines) == expected
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_long_tables(",".join(APP_RESULT_COLUMNS), _results_row))
+@given(_long_tables(",".join(APP_RESULT_COLUMNS), _each(_results_row)))
 def test_results_reader_matches_the_per_row_reference(case):
     block, lines = case
     expected = _outcome_in_blocks(block, _reference_read_app_results, lines)
@@ -563,8 +656,16 @@ def test_results_reader_matches_the_per_row_reference(case):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_long_tables(",".join(PREFIX_STAT_COLUMNS), _stats_row))
+@given(_long_tables(",".join(PREFIX_STAT_COLUMNS), _each(_stats_row)))
 def test_stats_reader_matches_the_per_row_reference(case):
     block, lines = case
     expected = _outcome_in_blocks(block, _reference_read_prefix_stats, lines)
     assert _outcome_in_blocks(block, read_prefix_stats, lines) == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_long_tables(",".join(PLAN_COLUMNS), _plan_rows))
+def test_plan_reader_in_blocks_matches_the_per_row_reference(case):
+    block, lines = case
+    expected = _outcome_in_blocks(block, lambda lines: _reference_read_plan(lines).items(), lines)
+    assert _outcome_in_blocks(block, lambda lines: read_plan_csv(lines).entries.items(), lines) == expected
