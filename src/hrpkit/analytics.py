@@ -1,23 +1,26 @@
 """Cross-port, temporal, and vantage-point analysis of classified scans.
 
 All functions are pure over immutable inputs. A "classified scan" is the
-list of PrefixStat records from one scan, possibly empty; the non-empty
-scans of a multi-scan input must agree on (protocol, port). A stability
-series takes each scan's label and time from its caller, strictly
-ascending in time.
+list of PrefixStat records from one scan, possibly empty, with one row per
+/24; the non-empty scans of a multi-scan input must agree on (protocol,
+port). A stability series takes each scan's label and time from its
+caller, strictly ascending in time at whole seconds. The series reads each
+scan's responsiveness_histogram, and the port profile and persistence
+count each scan's hrp_set.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import chain
 from math import ceil
 from typing import IO, Iterable, Sequence
 
 from .fmt import fmt_real
 from .ingest import ScanMeta, format_timestamp, shared_meta, to_utc
-from .prefixes import HrpThreshold, PrefixStat, format_slash24
+from .prefixes import HrpThreshold, PrefixStat, format_slash24, hrp_set, responsiveness_histogram
 
 
 @dataclass(frozen=True)
@@ -98,16 +101,9 @@ def port_profile(scans: Sequence[Sequence[PrefixStat]]) -> PortProfileReport:
     duplicates = [(m.protocol, m.port) for m, n in metas.items() if n > 1]
     if duplicates:
         raise ValueError(f"duplicate (proto, port) in port profile input: {duplicates}")
-    responsive: dict[int, int] = defaultdict(int)
-    hrp: dict[int, int] = defaultdict(int)
-    for scan in scans:
-        for s in scan:
-            responsive[s.prefix] += 1
-            if s.is_hrp:
-                hrp[s.prefix] += 1
-    profiles = [
-        PortProfile(prefix, responsive[prefix], hrp.get(prefix, 0)) for prefix in sorted(responsive)
-    ]
+    responsive = Counter(s.prefix for scan in scans for s in scan)
+    hrp = Counter(chain.from_iterable(map(hrp_set, scans)))
+    profiles = [PortProfile(prefix, responsive[prefix], hrp.get(prefix, 0)) for prefix in sorted(responsive)]
     responsive_histogram = dict(sorted(Counter(p.ports_responsive for p in profiles).items()))
     hrp_histogram = dict(sorted(Counter(p.ports_hrp for p in profiles if p.ports_hrp).items()))
     return PortProfileReport(
@@ -124,8 +120,9 @@ def stability_series(
     """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts.
 
     labels gives each scan's (scan_id, timestamp): ids non-empty and without
-    commas or line breaks, times strictly ascending and normalized to UTC, a
-    naive time taken as UTC.
+    commas or line breaks, times normalized to UTC, a naive time taken as
+    UTC, and strictly ascending at whole seconds, the precision the series
+    is written at.
     An empty scan is a point with both shares and hrp_count zero.
     """
     series_meta(scans)
@@ -138,25 +135,24 @@ def stability_series(
         if any(c in scan_id for c in ",\r\n"):  # the series CSV writes ids unquoted
             raise ValueError(f"scan_id {scan_id!r} holds a comma or line break")
     for (earlier_id, earlier), (later_id, later) in zip(utc_labels, utc_labels[1:]):
-        if later <= earlier:
+        if later.replace(microsecond=0) <= earlier.replace(microsecond=0):
             raise ValueError(
-                f"scan timestamps must be strictly ascending: "
-                f"{later_id} ({later}) after {earlier_id} ({earlier})"
+                f"scan timestamps must be strictly ascending at whole seconds: "
+                f"{later_id} ({format_timestamp(later)}) after {earlier_id} ({format_timestamp(earlier)})"
             )
-    t90 = HrpThreshold(0.90)
-    t95 = HrpThreshold(0.95)
+    cut_90 = HrpThreshold(0.90).min_count
+    cut_95 = HrpThreshold(0.95).min_count
     points = []
     for (scan_id, timestamp), scan in zip(utc_labels, scans):
-        total = sum(s.responsive_count for s in scan)
-        addrs_90 = sum(s.responsive_count for s in scan if s.responsive_count >= t90.min_count)
-        addrs_95 = sum(s.responsive_count for s in scan if s.responsive_count >= t95.min_count)
+        histogram = responsiveness_histogram(scan)
+        total = histogram.total_addresses
         points.append(
             StabilityPoint(
                 scan_id=scan_id,
                 timestamp=timestamp,
-                hrp_address_share_90=addrs_90 / total if total else 0.0,
-                hrp_address_share_95=addrs_95 / total if total else 0.0,
-                hrp_count=sum(1 for s in scan if s.responsive_count >= t90.min_count),
+                hrp_address_share_90=sum(histogram.address_count[cut_90:]) / total if total else 0.0,
+                hrp_address_share_95=sum(histogram.address_count[cut_95:]) / total if total else 0.0,
+                hrp_count=sum(histogram.prefix_count[cut_90:]),
             )
         )
     return points
@@ -170,11 +166,7 @@ def persistence(scans: Sequence[Sequence[PrefixStat]], missing_at_most_n: int = 
         raise ValueError("missing_at_most_n must be non-negative")
     series_meta(scans)
     total = len(scans)
-    classified: Counter[int] = Counter()
-    for scan in scans:
-        for s in scan:
-            if s.is_hrp:
-                classified[s.prefix] += 1
+    classified = Counter(chain.from_iterable(map(hrp_set, scans)))
     half = ceil(total / 2)
     scans_classified = dict(sorted(classified.items()))
     missing_ok = sum(1 for n in classified.values() if total - n <= missing_at_most_n)

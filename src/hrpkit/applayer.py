@@ -22,7 +22,7 @@ from itertools import compress, repeat
 from typing import IO, Iterable, Iterator
 
 from .ingest import ScanMeta, block_meta, format_ipv4, ipv4_column, read_csv
-from .prefixes import PrefixTable
+from .prefixes import SLASH24_SIZE, PrefixTable, cumulative_shares
 
 SUCCESS = "success"
 APP_ERROR = "app_error"
@@ -223,9 +223,7 @@ def hrp_app_report(
         success_count = len(prefix_successes)
         identifiers = [i for i in prefix_successes if i is not None]
         dominant = max(Counter(identifiers).values()) if identifiers else 0
-        same_identifier = (
-            success_count > 0 and len(identifiers) == success_count and len(set(identifiers)) == 1
-        )
+        same_identifier = single_identifier(prefix_successes)
         reports.append(
             HrpAppReport(
                 prefix=prefix,
@@ -268,16 +266,18 @@ def address_comparison(
     return hrp_app_report(results, hrps, occupancy).comparison
 
 
+def single_identifier(identifiers: Iterable[str | None]) -> bool:
+    """Whether successes with these identifiers are at least one and share one identifier: none
+    is None and no two differ."""
+    distinct = set(identifiers)
+    return len(distinct) == 1 and None not in distinct
+
+
 def success_cdf(reports: Iterable[HrpAppReport]) -> SuccessCdf:
     """Nondecreasing step function over success counts 0..256 (all zero when empty)."""
     counts = Counter(r.success_count for r in reports)
-    total = sum(counts.values())
-    cumulative = []
-    running = 0
-    for c in range(257):
-        running += counts.get(c, 0)
-        cumulative.append(running / total if total else 0.0)
-    return SuccessCdf(total_reports=total, cumulative=tuple(cumulative))
+    cumulative = cumulative_shares([counts[c] for c in range(SLASH24_SIZE + 1)])
+    return SuccessCdf(total_reports=sum(counts.values()), cumulative=tuple(cumulative))
 
 
 def write_app_results_csv(results: Iterable[AppResult], out: IO[str]) -> None:

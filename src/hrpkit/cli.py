@@ -47,24 +47,17 @@ class SchemaError(Exception):
     """Inputs that parse individually but disagree with each other or the flags."""
 
 
-def _flag(parse: Callable, *args) -> Callable[[str], float]:
+def _flag(parse: Callable, *args) -> Callable[[str], object]:
     """A flag's parser: ``parse(text, *args)``, which reads the same kind of field in input
     files, with its ValueError as a usage error."""
 
-    def parse_flag(text: str) -> float:
+    def parse_flag(text: str) -> object:
         try:
             return parse(text, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse_flag
-
-
-def _threshold(text: str) -> float:
-    value = parse_decimal(text, "value")
-    if not 0 < value <= 1:
-        raise ValueError(f"threshold must be in (0, 1], got {text}")
-    return value
 
 
 def _open_in(path: str) -> IO[str]:
@@ -148,14 +141,14 @@ def _write_stats(stats, args) -> None:
 
 def _cmd_detect(args) -> int:
     table, ingest_stats = _load_occupancy(args)
-    stats = prefixes.classify(table, HrpThreshold(args.threshold))
+    stats = prefixes.classify(table, args.threshold)
     _write_stats(stats, args)
     summary = {
         "files": len(args.scan),
         **_record(ingest_stats),
         "distinct_addresses": table.total_addresses(),
         "prefixes": len(table),
-        "hrp_prefixes": sum(1 for s in stats if s.is_hrp),
+        "hrp_prefixes": len(prefixes.hrp_set(stats)),
         "hrp_address_share": prefixes.hrp_address_share(stats),
     }
     _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
@@ -218,7 +211,7 @@ def _series_labels(args) -> list[tuple[str, datetime]]:
     if len(scan_ids) != len(args.stats):
         raise SchemaError(f"--scan-ids names {len(scan_ids)} scans but {len(args.stats)} files given")
     if args.timestamps:
-        stamps = [parse_timestamp(t) for t in args.timestamps.split(",")]
+        stamps = [_timestamp(t) for t in args.timestamps.split(",")]
         if len(stamps) != len(args.stats):
             raise SchemaError(
                 f"--timestamps names {len(stamps)} scans but {len(args.stats)} files given"
@@ -227,6 +220,13 @@ def _series_labels(args) -> list[tuple[str, datetime]]:
         # Argument order is the series order when no explicit timestamps come in.
         stamps = [EPOCH + timedelta(days=i) for i in range(len(args.stats))]
     return list(zip(scan_ids, stamps))
+
+
+def _timestamp(text: str) -> datetime:
+    try:
+        return parse_timestamp(text)
+    except (ValueError, OverflowError) as exc:  # OverflowError: a time whose UTC form leaves the calendar
+        raise SchemaError(f"--timestamps entry {text!r}: {exc}") from None
 
 
 def _cmd_stability(args) -> int:
@@ -270,7 +270,7 @@ def _cmd_vantage(args) -> int:
 
 def _cmd_applayer(args) -> int:
     occupancy, _ = _load_occupancy(args)
-    stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
+    stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
     results = _read_table(args.results, applayer.read_app_results)
     _check_results_port(results, args, args.results)
@@ -280,7 +280,7 @@ def _cmd_applayer(args) -> int:
     doc = {
         "proto": args.proto,
         "port": args.port,
-        "threshold_fraction": args.threshold,
+        "threshold_fraction": args.threshold.fraction,
         "exclude_app_errors": args.exclude_app_errors,
         "hrp_count": len(hrps),
         "anomalies": report_set.anomaly_count,
@@ -300,7 +300,7 @@ def _cmd_applayer(args) -> int:
 
 def _cmd_plan(args) -> int:
     occupancy, _ = _load_occupancy(args)
-    stats = prefixes.classify(occupancy, HrpThreshold(args.threshold))
+    stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
     seeds = [] if args.seeds is None else _read_table(args.seeds, planner.read_dns_seeds)
     policy = planner.SamplePolicy(
@@ -313,7 +313,7 @@ def _cmd_plan(args) -> int:
     summary = {
         "proto": args.proto,
         "port": args.port,
-        "threshold_fraction": args.threshold,
+        "threshold_fraction": args.threshold.fraction,
         "k": policy.k,
         "rng_seed": policy.rng_seed,
         "hrp_prefixes": len(hrps),
@@ -396,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="invalid input lines: abort (strict) or count and skip")
 
     thresh = argparse.ArgumentParser(add_help=False)
-    thresh.add_argument("--threshold", type=_flag(_threshold), default=0.90,
+    thresh.add_argument("--threshold", type=_flag(lambda text: HrpThreshold(parse_decimal(text, "value"))),
+                        default=prefixes.DEFAULT_THRESHOLD,
                         help="responsive fraction of 256 that makes a /24 an HRP")
 
     output = argparse.ArgumentParser(add_help=False)

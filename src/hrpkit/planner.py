@@ -25,7 +25,7 @@ from itertools import compress, groupby, islice, pairwise
 from operator import ne
 from typing import IO, Iterable, Mapping, Sequence
 
-from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults
+from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults, single_identifier
 from .ingest import format_ipv4, ipv4_column, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
@@ -241,12 +241,7 @@ def classify_sample(sample_results: AppResults | Sequence[AppResult], policy: Sa
     rate = Fraction(len(successes), len(sample))
     if rate <= Fraction(str(policy.proxy_max_success)):
         return PROXY
-    identifiers = set(successes)
-    if (
-        rate >= Fraction(str(policy.cdn_min_success))
-        and None not in identifiers
-        and len(identifiers) == 1
-    ):
+    if rate >= Fraction(str(policy.cdn_min_success)) and single_identifier(successes):
         return CDN_LIKE
     return DIVERSE
 

@@ -19,9 +19,9 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import ge, ne
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
@@ -71,7 +71,8 @@ def parse_slash24(text: str) -> int:
 
 @dataclass(frozen=True)
 class HrpThreshold:
-    """Responsiveness cut for a /24: fraction in (0, 1] and the derived count.
+    """Responsiveness cut for a /24: fraction in (0, 1] with at most six
+    decimals, the precision stats files write, and the derived count.
 
     The count is ``ceil(fraction * 256)`` computed on the decimal value of
     the fraction so that e.g. 0.90 -> 231 and 0.95 -> 244 exactly.
@@ -83,8 +84,10 @@ class HrpThreshold:
     def __post_init__(self):
         if not 0 < self.fraction <= 1:
             raise ValueError(f"threshold fraction must be in (0, 1], got {self.fraction}")
-        min_count = math.ceil(Fraction(str(self.fraction)) * SLASH24_SIZE)
-        object.__setattr__(self, "min_count", min_count)
+        exact = Fraction(str(self.fraction))
+        if (exact * 10**6).denominator != 1:
+            raise ValueError(f"threshold fraction must have at most six decimals, got {self.fraction}")
+        object.__setattr__(self, "min_count", math.ceil(exact * SLASH24_SIZE))
 
 
 DEFAULT_THRESHOLD = HrpThreshold(0.90)
@@ -217,27 +220,20 @@ def responsiveness_histogram(stats: Iterable[PrefixStat]) -> ResponsivenessHisto
     for s in stats:
         prefix_count[s.responsive_count] += 1
     address_count = [c * n for c, n in enumerate(prefix_count)]
-    total_prefixes = sum(prefix_count)
-    total_addresses = sum(address_count)
-    cumulative_prefix_share = [0.0] * (SLASH24_SIZE + 1)
-    cumulative_address_share = [0.0] * (SLASH24_SIZE + 1)
-    running_prefixes = 0
-    running_addresses = 0
-    for c in range(SLASH24_SIZE + 1):
-        running_prefixes += prefix_count[c]
-        running_addresses += address_count[c]
-        if total_prefixes:
-            cumulative_prefix_share[c] = running_prefixes / total_prefixes
-        if total_addresses:
-            cumulative_address_share[c] = running_addresses / total_addresses
     return ResponsivenessHistogram(
         prefix_count=prefix_count,
         address_count=address_count,
-        cumulative_prefix_share=cumulative_prefix_share,
-        cumulative_address_share=cumulative_address_share,
-        total_prefixes=total_prefixes,
-        total_addresses=total_addresses,
+        cumulative_prefix_share=cumulative_shares(prefix_count),
+        cumulative_address_share=cumulative_shares(address_count),
+        total_prefixes=sum(prefix_count),
+        total_addresses=sum(address_count),
     )
+
+
+def cumulative_shares(counts: Sequence[int]) -> list[float]:
+    """Each running total of counts over their sum; all 0.0 when the sum is 0."""
+    total = sum(counts)
+    return [running / total if total else 0.0 for running in accumulate(counts)]
 
 
 def write_prefix_stats_csv(stats: Iterable[PrefixStat], out: IO[str]) -> None:
@@ -292,17 +288,20 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
     port or count not ASCII digits in 0-65535 or 1-256, is_hrp other than
     ``true``/``false`` or disagreeing with count and threshold, threshold
     fraction not ASCII digits with an optional decimal point or outside
-    (0, 1], an origin ASN not ASCII digits for 0-4294967295, or a covering
-    prefix that is not a valid route with a canonical length.
+    (0, 1] or with more than six decimals, a prefix already read, an origin
+    ASN not ASCII digits for 0-4294967295, or a covering prefix that is not a
+    valid route with a canonical length.
     """
     meta = None  # the rows' so far
+    seen: set[int] = set()  # the rows' prefixes so far
     # Field text -> value, for the texts read so far and the canonical ones.
     counts: dict[str, int] = dict(_COUNTS)
     thresholds: dict[str, HrpThreshold] = {}
     asns: dict[str, int | None] = {"": None}
     routes: dict[str, tuple[int, int] | None] = {"": None}
 
-    def parse(columns: list[list[str]]) -> tuple[ScanMeta, list[PrefixStat]]:
+    def parse(columns: list[list[str]]) -> tuple[ScanMeta, list[PrefixStat], set[int]]:
+        """The rows' meta and stats, and the prefixes they add to ``seen``."""
         prefix_texts, ports, protos, count_texts, flag_texts, fraction_texts, asn_texts, route_texts = columns
         rows_meta = block_meta(ports, protos, meta)
         row_thresholds = _parse_column(
@@ -316,14 +315,20 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
             raise ValueError(
                 f"is_hrp={flag_texts[i]} disagrees with count {row_counts[i]} at threshold {fraction_texts[i]}"
             )
+        prefixes = _slash24_column(prefix_texts)
+        fresh = set(prefixes)
+        if len(fresh) != len(prefixes) or not seen.isdisjoint(fresh):
+            repeated = next(p for i, p in enumerate(prefixes) if p in seen or p in prefixes[:i])
+            raise ValueError(f"repeated prefix {format_slash24(repeated)}")
         return rows_meta, list(map(
-            PrefixStat, _slash24_column(prefix_texts), repeat(rows_meta), row_counts, flags, row_thresholds,
+            PrefixStat, prefixes, repeat(rows_meta), row_counts, flags, row_thresholds,
             _parse_column(asn_texts, asns, parse_asn), _parse_column(route_texts, routes, _parse_covering),
-        ))
+        )), fresh
 
     stats: list[PrefixStat] = []
-    for meta, block in read_csv(lines, PREFIX_STAT_COLUMNS, parse):
+    for meta, block, fresh in read_csv(lines, PREFIX_STAT_COLUMNS, parse):
         stats += block
+        seen |= fresh
     return stats
 
 

@@ -4,18 +4,28 @@ from __future__ import annotations
 
 import io
 import random
+from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
+from math import ceil
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hrpkit.analytics import (
+    PersistenceSummary,
+    PortProfile,
+    PortProfileReport,
+    StabilityPoint,
     persistence,
     port_profile,
     stability_series,
     vantage_diff,
     write_series_csv,
 )
-from hrpkit.prefixes import classify
+from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult, hrp_app_report, single_identifier, success_cdf
+from hrpkit.planner import CDN_LIKE, SamplePolicy, classify_sample
+from hrpkit.prefixes import HrpThreshold, ResponsivenessHistogram, classify, responsiveness_histogram
 
 from conftest import EPOCH, make_meta, table_with_counts
 
@@ -224,3 +234,148 @@ def test_vantage_diff_mirrors():
         assert ab.both == ba.both
         assert ab.divergence == ba.divergence
         assert not (ab.only_a & ab.only_b) and not (ab.only_a & ab.both) and not (ab.only_b & ab.both)
+
+
+# --- each measure equals a per-row loop that computes it directly ---------------------
+
+
+def _reference_port_profile(scans) -> PortProfileReport:
+    responsive: dict[int, int] = defaultdict(int)
+    hrp: dict[int, int] = defaultdict(int)
+    for scan in scans:
+        for s in scan:
+            responsive[s.prefix] += 1
+            if s.is_hrp:
+                hrp[s.prefix] += 1
+    profiles = [
+        PortProfile(prefix, responsive[prefix], hrp.get(prefix, 0)) for prefix in sorted(responsive)
+    ]
+    return PortProfileReport(
+        port_count=len(scans),
+        profiles=profiles,
+        responsive_histogram=dict(sorted(Counter(p.ports_responsive for p in profiles).items())),
+        hrp_histogram=dict(sorted(Counter(p.ports_hrp for p in profiles if p.ports_hrp).items())),
+    )
+
+
+def _reference_stability_series(scans, labels) -> list[StabilityPoint]:
+    t90 = HrpThreshold(0.90)
+    t95 = HrpThreshold(0.95)
+    points = []
+    for (scan_id, timestamp), scan in zip(labels, scans):
+        total = sum(s.responsive_count for s in scan)
+        addrs_90 = sum(s.responsive_count for s in scan if s.responsive_count >= t90.min_count)
+        addrs_95 = sum(s.responsive_count for s in scan if s.responsive_count >= t95.min_count)
+        points.append(
+            StabilityPoint(
+                scan_id=scan_id,
+                timestamp=timestamp,
+                hrp_address_share_90=addrs_90 / total if total else 0.0,
+                hrp_address_share_95=addrs_95 / total if total else 0.0,
+                hrp_count=sum(1 for s in scan if s.responsive_count >= t90.min_count),
+            )
+        )
+    return points
+
+
+def _reference_persistence(scans, missing_at_most_n: int) -> PersistenceSummary:
+    total = len(scans)
+    classified: Counter[int] = Counter()
+    for scan in scans:
+        for s in scan:
+            if s.is_hrp:
+                classified[s.prefix] += 1
+    half = ceil(total / 2)
+    missing_ok = sum(1 for n in classified.values() if total - n <= missing_at_most_n)
+    return PersistenceSummary(
+        total_scans=total,
+        distinct_hrps=len(classified),
+        scans_classified=dict(sorted(classified.items())),
+        half_period_count=sum(1 for n in classified.values() if n >= half),
+        full_period_count=sum(1 for n in classified.values() if n == total),
+        missing_at_most_n=missing_at_most_n,
+        missing_at_most_n_count=missing_ok,
+        missing_at_most_n_share=missing_ok / len(classified) if classified else 0.0,
+    )
+
+
+def _reference_histogram(stats) -> ResponsivenessHistogram:
+    prefix_count = [0] * 257
+    for s in stats:
+        prefix_count[s.responsive_count] += 1
+    address_count = [c * n for c, n in enumerate(prefix_count)]
+    total_prefixes = sum(prefix_count)
+    total_addresses = sum(address_count)
+    cumulative_prefix_share = [0.0] * 257
+    cumulative_address_share = [0.0] * 257
+    running_prefixes = 0
+    running_addresses = 0
+    for c in range(257):
+        running_prefixes += prefix_count[c]
+        running_addresses += address_count[c]
+        if total_prefixes:
+            cumulative_prefix_share[c] = running_prefixes / total_prefixes
+        if total_addresses:
+            cumulative_address_share[c] = running_addresses / total_addresses
+    return ResponsivenessHistogram(
+        prefix_count, address_count, cumulative_prefix_share, cumulative_address_share,
+        total_prefixes, total_addresses,
+    )
+
+
+def _reference_success_cdf(success_counts: list[int]) -> tuple[int, tuple[float, ...]]:
+    counts = Counter(success_counts)
+    total = sum(counts.values())
+    cumulative = []
+    running = 0
+    for c in range(257):
+        running += counts.get(c, 0)
+        cumulative.append(running / total if total else 0.0)
+    return total, tuple(cumulative)
+
+
+def _reference_report_same_identifier(successes: list[str | None]) -> bool:
+    """hrp_app_report's rule over one HRP's success identifiers."""
+    identifiers = [i for i in successes if i is not None]
+    return len(successes) > 0 and len(identifiers) == len(successes) and len(set(identifiers)) == 1
+
+
+def _reference_sample_same_identifier(successes: list[str | None]) -> bool:
+    """classify_sample's cdn_like rule over a sample's success identifiers."""
+    identifiers = set(successes)
+    return None not in identifiers and len(identifiers) == 1
+
+
+_EDGE_COUNTS = st.sampled_from([1, 230, 231, 243, 244, 255, 256])  # around the 0.90 and 0.95 cuts
+_SCAN_COUNTS = st.dictionaries(st.integers(0, 40), _EDGE_COUNTS | st.integers(1, 256), max_size=12)
+
+
+@given(
+    scans=st.lists(st.tuples(_SCAN_COUNTS, st.sampled_from([0.5, 0.9, 0.95, 1.0])), min_size=2, max_size=6),
+    missing_at_most_n=st.integers(0, 6),
+    success_counts=st.lists(_EDGE_COUNTS | st.integers(0, 256), max_size=10),
+    identifiers=st.lists(st.sampled_from([None, "certA", "certB"]), max_size=6),
+)
+def test_measures_match_their_per_row_references(scans, missing_at_most_n, success_counts, identifiers):
+    """Exact equality, floats included, over scans with one row per /24 (some empty) classified
+    at several thresholds, and identifiers that mix None, one value and several."""
+    series = [classify(table_with_counts(counts), HrpThreshold(fraction)) for counts, fraction in scans]
+    by_port = [classify(table_with_counts(counts, make_meta(port=port)), HrpThreshold(fraction))
+               for port, (counts, fraction) in enumerate(scans)]
+    labels = _weeks(len(series))
+    assert port_profile(by_port) == _reference_port_profile(by_port)
+    assert stability_series(series, labels) == _reference_stability_series(series, labels)
+    assert persistence(series, missing_at_most_n) == _reference_persistence(series, missing_at_most_n)
+    for scan in series:
+        assert responsiveness_histogram(scan) == _reference_histogram(scan)
+    cdf = success_cdf([SimpleNamespace(success_count=c) for c in success_counts])
+    assert (cdf.total_reports, cdf.cumulative) == _reference_success_cdf(success_counts)
+
+    same = _reference_report_same_identifier(identifiers)
+    assert single_identifier(identifiers) == same == _reference_sample_same_identifier(identifiers)
+    meta = make_meta()
+    results = [AppResult(7 << 8 | host, meta, SUCCESS, i) for host, i in enumerate(identifiers)]
+    (report,) = hrp_app_report(results, {7}, table_with_counts({7: 256})).reports
+    assert report.same_identifier == same
+    sample = results or [AppResult(7 << 8, meta, UNREACHABLE)]
+    assert (classify_sample(sample, SamplePolicy()) == CDN_LIKE) == same

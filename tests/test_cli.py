@@ -124,6 +124,9 @@ def test_enrich_pipeline(tmp_path):
     "10.1.3.0/24,443,tcp,3,false,0.9_0,,",  # threshold fraction not ASCII digits and a point
     "10.1.3.0/24,443,tcp,3,false,9e-1,,",
     "10.1.3.0/24,443,tcp,3,false,\u0660.\u0669,,",
+    "10.1.3.0/24,443,tcp,3,false,0.8984375,,",  # more decimals than a stats file writes
+    "10.1.3.0/24,443,tcp,3,true,0.0000001,,",
+    "10.1.2.0/24,443,tcp,256,true,0.900000,,",  # the prefix of line 2 again
 ])
 def test_enrich_rejects_bad_stats_row_with_file_and_line(tmp_path, capsys, bad_row):
     stats = _detect(tmp_path, "s443", {0x0A0102: 256})
@@ -203,6 +206,35 @@ def test_stability_rejects_a_file_stem_with_a_comma_as_scan_id(tmp_path, capsys)
     assert run("stability", "--scan-ids", "w0,w1", "--series-csv", series,
                "--output", tmp_path / "s.json", week0, week1) == 0
     assert [len(row.split(",")) for row in series.read_text().splitlines()] == [5, 5, 5]
+
+
+def test_a_stats_file_that_repeats_a_prefix_exits_2(tmp_path, capsys):
+    header = "prefix,port,proto,count,is_hrp,threshold_fraction,origin_asn,covering_prefix\n"
+    w1 = tmp_path / "w1.csv"
+    w1.write_text(header + "1.2.3.0/24,443,tcp,240,true,0.900000,,\n" * 2, encoding="utf-8")
+    w2 = tmp_path / "w2.csv"
+    w2.write_text(header + "9.9.9.0/24,443,tcp,10,false,0.900000,,\n", encoding="utf-8")
+    for argv in (["stability", w1, w2], ["portmatrix", w1]):
+        assert run(*argv, "--output", tmp_path / "out.json") == 2
+        assert f"{w1}: line 3: repeated prefix 1.2.3.0/24" in capsys.readouterr().err
+
+
+def test_stability_rejects_times_its_series_writes_alike(tmp_path, capsys):
+    weeks = [_detect(tmp_path, f"w{i}", {1: 10}) for i in range(2)]
+    series = tmp_path / "series.csv"
+    assert run("stability", "--timestamps", "2020-01-01T00:00:00.1,2020-01-01T00:00:00.2",
+               "--series-csv", series, "--output", tmp_path / "s.json", *weeks) == 2
+    assert "w1 (2020-01-01T00:00:00Z) after w0 (2020-01-01T00:00:00Z)" in capsys.readouterr().err
+    assert not series.exists()
+    assert run("stability", "--timestamps", "2020-01-01T00:00:00.9,2020-01-01T00:00:01",
+               "--series-csv", series, "--output", tmp_path / "s.json", *weeks) == 0
+
+
+@pytest.mark.parametrize("entry", ["bad", "0001-01-01T00:00:00+01:00"])
+def test_stability_names_a_bad_timestamps_entry(tmp_path, capsys, entry):
+    weeks = [_detect(tmp_path, f"w{i}", {1: 10}) for i in range(2)]
+    assert run("stability", "--timestamps", f"{entry},2020-01-01", "--output", tmp_path / "s.json", *weeks) == 2
+    assert f"hrpkit stability: --timestamps entry {entry!r}: " in capsys.readouterr().err
 
 
 # A week whose scan saw nothing gives detect a header-only stats file.

@@ -226,12 +226,22 @@ def test_decimal_flags_reject_what_files_reject(inputs, capsys, command, flag, v
     assert f"argument {flag}: invalid value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value, hrp_prefixes", [("0.90", 1), ("1", 0), ("1.0", 0), ("0.900000", 1)])
+@pytest.mark.parametrize("value, hrp_prefixes", [
+    ("0.90", 1), ("1", 0), ("1.0", 0), ("0.900000", 1), ("0.9000000", 1),
+])
 def test_threshold_spellings_that_load(tmp_path, inputs, value, hrp_prefixes):
     summary = tmp_path / "s.json"
     assert main(["detect", *inputs["detect"], "--threshold", value, "--output", str(tmp_path / "d.csv"),
                  "--summary", str(summary)]) == 0
     assert json.loads(summary.read_text())["hrp_prefixes"] == hrp_prefixes
+
+
+@pytest.mark.parametrize("command", ["detect", "applayer", "plan"])
+@pytest.mark.parametrize("value", ["0.8984375", "0.0000001"])
+def test_threshold_flag_takes_only_what_stats_files_carry(inputs, capsys, command, value):
+    """A stats file writes six decimals, so a threshold with more could not be read back."""
+    assert main([command, *inputs[command], "--threshold", value]) == 2
+    assert "argument --threshold: threshold fraction must have at most six decimals" in capsys.readouterr().err
 
 
 def test_escalate_cutoffs_take_their_bounds(tmp_path, inputs):

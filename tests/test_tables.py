@@ -173,11 +173,11 @@ _routes = st.integers(0, 32).flatmap(
 def _prefix_stats(draw):
     meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])))
     stats = []
-    for _ in range(draw(st.integers(0, 8))):
+    for prefix in draw(st.lists(st.integers(0, 0xFFFFFF), max_size=8, unique=True)):  # one row per /24
         threshold = HrpThreshold(draw(_fractions))
         count = draw(st.integers(1, 256))
         stats.append(PrefixStat(
-            prefix=draw(st.integers(0, 0xFFFFFF)),
+            prefix=prefix,
             meta=meta,
             responsive_count=count,
             is_hrp=count >= threshold.min_count,
@@ -423,6 +423,7 @@ def _reference_read_app_results(lines) -> list[AppResult]:
 def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
     """Prefix stats read one row at a time, every field parsed on every row."""
     meta_of = _reference_meta()
+    seen: set[int] = set()
 
     def parse_row(fields: list[str]) -> PrefixStat:
         prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
@@ -434,8 +435,12 @@ def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
             raise ValueError(f"is_hrp must be true or false, got {hrp_text!r}")
         if is_hrp != (count >= threshold.min_count):
             raise ValueError(f"is_hrp={hrp_text} disagrees with count {count} at threshold {fraction_text}")
+        prefix = parse_slash24(prefix_text)
+        if prefix in seen:
+            raise ValueError(f"repeated prefix {format_slash24(prefix)}")
+        seen.add(prefix)
         return PrefixStat(
-            prefix=parse_slash24(prefix_text),
+            prefix=prefix,
             meta=meta,
             responsive_count=count,
             is_hrp=is_hrp,
