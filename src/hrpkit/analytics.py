@@ -1,12 +1,12 @@
 """Cross-port, temporal, and vantage-point analysis of classified scans.
 
 All functions are pure over immutable inputs. A "classified scan" is the
-list of PrefixStat records from one scan, possibly empty, with one row per
-/24; the non-empty scans of a multi-scan input must agree on (protocol,
-port). A stability series takes each scan's label and time from its
-caller, strictly ascending in time at whole seconds. The series reads each
-scan's responsiveness_histogram, and the port profile and persistence
-count each scan's hrp_set.
+PrefixStats table of one scan, possibly empty (then its meta is None); the
+non-empty scans of a multi-scan input must agree on (protocol, port). A
+stability series takes each scan's label and time from its caller, strictly
+ascending in time at whole seconds. The series reads each scan's
+responsiveness_histogram, and the port profile and persistence count each
+scan's hrp_set.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from math import ceil
 from typing import IO, Iterable, Sequence
 
 from .fmt import fmt_real
-from .ingest import ScanMeta, format_timestamp, shared_meta, to_utc
-from .prefixes import HrpThreshold, PrefixStat, format_slash24, hrp_set, responsiveness_histogram
+from .ingest import ScanMeta, format_timestamp, to_utc
+from .prefixes import HrpThreshold, PrefixStats, format_slash24, hrp_set, responsiveness_histogram
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,17 @@ class VantageDiff:
     divergence: float
 
 
-def port_profile(scans: Sequence[Sequence[PrefixStat]]) -> PortProfileReport:
+def port_profile(scans: Sequence[PrefixStats]) -> PortProfileReport:
     """Profile prefixes across one scan per port.
 
     A prefix is responsive on a port when visible there (count >= 1) and an
     HRP on a port when that scan classified it so.
     """
-    metas = Counter(meta for meta in map(shared_meta, scans) if meta is not None)
+    metas = Counter(scan.meta for scan in scans if scan.meta is not None)
     duplicates = [(m.protocol, m.port) for m, n in metas.items() if n > 1]
     if duplicates:
         raise ValueError(f"duplicate (proto, port) in port profile input: {duplicates}")
-    responsive = Counter(s.prefix for scan in scans for s in scan)
+    responsive = Counter(chain.from_iterable(scan.prefixes for scan in scans))
     hrp = Counter(chain.from_iterable(map(hrp_set, scans)))
     profiles = [PortProfile(prefix, responsive[prefix], hrp.get(prefix, 0)) for prefix in sorted(responsive)]
     responsive_histogram = dict(sorted(Counter(p.ports_responsive for p in profiles).items()))
@@ -115,7 +115,7 @@ def port_profile(scans: Sequence[Sequence[PrefixStat]]) -> PortProfileReport:
 
 
 def stability_series(
-    scans: Sequence[Sequence[PrefixStat]], labels: Sequence[tuple[str, datetime]]
+    scans: Sequence[PrefixStats], labels: Sequence[tuple[str, datetime]]
 ) -> list[StabilityPoint]:
     """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts.
 
@@ -158,7 +158,7 @@ def stability_series(
     return points
 
 
-def persistence(scans: Sequence[Sequence[PrefixStat]], missing_at_most_n: int = 5) -> PersistenceSummary:
+def persistence(scans: Sequence[PrefixStats], missing_at_most_n: int = 5) -> PersistenceSummary:
     """Per-prefix persistence of the stored HRP classification over a series."""
     if len(scans) < 2:
         raise ValueError("persistence needs at least two scans")
@@ -197,7 +197,7 @@ def vantage_diff(a: Iterable[int], b: Iterable[int]) -> VantageDiff:
     )
 
 
-def series_meta(scans: Sequence[Sequence[PrefixStat]], names: Sequence[str] = ()) -> ScanMeta | None:
+def series_meta(scans: Sequence[PrefixStats], names: Sequence[str] = ()) -> ScanMeta | None:
     """The meta the non-empty scans share, or None if every scan is empty.
 
     A mismatch raises ValueError naming both scans, by names or else by position.
@@ -205,7 +205,7 @@ def series_meta(scans: Sequence[Sequence[PrefixStat]], names: Sequence[str] = ()
     if not scans:
         raise ValueError("no scans supplied")
     first_name, first = None, None
-    for name, meta in zip(names or [f"scan {i}" for i in range(len(scans))], map(shared_meta, scans)):
+    for name, meta in zip(names or [f"scan {i}" for i in range(len(scans))], (scan.meta for scan in scans)):
         if first is None:
             first_name, first = name, meta
         elif meta is not None and meta != first:

@@ -32,7 +32,6 @@ from .ingest import (
     parse_decimal,
     parse_timestamp,
     parse_uint,
-    shared_meta,
 )
 from .planner import PlanEvaluationError
 from .prefixes import HrpThreshold, format_slash24
@@ -170,8 +169,8 @@ def _cmd_enrich(args) -> int:
         "route_duplicate_conflicts": load.duplicate_conflicts,
         "route_duplicate_repeats": load.duplicate_repeats,
         "prefixes": len(enriched),
-        "prefixes_with_origin": sum(1 for s in enriched if s.origin_asn is not None),
-        "split_slash24_ambiguities": sum(1 for s in enriched if s.prefix in split),
+        "prefixes_with_origin": len(enriched) - enriched.origin_asns.count(None),
+        "split_slash24_ambiguities": len(split.intersection(enriched.prefixes)),
     }
     _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
     return EXIT_OK
@@ -180,7 +179,7 @@ def _cmd_enrich(args) -> int:
 def _cmd_portmatrix(args) -> int:
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
     report = analytics.port_profile(scans)
-    ports = sorted(meta for meta in map(shared_meta, scans) if meta is not None)
+    ports = sorted(scan.meta for scan in scans if scan.meta is not None)
     doc = {
         "ports": [f"{meta.protocol}/{meta.port}" for meta in ports],
         "port_count": report.port_count,
@@ -195,7 +194,7 @@ def _cmd_portmatrix(args) -> int:
         ],
     }
     if args.as_summary is not None:
-        rows = routing.as_summary([s for scan in scans for s in scan])
+        rows = routing.as_summary(scans)
         as_doc = [_record(row) for row in rows]
         _write_to(args.as_summary, lambda out: write_json_report(as_doc, out))
     if args.histogram_csv is not None:

@@ -1,6 +1,7 @@
-"""Readers for IPv4 port-scan output files.
+"""Readers for IPv4 port-scan output files, and the field and table rules
+every input of hrpkit is read by.
 
-Two input layouts are supported:
+Two scan layouts are supported:
 
 * ``plain``: one dotted-quad address per line, ``#`` starts a comment line.
 * ``csv_saddr``: comma-separated with a header row; only the ``saddr``
@@ -15,6 +16,9 @@ quotes fields, so no quote processing is done.
 
 Address text is four ASCII decimal octets 0-255 without leading zeros (the
 form the standard library's IPv4Address accepts), parsed by table lookup.
+
+The CSV tables the stages hand each other are read by :func:`read_csv` a
+block at a time, with the field parsers here.
 """
 
 from __future__ import annotations
@@ -173,12 +177,6 @@ def block_meta(ports: list[str], protos: list[str], meta: ScanMeta | None) -> Sc
     return meta
 
 
-def shared_meta(rows: Sequence) -> ScanMeta | None:
-    """The ScanMeta of one table's rows, or None for a table without rows such as a header-only
-    file. The readers and classify give every row of a table one meta, so the first row's stands."""
-    return rows[0].meta if rows else None
-
-
 def parse_asn(text: str) -> int:
     """Parse an AS number written in ASCII digits; ValueError unless 0-4294967295."""
     return parse_uint(text, 0, 0xFFFFFFFF, "AS number")
@@ -187,18 +185,6 @@ def parse_asn(text: str) -> int:
 def format_ipv4(value: int) -> str:
     """Dotted-quad text for a 32-bit address value."""
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
-
-
-def parse_address_line(line: str, fmt: str, saddr_index: int = 0) -> int | None:
-    """Extract the address from one input line, or None if the line is invalid.
-
-    For csv_saddr the caller supplies the column index found in the header.
-    """
-    if fmt == PLAIN:
-        return parse_ipv4(line.strip())
-    if fmt == CSV_SADDR:
-        return _saddr_field(saddr_index, line.rstrip("\r\n"))
-    raise ValueError(f"unknown scan format: {fmt!r}")
 
 
 def _saddr_field(saddr_index: int, row: str) -> int | None:

@@ -10,18 +10,23 @@ denominator, network and broadcast addresses included.
 Tables are value-like: aggregation is single-pass, and tables built from
 shards of the input merge by bitwise OR into the same result as one pass
 over everything.
+
+A classified scan is one :class:`PrefixStats` table of columns, one entry
+per visible /24, which ``classify`` builds, ``read_prefix_stats`` reads
+back from its CSV form and the measures here read.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress
 from operator import ge, ne
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
@@ -44,11 +49,6 @@ PREFIX_STAT_COLUMNS = (
 
 _HRP_FLAGS = {"true": True, "false": False}
 _COUNTS = {str(count): count for count in range(1, SLASH24_SIZE + 1)}  # canonical count text -> value
-
-
-def slash24_of(addr: int) -> int:
-    """The 24-bit network identifier (top 24 bits) of an address."""
-    return addr >> 8
 
 
 def format_slash24(prefix: int) -> str:
@@ -94,16 +94,38 @@ DEFAULT_THRESHOLD = HrpThreshold(0.90)
 
 
 @dataclass(frozen=True)
-class PrefixStat:
-    """Classified record for one visible /24 of one scan."""
+class PrefixStats:
+    """The classified /24s of one scan as columns, one entry per row, each /24 at most once:
+    prefixes (an ``array('I')`` of 24-bit network values), responsive counts 1-256 (an
+    ``array('H')``), each row's threshold, and each row's origin ASN and covering route
+    ``(network value, length)``, None where not enriched. meta is None exactly when the table
+    has no rows. A row is an HRP when its count reaches its threshold's."""
 
-    prefix: int
-    meta: ScanMeta
-    responsive_count: int
-    is_hrp: bool
-    threshold: HrpThreshold
-    origin_asn: int | None = None
-    covering_route: tuple[int, int] | None = None  # (network value, prefix length)
+    meta: ScanMeta | None
+    prefixes: array
+    counts: array
+    thresholds: list[HrpThreshold]
+    origin_asns: list[int | None]
+    covering_routes: list[tuple[int, int] | None]
+
+    def __post_init__(self):
+        rows = len(self.prefixes)
+        if any(len(column) != rows for column in (self.counts, self.thresholds, self.origin_asns,
+                                                  self.covering_routes)):
+            raise ValueError("columns of unequal length")
+        if (self.meta is None) != (rows == 0):
+            raise ValueError("meta must be None exactly when the table has no rows")
+        if len(set(self.prefixes)) != rows:
+            repeated = next(p for p, n in Counter(self.prefixes).items() if n > 1)
+            raise ValueError(f"repeated prefix {format_slash24(repeated)}")
+
+    def __len__(self) -> int:
+        return len(self.prefixes)
+
+    @property
+    def is_hrp(self) -> list[bool]:
+        """Each row's HRP flag, from its count and threshold."""
+        return list(map(ge, self.counts, [threshold.min_count for threshold in self.thresholds]))
 
 
 @dataclass
@@ -163,38 +185,29 @@ def merge(a: PrefixTable, b: PrefixTable) -> PrefixTable:
     return PrefixTable(a.meta, merged)
 
 
-def classify(table: PrefixTable, threshold: HrpThreshold = DEFAULT_THRESHOLD) -> list[PrefixStat]:
-    """One PrefixStat per visible prefix, ascending by prefix."""
-    min_count = threshold.min_count
-    stats = []
-    for prefix, bits in sorted(table.bitmaps.items()):
-        count = bits.bit_count()
-        stats.append(
-            PrefixStat(
-                prefix=prefix,
-                meta=table.meta,
-                responsive_count=count,
-                is_hrp=count >= min_count,
-                threshold=threshold,
-            )
-        )
-    return stats
+def classify(table: PrefixTable, threshold: HrpThreshold = DEFAULT_THRESHOLD) -> PrefixStats:
+    """The stats of every visible prefix, ascending by prefix."""
+    prefixes = sorted(table.bitmaps)
+    rows = len(prefixes)
+    return PrefixStats(
+        table.meta if rows else None,
+        array("I", prefixes),
+        array("H", map(int.bit_count, map(table.bitmaps.__getitem__, prefixes))),
+        [threshold] * rows,
+        [None] * rows,
+        [None] * rows,
+    )
 
 
-def hrp_set(stats: Iterable[PrefixStat]) -> frozenset[int]:
+def hrp_set(stats: PrefixStats) -> frozenset[int]:
     """Prefixes flagged highly responsive."""
-    return frozenset(s.prefix for s in stats if s.is_hrp)
+    return frozenset(compress(stats.prefixes, stats.is_hrp))
 
 
-def hrp_address_share(stats: Iterable[PrefixStat]) -> float:
+def hrp_address_share(stats: PrefixStats) -> float:
     """Responsive addresses inside HRPs over all responsive addresses (0 if none)."""
-    hrp_addresses = 0
-    total = 0
-    for s in stats:
-        total += s.responsive_count
-        if s.is_hrp:
-            hrp_addresses += s.responsive_count
-    return hrp_addresses / total if total else 0.0
+    total = sum(stats.counts)
+    return sum(compress(stats.counts, stats.is_hrp)) / total if total else 0.0
 
 
 @dataclass
@@ -214,11 +227,11 @@ class ResponsivenessHistogram:
     total_addresses: int
 
 
-def responsiveness_histogram(stats: Iterable[PrefixStat]) -> ResponsivenessHistogram:
+def responsiveness_histogram(stats: PrefixStats) -> ResponsivenessHistogram:
     """Exact bucket counts for the per-prefix responsiveness distribution."""
     prefix_count = [0] * (SLASH24_SIZE + 1)
-    for s in stats:
-        prefix_count[s.responsive_count] += 1
+    for count in stats.counts:
+        prefix_count[count] += 1
     address_count = [c * n for c, n in enumerate(prefix_count)]
     return ResponsivenessHistogram(
         prefix_count=prefix_count,
@@ -236,17 +249,16 @@ def cumulative_shares(counts: Sequence[int]) -> list[float]:
     return [running / total if total else 0.0 for running in accumulate(counts)]
 
 
-def write_prefix_stats_csv(stats: Iterable[PrefixStat], out: IO[str]) -> None:
+def write_prefix_stats_csv(stats: PrefixStats, out: IO[str]) -> None:
     """CSV form of classified prefixes; optional fields stay empty."""
     out.write(",".join(PREFIX_STAT_COLUMNS) + "\n")
-    for s in stats:
-        out.write(",".join(_stat_fields(s)) + "\n")
+    for fields in _stat_fields(stats):
+        out.write(",".join(fields) + "\n")
 
 
-def write_prefix_stats_jsonl(stats: Iterable[PrefixStat], out: IO[str]) -> None:
+def write_prefix_stats_jsonl(stats: PrefixStats, out: IO[str]) -> None:
     """JSON-lines form with the same field names as the CSV."""
-    for s in stats:
-        prefix, port, proto, count, is_hrp, fraction, asn, covering = _stat_fields(s)
+    for prefix, port, proto, count, is_hrp, fraction, asn, covering in _stat_fields(stats):
         parts = [
             f'"prefix": "{prefix}"',
             f'"port": {port}',
@@ -264,24 +276,27 @@ def _quoted(text: str) -> str:
     return f'"{text}"'
 
 
-def _stat_fields(s: PrefixStat) -> tuple[str, ...]:
-    covering = ""
-    if s.covering_route is not None:
-        network, length = s.covering_route
-        covering = f"{format_ipv4(network)}/{length}"
-    return (
-        format_slash24(s.prefix),
-        str(s.meta.port),
-        s.meta.protocol,
-        str(s.responsive_count),
-        "true" if s.is_hrp else "false",
-        fmt_real(s.threshold.fraction),
-        "" if s.origin_asn is None else str(s.origin_asn),
-        covering,
-    )
+def _stat_fields(stats: PrefixStats) -> Iterator[tuple[str, ...]]:
+    """Each row's field texts, in PREFIX_STAT_COLUMNS order."""
+    if stats.meta is None:
+        return
+    port, proto = str(stats.meta.port), stats.meta.protocol
+    for prefix, count, threshold, asn, route in zip(
+        stats.prefixes, stats.counts, stats.thresholds, stats.origin_asns, stats.covering_routes
+    ):
+        yield (
+            format_slash24(prefix),
+            port,
+            proto,
+            str(count),
+            "true" if count >= threshold.min_count else "false",
+            fmt_real(threshold.fraction),
+            "" if asn is None else str(asn),
+            "" if route is None else f"{format_ipv4(route[0])}/{route[1]}",
+        )
 
 
-def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
+def read_prefix_stats(lines: Iterable[str]) -> PrefixStats:
     """Read the CSV form back; port/proto must agree across rows.
 
     Rows that break the stats' invariants raise ValueError naming the line:
@@ -300,8 +315,8 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
     asns: dict[str, int | None] = {"": None}
     routes: dict[str, tuple[int, int] | None] = {"": None}
 
-    def parse(columns: list[list[str]]) -> tuple[ScanMeta, list[PrefixStat], set[int]]:
-        """The rows' meta and stats, and the prefixes they add to ``seen``."""
+    def parse(columns: list[list[str]]) -> tuple[ScanMeta, set[int], tuple[Sequence, ...]]:
+        """The rows' meta, the prefixes they add to ``seen``, and their columns of PrefixStats."""
         prefix_texts, ports, protos, count_texts, flag_texts, fraction_texts, asn_texts, route_texts = columns
         rows_meta = block_meta(ports, protos, meta)
         row_thresholds = _parse_column(
@@ -320,16 +335,17 @@ def read_prefix_stats(lines: Iterable[str]) -> list[PrefixStat]:
         if len(fresh) != len(prefixes) or not seen.isdisjoint(fresh):
             repeated = next(p for i, p in enumerate(prefixes) if p in seen or p in prefixes[:i])
             raise ValueError(f"repeated prefix {format_slash24(repeated)}")
-        return rows_meta, list(map(
-            PrefixStat, prefixes, repeat(rows_meta), row_counts, flags, row_thresholds,
+        return rows_meta, fresh, (
+            prefixes, row_counts, row_thresholds,
             _parse_column(asn_texts, asns, parse_asn), _parse_column(route_texts, routes, _parse_covering),
-        )), fresh
+        )
 
-    stats: list[PrefixStat] = []
-    for meta, block, fresh in read_csv(lines, PREFIX_STAT_COLUMNS, parse):
-        stats += block
+    table: tuple[Sequence, ...] = (array("I"), array("H"), [], [], [])
+    for meta, fresh, block in read_csv(lines, PREFIX_STAT_COLUMNS, parse):
         seen |= fresh
-    return stats
+        for column, values in zip(table, block):
+            column.extend(values)
+    return PrefixStats(meta, *table)
 
 
 def _hrp_flag(text: str) -> bool:

@@ -10,11 +10,11 @@ concurrent lookups need no locking.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Iterable, Iterator
 
 from .ingest import LENIENT, STRICT, IngestError, ScanMeta, iter_text_lines, parse_asn, parse_cidr
-from .prefixes import PrefixStat
+from .prefixes import PrefixStats
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
 MASKS = tuple(((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF) if length else 0 for length in range(33))
@@ -167,21 +167,18 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
     return table
 
 
-def enrich(stats: Iterable[PrefixStat], table: RoutingTable) -> list[PrefixStat]:
-    """Attach origin ASN and covering route to each stat via LPM.
+def enrich(stats: PrefixStats, table: RoutingTable) -> PrefixStats:
+    """Attach origin ASN and covering route to each row via LPM.
 
-    The lookup key is the /24's network address; stats without a covering
-    entry pass through unchanged. Counts and HRP flags are never touched.
+    The lookup key is the /24's network address; rows without a covering
+    entry keep the values they had. Counts and thresholds are never touched.
     """
-    match = table._match
-    return [
-        s if (hit := match(s.prefix << 8)) is None
-        else PrefixStat(
-            prefix=s.prefix, meta=s.meta, responsive_count=s.responsive_count, is_hrp=s.is_hrp,
-            threshold=s.threshold, origin_asn=hit[2], covering_route=hit[:2],
-        )
-        for s in stats
-    ]
+    hits = [table._match(prefix << 8) for prefix in stats.prefixes]
+    return replace(
+        stats,
+        origin_asns=[asn if hit is None else hit[2] for asn, hit in zip(stats.origin_asns, hits)],
+        covering_routes=[route if hit is None else hit[:2] for route, hit in zip(stats.covering_routes, hits)],
+    )
 
 
 @dataclass
@@ -201,20 +198,21 @@ class AsSummary:
     ports_with_hrps: int
 
 
-def as_summary(stats: Iterable[PrefixStat]) -> list[AsSummary]:
-    """Per-AS rollup of enriched stats, ordered by HRP count descending."""
+def as_summary(scans: Iterable[PrefixStats]) -> list[AsSummary]:
+    """Per-AS rollup of enriched scans, ordered by HRP count descending."""
     visible: dict[int, set[int]] = defaultdict(set)
     hrps: dict[int, set[int]] = defaultdict(set)
     ports: dict[int, set[ScanMeta]] = defaultdict(set)
     hrp_ports: dict[int, set[ScanMeta]] = defaultdict(set)
-    for s in stats:
-        if s.origin_asn is None:
-            continue
-        visible[s.origin_asn].add(s.prefix)
-        ports[s.origin_asn].add(s.meta)
-        if s.is_hrp:
-            hrps[s.origin_asn].add(s.prefix)
-            hrp_ports[s.origin_asn].add(s.meta)
+    for scan in scans:
+        for prefix, asn, is_hrp in zip(scan.prefixes, scan.origin_asns, scan.is_hrp):
+            if asn is None:
+                continue
+            visible[asn].add(prefix)
+            ports[asn].add(scan.meta)
+            if is_hrp:
+                hrps[asn].add(prefix)
+                hrp_ports[asn].add(scan.meta)
     summaries = [
         AsSummary(
             asn=asn,

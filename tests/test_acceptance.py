@@ -49,8 +49,8 @@ def _report(criterion: int, started: float, detail: str) -> None:
 def test_criterion_1_threshold_boundary_fidelity():
     started = time.perf_counter()
     table = table_with_counts({1: 231, 2: 230, 3: 244, 4: 243})
-    at_90 = {s.prefix: s.is_hrp for s in classify(table, HrpThreshold(0.90))}
-    at_95 = {s.prefix: s.is_hrp for s in classify(table, HrpThreshold(0.95))}
+    at_90, at_95 = (dict(zip(stats.prefixes, stats.is_hrp))
+                    for stats in (classify(table, HrpThreshold(0.90)), classify(table, HrpThreshold(0.95))))
     assert at_90[1] is True and at_90[2] is False
     assert at_95[3] is True and at_95[4] is False
     _report(1, started, "231/230 at 0.90 and 244/243 at 0.95 classify exactly")
@@ -78,7 +78,7 @@ def test_criterion_2_sharded_aggregation_matches_naive_oracle():
         seen: dict[int, set[int]] = {}
         for addr in addresses:
             seen.setdefault(addr >> 8, set()).add(addr & 0xFF)
-        assert {s.prefix: s.responsive_count for s in stats} == {
+        assert dict(zip(stats.prefixes, stats.counts)) == {
             p: len(hosts) for p, hosts in seen.items()
         }
         assert hrp_set(stats) == {

@@ -27,7 +27,7 @@ from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult, hrp_app_report, sin
 from hrpkit.planner import CDN_LIKE, SamplePolicy, classify_sample
 from hrpkit.prefixes import HrpThreshold, ResponsivenessHistogram, classify, responsiveness_histogram
 
-from conftest import EPOCH, make_meta, table_with_counts
+from conftest import EPOCH, make_meta, rows, table_with_counts
 
 
 def _scan(counts: dict[int, int], port=443):
@@ -91,10 +91,12 @@ def test_stability_no_hrps_gives_zero_shares():
 
 
 def test_stability_empty_scan_is_a_zero_point():
-    points = stability_series([[], _scan({1: 256}, port=80), []], _weeks(3))
+    empty = _scan({})
+    assert empty.meta is None  # so it takes no part in port/proto agreement
+    points = stability_series([empty, _scan({1: 256}, port=80), empty], _weeks(3))
     assert [(p.hrp_address_share_90, p.hrp_address_share_95, p.hrp_count) for p in points] == [
         (0.0, 0.0, 0), (1.0, 1.0, 1), (0.0, 0.0, 0)]
-    assert persistence([[], _scan({1: 256}, port=80), []]).total_scans == 3
+    assert persistence([empty, _scan({1: 256}, port=80), empty]).total_scans == 3
 
 
 def test_stability_flat_planted_series():
@@ -243,7 +245,7 @@ def _reference_port_profile(scans) -> PortProfileReport:
     responsive: dict[int, int] = defaultdict(int)
     hrp: dict[int, int] = defaultdict(int)
     for scan in scans:
-        for s in scan:
+        for s in rows(scan):
             responsive[s.prefix] += 1
             if s.is_hrp:
                 hrp[s.prefix] += 1
@@ -262,7 +264,7 @@ def _reference_stability_series(scans, labels) -> list[StabilityPoint]:
     t90 = HrpThreshold(0.90)
     t95 = HrpThreshold(0.95)
     points = []
-    for (scan_id, timestamp), scan in zip(labels, scans):
+    for (scan_id, timestamp), scan in zip(labels, map(rows, scans)):
         total = sum(s.responsive_count for s in scan)
         addrs_90 = sum(s.responsive_count for s in scan if s.responsive_count >= t90.min_count)
         addrs_95 = sum(s.responsive_count for s in scan if s.responsive_count >= t95.min_count)
@@ -282,7 +284,7 @@ def _reference_persistence(scans, missing_at_most_n: int) -> PersistenceSummary:
     total = len(scans)
     classified: Counter[int] = Counter()
     for scan in scans:
-        for s in scan:
+        for s in rows(scan):
             if s.is_hrp:
                 classified[s.prefix] += 1
     half = ceil(total / 2)
@@ -301,7 +303,7 @@ def _reference_persistence(scans, missing_at_most_n: int) -> PersistenceSummary:
 
 def _reference_histogram(stats) -> ResponsivenessHistogram:
     prefix_count = [0] * 257
-    for s in stats:
+    for s in rows(stats):
         prefix_count[s.responsive_count] += 1
     address_count = [c * n for c, n in enumerate(prefix_count)]
     total_prefixes = sum(prefix_count)

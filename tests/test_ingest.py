@@ -19,7 +19,6 @@ from hrpkit.ingest import (
     format_ipv4,
     format_timestamp,
     open_scan_source,
-    parse_address_line,
     parse_asn,
     parse_cidr,
     parse_decimal,
@@ -31,17 +30,34 @@ from hrpkit.ingest import (
 from conftest import EPOCH, make_meta
 
 
-def test_parse_plain_address():
-    assert parse_address_line("198.51.100.7", PLAIN) == 0xC6336407
+def _read_scan(text: str, fmt: str, policy: str = LENIENT):
+    """The addresses of a scan file's text, and its line accounting."""
+    addresses, stats = open_scan_source(io.StringIO(text), fmt, policy)
+    return list(addresses), stats
 
 
-def test_parse_octet_out_of_range_is_invalid():
-    assert parse_address_line("999.1.1.1", PLAIN) is None
+_LAYOUTS = {PLAIN: "", CSV_SADDR: "saddr\n"}  # format -> the lines before its rows
+
+
+@pytest.mark.parametrize("fmt", _LAYOUTS)
+def test_parse_plain_address(fmt):
+    addresses, stats = _read_scan(_LAYOUTS[fmt] + "198.51.100.7\n", fmt)
+    assert addresses == [0xC6336407]
+    assert stats.invalid_lines == 0
+
+
+@pytest.mark.parametrize("fmt", _LAYOUTS)
+def test_parse_octet_out_of_range_is_invalid(fmt):
+    addresses, stats = _read_scan(_LAYOUTS[fmt] + "999.1.1.1\n", fmt)
+    assert addresses == []
+    assert stats.invalid_lines == 1
 
 
 def test_parse_csv_row_extracts_saddr_column():
-    assert parse_address_line("198.51.100.7,443,synack", CSV_SADDR, saddr_index=0) == 0xC6336407
-    assert parse_address_line("synack,198.51.100.7,443", CSV_SADDR, saddr_index=1) == 0xC6336407
+    addresses, _ = _read_scan("saddr,sport,classification\n198.51.100.7,443,synack\n", CSV_SADDR)
+    assert addresses == [0xC6336407]
+    addresses, _ = _read_scan("classification,saddr,sport\nsynack,198.51.100.7,443\n", CSV_SADDR)
+    assert addresses == [0xC6336407]
 
 
 def test_invalid_address_forms():

@@ -6,6 +6,8 @@ import io
 import ipaddress
 import json
 import random
+from array import array
+from dataclasses import fields
 from functools import reduce
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from hrpkit.ingest import parse_ipv4
 from hrpkit.prefixes import (
     HrpThreshold,
+    PrefixStats,
     PrefixTable,
     aggregate,
     classify,
@@ -24,7 +27,6 @@ from hrpkit.prefixes import (
     parse_slash24,
     read_prefix_stats,
     responsiveness_histogram,
-    slash24_of,
     write_prefix_stats_csv,
     write_prefix_stats_jsonl,
 )
@@ -32,14 +34,19 @@ from hrpkit.prefixes import (
 from conftest import make_meta, table_with_counts
 
 
+def _slash24s(*texts: str) -> list[int]:
+    """The /24s an aggregated scan of the addresses holds, ascending."""
+    return aggregate(map(parse_ipv4, texts), make_meta()).prefixes()
+
+
 def test_slash24_is_bit_truncation():
-    assert slash24_of(parse_ipv4("198.51.100.7")) == 0xC63364
-    assert format_slash24(slash24_of(parse_ipv4("198.51.100.7"))) == "198.51.100.0/24"
+    assert _slash24s("198.51.100.7") == [0xC63364]
+    assert format_slash24(0xC63364) == "198.51.100.0/24"
 
 
 def test_slash24_shared_and_distinct():
-    assert slash24_of(parse_ipv4("198.51.100.0")) == slash24_of(parse_ipv4("198.51.100.255"))
-    assert slash24_of(parse_ipv4("198.51.101.0")) != slash24_of(parse_ipv4("198.51.100.9"))
+    assert _slash24s("198.51.100.0", "198.51.100.255") == [0xC63364]
+    assert _slash24s("198.51.101.0", "198.51.100.9") == [0xC63364, 0xC63365]
 
 
 def test_slash24_text_roundtrip():
@@ -172,7 +179,7 @@ def test_distinct_address_count_matches_naive_oracle():
         addresses = [rng.getrandbits(24) for _ in range(2000)]
         table = aggregate(addresses, meta)
         stats = classify(table)
-        assert sum(s.responsive_count for s in stats) == len(set(addresses))
+        assert sum(stats.counts) == len(set(addresses))
 
 
 def test_threshold_derivation():
@@ -186,12 +193,16 @@ def test_threshold_derivation():
         HrpThreshold(1.5)
 
 
+def _flags(stats: PrefixStats) -> dict[int, bool]:
+    return dict(zip(stats.prefixes, stats.is_hrp))
+
+
 def test_classification_boundaries():
     table = table_with_counts({1: 231, 2: 230, 3: 244, 4: 243})
-    at_90 = {s.prefix: s.is_hrp for s in classify(table, HrpThreshold(0.90))}
+    at_90 = _flags(classify(table, HrpThreshold(0.90)))
     assert at_90[1] is True
     assert at_90[2] is False
-    at_95 = {s.prefix: s.is_hrp for s in classify(table, HrpThreshold(0.95))}
+    at_95 = _flags(classify(table, HrpThreshold(0.95)))
     assert at_95[3] is True
     assert at_95[4] is False
     assert at_95[1] is False  # 231 < 244
@@ -202,7 +213,7 @@ def test_classify_is_repeatable_and_ordered():
     first = classify(table)
     second = classify(table)
     assert first == second
-    assert [s.prefix for s in first] == [2, 5, 9]
+    assert list(first.prefixes) == [2, 5, 9]
     buffer_a, buffer_b = io.StringIO(), io.StringIO()
     write_prefix_stats_csv(first, buffer_a)
     write_prefix_stats_csv(second, buffer_b)
@@ -249,8 +260,11 @@ def test_histogram_single_prefix():
     assert hist.cumulative_address_share[1] == 1.0
 
 
+_EMPTY = classify(aggregate([], make_meta()))
+
+
 def test_histogram_empty_input():
-    hist = responsiveness_histogram([])
+    hist = responsiveness_histogram(_EMPTY)
     assert hist.total_prefixes == 0
     assert hist.total_addresses == 0
     assert set(hist.cumulative_prefix_share) == {0.0}
@@ -281,7 +295,7 @@ def test_hrp_address_share_examples():
     assert hrp_address_share(no_hrps) == 0.0
     all_hrps = classify(table_with_counts({1: 256, 2: 231}))
     assert hrp_address_share(all_hrps) == 1.0
-    assert hrp_address_share([]) == 0.0
+    assert hrp_address_share(_EMPTY) == 0.0
 
 
 def test_csv_roundtrip_is_stable():
@@ -372,9 +386,9 @@ def test_read_prefix_stats_accepts_boundaries():
         "1.2.5.0/24,443,tcp,231,true,0.900000,,1.2.5.128/32\n"
     )
     stats = read_prefix_stats(io.StringIO(text))
-    assert [s.responsive_count for s in stats] == [1, 256, 231]
-    assert [s.is_hrp for s in stats] == [False, True, True]
-    assert [s.covering_route for s in stats] == [(0, 0), (0x01020400, 24), (0x01020580, 32)]
+    assert list(stats.counts) == [1, 256, 231]
+    assert stats.is_hrp == [False, True, True]
+    assert stats.covering_routes == [(0, 0), (0x01020400, 24), (0x01020580, 32)]
 
 
 def test_read_prefix_stats_reads_each_spelling_of_a_fraction():
@@ -384,7 +398,7 @@ def test_read_prefix_stats_reads_each_spelling_of_a_fraction():
                                               (" 0.900000 ", "true"), ("0.900000", "true")])
     )
     stats = read_prefix_stats(io.StringIO(text))
-    assert [s.threshold.fraction for s in stats] == [0.9, 1.0, 1.0, 0.9, 0.9]
+    assert [threshold.fraction for threshold in stats.thresholds] == [0.9, 1.0, 1.0, 0.9, 0.9]
 
 
 def test_read_prefix_stats_strips_origin_and_covering_fields():
@@ -393,7 +407,7 @@ def test_read_prefix_stats_strips_origin_and_covering_fields():
         "1.2.4.0/24,443,tcp,1,false,0.900000,0,1.2.4.0/24\n"
     )
     stats = read_prefix_stats(io.StringIO(text))
-    assert [(s.origin_asn, s.covering_route) for s in stats] == [
+    assert list(zip(stats.origin_asns, stats.covering_routes)) == [
         (2**32 - 1, (0x01020000, 16)), (0, (0x01020400, 24))]
 
 
@@ -402,5 +416,60 @@ def test_read_prefix_stats_shares_one_threshold_per_fraction():
     out = io.StringIO()
     write_prefix_stats_csv(stats, out)
     parsed = read_prefix_stats(io.StringIO(out.getvalue()))
-    assert len({id(s.threshold) for s in parsed}) == 1
-    assert parsed[0].threshold == HrpThreshold(0.90)
+    assert len({id(threshold) for threshold in parsed.thresholds}) == 1
+    assert parsed.thresholds[0] == HrpThreshold(0.90)
+
+
+# --- a table holds one scan: one meta, each /24 once, columns of one length ------------------
+
+_T90 = HrpThreshold(0.90)
+
+
+def _table(meta, prefixes, counts, thresholds=None) -> PrefixStats:
+    rows = len(prefixes)
+    return PrefixStats(meta, array("I", prefixes), array("H", counts),
+                       thresholds or [_T90] * rows, [None] * rows, [None] * rows)
+
+
+def test_classify_gives_an_empty_scan_no_meta():
+    assert _EMPTY.meta is None and len(_EMPTY) == 0
+    assert _EMPTY == _table(None, [], [])
+    assert classify(table_with_counts({1: 5})).meta == make_meta()
+
+
+def test_a_table_repeating_a_prefix_is_rejected():
+    # As rows, the same /24 twice gave one port ports_responsive=2 and counted its addresses twice.
+    with pytest.raises(ValueError, match=r"^repeated prefix 0\.0\.1\.0/24$"):
+        _table(make_meta(), [1, 1], [240, 240])
+    with pytest.raises(ValueError, match="repeated prefix 0.0.1.0/24"):
+        _table(make_meta(), [1, 1, 2], [240, 240, 10])
+
+
+@pytest.mark.parametrize("column", ["prefixes", "counts", "thresholds", "origin_asns", "covering_routes"])
+def test_a_table_with_columns_of_unequal_length_is_rejected(column):
+    table = _table(make_meta(), [1, 2], [240, 10])
+    columns = {f.name: getattr(table, f.name) for f in fields(PrefixStats)}
+    columns[column] = columns[column] * 2
+    with pytest.raises(ValueError, match="unequal length"):
+        PrefixStats(**columns)
+
+
+def test_a_table_whose_meta_disagrees_with_its_rows_is_rejected():
+    with pytest.raises(ValueError, match="meta must be None exactly when the table has no rows"):
+        _table(None, [1], [240])
+    with pytest.raises(ValueError, match="meta must be None exactly when the table has no rows"):
+        _table(make_meta(), [], [])
+
+
+def test_a_table_has_one_meta_and_no_per_row_meta_or_flag():
+    # Rows of one scan could mix tcp/443 and tcp/80; a table has one meta for all of its rows.
+    assert [f.name for f in fields(PrefixStats)] == [
+        "meta", "prefixes", "counts", "thresholds", "origin_asns", "covering_routes"]
+
+
+def test_is_hrp_follows_each_rows_count_and_threshold():
+    table = _table(make_meta(), [1, 2, 3, 4], [231, 231, 244, 243],
+                   [_T90, HrpThreshold(0.95), HrpThreshold(0.95), HrpThreshold(0.95)])
+    assert table.is_hrp == [True, False, True, False]
+    assert hrp_set(table) == {1, 3}
+    assert hrp_address_share(table) == (231 + 244) / (231 + 231 + 244 + 243)

@@ -6,7 +6,6 @@ import io
 import ipaddress
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,7 +25,7 @@ from hrpkit.routing import (
     load_route_table,
 )
 
-from conftest import make_meta, table_with_counts
+from conftest import make_meta, rows, table_with_counts
 
 
 def _table(lines: str, policy: str = LENIENT) -> RoutingTable:
@@ -156,7 +155,7 @@ def test_enrich_sets_origin_and_covering_route():
     stats = classify(table_with_counts({parse_ipv4("10.1.2.0") >> 8: 256,
                                         parse_ipv4("192.0.2.0") >> 8: 10}))
     enriched = enrich(stats, table)
-    by_prefix = {s.prefix: s for s in enriched}
+    by_prefix = {s.prefix: s for s in rows(enriched)}
     hit = by_prefix[parse_ipv4("10.1.2.0") >> 8]
     assert hit.origin_asn == 64501
     assert hit.covering_route == (parse_ipv4("10.1.0.0"), 16)
@@ -174,7 +173,7 @@ def test_enrich_preserves_counts_and_flags():
     table = _table("0.0.0.0/0,64496\n10.0.0.0/8,64500\n")
     counts = {rng.getrandbits(24): rng.randrange(1, 257) for _ in range(50)}
     stats = classify(table_with_counts(counts))
-    for before, after in zip(stats, enrich(stats, table)):
+    for before, after in zip(rows(stats), rows(enrich(stats, table))):
         assert before.responsive_count == after.responsive_count
         assert before.is_hrp == after.is_hrp
         assert after.origin_asn is not None  # default route covers all
@@ -191,7 +190,7 @@ def test_as_summary_share():
     table = _table("10.0.0.0/8,64500\n")
     counts = {(parse_ipv4("10.0.0.0") >> 8) + i: (256 if i < 9 else 3) for i in range(10)}
     stats = enrich(classify(table_with_counts(counts)), table)
-    (summary,) = as_summary(stats)
+    (summary,) = as_summary([stats])
     assert summary.asn == 64500
     assert summary.visible_24s == 10
     assert summary.hrp_count == 9
@@ -203,7 +202,7 @@ def test_as_summary_ports_visible_vs_hrp_ports():
     prefix = parse_ipv4("10.0.0.0") >> 8
     on_443 = enrich(classify(table_with_counts({prefix: 256}, make_meta(port=443))), table)
     on_80 = enrich(classify(table_with_counts({prefix: 10}, make_meta(port=80))), table)
-    (summary,) = as_summary(on_443 + on_80)
+    (summary,) = as_summary([on_443, on_80])
     assert summary.ports_visible == 2
     assert summary.ports_with_hrps == 1
     assert summary.visible_24s == 1  # same /24 on both ports counts once
@@ -217,11 +216,11 @@ def test_as_summary_reproduces_planted_ratios():
     other = parse_ipv4("172.16.0.0") >> 8
     counts[other] = 256
     stats = enrich(classify(table_with_counts(counts)), table)
-    summaries = {s.asn: s for s in as_summary(stats)}
+    summaries = {s.asn: s for s in as_summary([stats])}
     # Oracle: plain dict recount over the same stats.
     visible: dict[int, set] = {}
     hrps: dict[int, set] = {}
-    for s in stats:
+    for s in rows(stats):
         visible.setdefault(s.origin_asn, set()).add(s.prefix)
         if s.is_hrp:
             hrps.setdefault(s.origin_asn, set()).add(s.prefix)
@@ -230,10 +229,10 @@ def test_as_summary_reproduces_planted_ratios():
     assert summaries[64500].hrp_share == 3048 / 3100
     assert summaries[64510].hrp_share == 1.0
     # Ordered by HRP count, descending.
-    assert [s.asn for s in as_summary(stats)] == [64500, 64510]
+    assert [s.asn for s in as_summary([stats])] == [64500, 64510]
     # Every enriched prefix is accounted for.
-    assert sum(s.visible_24s for s in as_summary(stats)) == len(
-        {s.prefix for s in stats if s.origin_asn is not None}
+    assert sum(s.visible_24s for s in as_summary([stats])) == len(
+        {s.prefix for s in rows(stats) if s.origin_asn is not None}
     )
 
 
@@ -377,9 +376,9 @@ def _tables_and_stats(draw):
 def test_enrich_and_split_match_brute_force(case):
     table, entries, stats = case
     expected = []
-    for s in stats:
+    for s in rows(stats):
         best = _brute_force(entries, s.prefix << 8)
-        expected.append(s if best is None else replace(
-            s, origin_asn=best.origin_asn, covering_route=(best.network, best.length)))
-    assert enrich(stats, table) == expected
+        expected.append(s if best is None else s._replace(
+            origin_asn=best.origin_asn, covering_route=(best.network, best.length)))
+    assert rows(enrich(stats, table)) == expected
     assert table.split_slash24s() == frozenset(e.network >> 8 for e in entries if e.length > 24)

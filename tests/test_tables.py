@@ -46,14 +46,14 @@ from hrpkit.planner import (
 from hrpkit.prefixes import (
     PREFIX_STAT_COLUMNS,
     HrpThreshold,
-    PrefixStat,
+    PrefixStats,
     format_slash24,
     parse_slash24,
     read_prefix_stats,
     write_prefix_stats_csv,
 )
 
-from conftest import make_meta
+from conftest import Row, make_meta, table_of
 
 # name -> (reader over lines, header, one good row)
 READERS = {
@@ -174,9 +174,9 @@ def _prefix_stats(draw):
     meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])))
     stats = []
     for prefix in draw(st.lists(st.integers(0, 0xFFFFFF), max_size=8, unique=True)):  # one row per /24
-        threshold = HrpThreshold(draw(_fractions))
+        threshold = HrpThreshold(draw(_fractions))  # one per row
         count = draw(st.integers(1, 256))
-        stats.append(PrefixStat(
+        stats.append(Row(
             prefix=prefix,
             meta=meta,
             responsive_count=count,
@@ -185,7 +185,7 @@ def _prefix_stats(draw):
             origin_asn=draw(st.none() | st.integers(0, 2**32 - 1)),
             covering_route=draw(st.none() | _routes),
         ))
-    return stats
+    return table_of(stats)
 
 
 @given(_prefix_stats())
@@ -420,12 +420,12 @@ def _reference_read_app_results(lines) -> list[AppResult]:
     return _reference_table(lines, APP_RESULT_COLUMNS, parse_row)
 
 
-def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
-    """Prefix stats read one row at a time, every field parsed on every row."""
+def _reference_read_prefix_stats(lines) -> PrefixStats:
+    """Prefix stats read one row at a time, every field parsed on every row, as columns."""
     meta_of = _reference_meta()
     seen: set[int] = set()
 
-    def parse_row(fields: list[str]) -> PrefixStat:
+    def parse_row(fields: list[str]) -> Row:
         prefix_text, port_text, proto, count_text, hrp_text, fraction_text, asn_text, covering_text = fields
         meta = meta_of(port_text, proto)
         threshold = HrpThreshold(parse_decimal(fraction_text, "threshold fraction"))
@@ -439,7 +439,7 @@ def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
         if prefix in seen:
             raise ValueError(f"repeated prefix {format_slash24(prefix)}")
         seen.add(prefix)
-        return PrefixStat(
+        return Row(
             prefix=prefix,
             meta=meta,
             responsive_count=count,
@@ -449,7 +449,7 @@ def _reference_read_prefix_stats(lines) -> list[PrefixStat]:
             covering_route=_reference_covering(covering_text) if covering_text else None,
         )
 
-    return _reference_table(lines, PREFIX_STAT_COLUMNS, parse_row)
+    return table_of(_reference_table(lines, PREFIX_STAT_COLUMNS, parse_row))
 
 
 def _reference_covering(text: str) -> tuple[int, int]:
@@ -664,8 +664,8 @@ def test_results_reader_matches_the_per_row_reference(case):
 @given(_long_tables(",".join(PREFIX_STAT_COLUMNS), _each(_stats_row)))
 def test_stats_reader_matches_the_per_row_reference(case):
     block, lines = case
-    expected = _outcome_in_blocks(block, _reference_read_prefix_stats, lines)
-    assert _outcome_in_blocks(block, read_prefix_stats, lines) == expected
+    expected = _outcome_in_blocks(block, lambda lines: [_reference_read_prefix_stats(lines)], lines)
+    assert _outcome_in_blocks(block, lambda lines: [read_prefix_stats(lines)], lines) == expected
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
