@@ -200,10 +200,13 @@ def vantage_diff(a: Iterable[int], b: Iterable[int]) -> VantageDiff:
 def series_meta(scans: Sequence[PrefixStats], names: Sequence[str] = ()) -> ScanMeta | None:
     """The meta the non-empty scans share, or None if every scan is empty.
 
-    A mismatch raises ValueError naming both scans, by names or else by position.
+    A mismatch raises ValueError naming both scans, by names or else by position;
+    so do names that are not one per scan.
     """
     if not scans:
         raise ValueError("no scans supplied")
+    if names and len(names) != len(scans):
+        raise ValueError(f"{len(names)} names for {len(scans)} scans")
     first_name, first = None, None
     for name, meta in zip(names or [f"scan {i}" for i in range(len(scans))], (scan.meta for scan in scans)):
         if first is None:

@@ -7,8 +7,10 @@ Two scan layouts are supported:
 * ``csv_saddr``: comma-separated with a header row; only the ``saddr``
   column is read (the layout ZMap's CSV output module produces).
 
-Reading is streaming and single-pass: addresses come out in file order and
-every input line lands in exactly one counter of :class:`IngestStats`.
+Reading is streaming and single-pass, a block of lines at a time (see
+:func:`table_runs`): addresses come out in file order, once their block
+has been read, and every input line lands in exactly one counter of
+:class:`IngestStats`.
 In both layouts a line starting with ``#`` (after surrounding whitespace)
 is a comment; in ``csv_saddr`` the header is the first non-comment line.
 Fields in ``csv_saddr`` rows are split on plain commas; scan output never
@@ -18,7 +20,8 @@ Address text is four ASCII decimal octets 0-255 without leading zeros (the
 form the standard library's IPv4Address accepts), parsed by table lookup.
 
 The CSV tables the stages hand each other are read by :func:`read_csv` a
-block at a time, with the field parsers here.
+block at a time, with the field parsers here; scans and the routing
+snapshot take the same block path without a header row of their own.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 PLAIN = "plain"
@@ -50,9 +53,9 @@ _T = TypeVar("_T")
 
 BLOCK_LINES = 1024  # lines per block of a table read in columns
 # Bytes to delete to keep only a block's field and line separators, ASCII whitespace and NULs,
-# or only an address column's dots and the commas between addresses.
+# or only a column's dots and slashes and the commas between its texts.
 _NOT_SHAPE = bytes(c for c in range(256) if c not in b",\n\t\x0b\x0c\r\x1c\x1d\x1e\x1f \0")
-_NOT_DOT = bytes(c for c in range(256) if c not in b".,")
+_NOT_MARK = bytes(c for c in range(256) if c not in b".,/")
 
 
 class IngestError(Exception):
@@ -124,11 +127,19 @@ def octet_values(texts: list[str]) -> array:
 def ipv4_column(texts: list[str]) -> array:
     """The 32-bit values of dotted-quad texts as an ``array('I')``; ValueError names the first
     text that is not an address."""
-    with suppress(KeyError):
-        if each_has_dots(texts, 3):
+    values = _ipv4_values(texts)
+    if values is None:
+        raise ValueError(f"invalid address {next(text for text in texts if parse_ipv4(text) is None)!r}")
+    return values
+
+
+def _ipv4_values(texts: list[str]) -> array | None:
+    """The 32-bit values of dotted-quad texts as an ``array('I')``, or None unless each text
+    is an address that parse_ipv4 takes."""
+    with suppress(KeyError):  # some part is not a canonical octet
+        if each_has_marks(texts, "..."):
             return octet_values(".".join(texts).split(".")) if texts else array("I")
-    # Some text has other than four parts or a part other than a canonical octet.
-    raise ValueError(f"invalid address {next(text for text in texts if parse_ipv4(text) is None)!r}")
+    return None
 
 
 def parse_cidr(text: str) -> tuple[int, int] | None:
@@ -141,6 +152,20 @@ def parse_cidr(text: str) -> tuple[int, int] | None:
     network = parse_ipv4(network_text)
     length = _LENGTHS.get(length_text)
     return None if network is None or length is None else (network, length)
+
+
+def cidr_values(texts: list[str]) -> tuple[array, list[int]] | None:
+    """The address values (an ``array('I')``) and lengths of ``a.b.c.d/length`` texts, or None
+    unless parse_cidr takes each text."""
+    if not texts or not each_has_marks(texts, ".../"):
+        return None
+    parts = ".".join(texts).replace("/", ".").split(".")
+    lengths = parts[4::5]
+    del parts[4::5]
+    try:
+        return octet_values(parts), list(map(_LENGTHS.__getitem__, lengths))
+    except KeyError:  # a part is not a canonical octet or length
+        return None
 
 
 def parse_uint(text: str, low: int, high: int, name: str) -> int:
@@ -192,6 +217,11 @@ def _saddr_field(saddr_index: int, row: str) -> int | None:
     return parse_ipv4(fields[saddr_index].strip()) if saddr_index < len(fields) else None
 
 
+def _text(line: str | bytes) -> str:
+    """A line as text, bytes decoded as UTF-8 with replacement."""
+    return line.decode("utf-8", "replace") if isinstance(line, bytes) else line
+
+
 def open_scan_source(
     source: IO[bytes] | IO[str] | Iterable[str],
     fmt: str = PLAIN,
@@ -209,20 +239,30 @@ def open_scan_source(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy: {policy!r}")
     stats = IngestStats()
-    return _read_addresses(source, fmt, policy, stats), stats
+    return chain.from_iterable(_read_addresses(source, fmt, policy == STRICT, stats)), stats
 
 
-def iter_text_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    """Yield each line as text, decoding bytes lines as UTF-8 with replacement."""
-    for raw in source:
-        yield raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
+def _read_addresses(source, fmt: str, strict: bool, stats: IngestStats) -> Iterator[Iterable[int]]:
+    """The addresses of each run of scan lines (see ``table_runs``): an ``array('I')`` of the
+    address column of a plainly written run of valid rows, or else the run's lines parsed one at
+    a time."""
+    lines = iter(source)
+    first, width, index = (1, 1, 0) if fmt == PLAIN else _read_saddr_header(lines, stats)
+    parse = parse_ipv4 if fmt == PLAIN else partial(_saddr_field, index)
+    runs = table_runs(lines, width, first, lambda columns: _ipv4_values(columns[index]))
+    for first, run, addresses in runs:
+        if addresses is None:
+            yield _parse_lines(enumerate(run, first), parse, strict, stats)
+        else:
+            stats.lines_read += len(run)
+            stats.addresses_emitted += len(addresses)
+            yield addresses
 
 
-def _read_addresses(source, fmt: str, policy: str, stats: IngestStats) -> Iterator[int]:
-    lines = enumerate(iter_text_lines(source), start=1)
-    parse = parse_ipv4 if fmt == PLAIN else _read_saddr_header(lines, stats)
-    strict = policy == STRICT
-    for line_number, line in lines:
+def _parse_lines(
+    numbered: Iterable[tuple[int, str]], parse: Callable[[str], int | None], strict: bool, stats: IngestStats
+) -> Iterator[int]:
+    for line_number, line in numbered:
         stats.lines_read += 1
         stripped = line.strip()
         if stripped.startswith("#"):
@@ -238,23 +278,62 @@ def _read_addresses(source, fmt: str, policy: str, stats: IngestStats) -> Iterat
         yield addr
 
 
-def _read_saddr_header(lines: Iterator[tuple[int, str]], stats: IngestStats) -> Callable[[str], int | None]:
-    """Consume csv_saddr comment lines and the header; return the row parser.
+def _read_saddr_header(lines: Iterator[str], stats: IngestStats) -> tuple[int, int, int]:
+    """Consume csv_saddr comment lines and the header; return the number of the next line, the
+    header's width and its saddr column's index.
 
     Without a saddr column no later row can be interpreted, so that is fatal
     under any policy. The header counts as a comment line.
     """
-    for line_number, line in lines:
+    for line in lines:
         stats.lines_read += 1
         stats.comment_lines += 1
-        stripped = line.strip()
+        stripped = _text(line).strip()
         if stripped.startswith("#"):
             continue
         header = [name.strip() for name in stripped.split(",")]
         if SADDR_COLUMN not in header:
-            raise IngestError(f"header row has no {SADDR_COLUMN!r} column: {stripped!r}", line_number)
-        return partial(_saddr_field, header.index(SADDR_COLUMN))
-    return parse_ipv4  # no header, so no rows follow either
+            raise IngestError(f"header row has no {SADDR_COLUMN!r} column: {stripped!r}", stats.lines_read)
+        return stats.lines_read + 1, len(header), header.index(SADDR_COLUMN)
+    return stats.lines_read + 1, 1, 0  # no header, so no rows follow either
+
+
+def table_runs(
+    lines: Iterator[str | bytes],
+    width: int,
+    first: int,
+    parse: Callable[[list[list[str]]], _T | None] | None = None,
+) -> Iterator[tuple[int, list[str], _T | None]]:
+    """The lines of a table ``width`` fields wide, from line number ``first``, in runs in file
+    order, each as (number of its first line, its lines as text, its fields as ``width`` columns
+    through ``parse`` if given). The fields are None, and the run must be read a line at a time,
+    unless it is plainly written (see ``_plain_columns``) and ``parse``, which keeps no state,
+    takes them. Lines are read BLOCK_LINES at a time; a block that does not parse is split in
+    halves while one half parses, so an odd line sends few lines, not its whole block, to be
+    read one at a time."""
+    while block := list(islice(lines, BLOCK_LINES)):
+        if set(map(type, block)) != {str}:
+            block = list(map(_text, block))
+        yield from _split_run(_parse_run(first, block, width, parse), width, parse)
+        first += len(block)
+
+
+def _parse_run(first: int, lines: list[str], width: int, parse: Callable) -> tuple:
+    fields = _plain_columns(lines, width)
+    return first, lines, fields if fields is None or parse is None else parse(fields)
+
+
+def _split_run(run: tuple, width: int, parse: Callable) -> list[tuple]:
+    """``run`` if it parsed or neither of its halves does, else its halves, each split alike."""
+    first, lines, parsed = run
+    if parsed is not None or len(lines) < 2:
+        return [run]
+    half = len(lines) // 2
+    left = _parse_run(first, lines[:half], width, parse)
+    right = _parse_run(first + half, lines[half:], width, parse)
+    if left[2] is None and right[2] is None:
+        return [run]
+    return _split_run(left, width, parse) + _split_run(right, width, parse)
 
 
 def read_csv(
@@ -271,10 +350,11 @@ def read_csv(
     ``parse`` takes the fields of one row or of many, as one list of texts per
     column, and returns one value for those rows, which is yielded. It raises
     ValueError naming a bad value, and keeps no state from a call that raises.
-    The rows of each BLOCK_LINES lines go to ``parse`` together, a plainly
-    written block (see ``_plain_columns``) without a pass per line. If that
-    raises, they go again one at a time, so the error is the first bad line's,
-    as ``line N: message``; a malformed row raises in its place in file order.
+    The rows of each plainly written run of lines (see ``table_runs``) go to
+    ``parse`` together, without a pass per line. If that raises, or the run is
+    not plainly written, they go again one at a time, so the error is the first
+    bad line's, as ``line N: message``; a malformed row raises in its place in
+    file order.
     """
     expected = list(columns)
     source = iter(lines)
@@ -289,10 +369,7 @@ def read_csv(
         break
     else:
         raise ValueError(f"line {line_number + 1}: no header row: expected {','.join(expected)}")
-    while block := list(islice(source, BLOCK_LINES)):
-        first = line_number + 1
-        line_number += len(block)
-        fields = _plain_columns(block, len(expected), final=len(block) < BLOCK_LINES)
+    for first, run, fields in table_runs(source, len(expected), line_number + 1):
         if fields is not None:
             try:
                 parsed = parse(fields)
@@ -301,7 +378,7 @@ def read_csv(
             else:
                 yield parsed
                 continue
-        yield from _parse_rows(enumerate(block, first), len(expected), parse)
+        yield from _parse_rows(enumerate(run, first), len(expected), parse)
 
 
 def _parse_rows(
@@ -336,16 +413,14 @@ def _parse_rows(
         raise malformed
 
 
-def _plain_columns(block: list[str], width: int, final: bool) -> list[list[str]] | None:
+def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
     """The fields of a block of table lines as ``width`` columns, or None unless the block is
-    ASCII (so holds no U+FFFD), every line ends in ``\\n`` (the last one may not if ``final``),
+    ASCII (so holds no U+FFFD), every line but the last ends in ``\\n`` (the last one may too),
     none is blank or starts with ``#``, no whitespace or NUL appears but those line ends, and
     each row has ``width - 1`` commas."""
     text = "".join(block)
     if block[-1].endswith("\n"):
         text = text[:-1]
-    elif not final:
-        return None
     row = "," * (width - 1)
     if (
         not text.isascii()
@@ -364,10 +439,10 @@ def _plain_columns(block: list[str], width: int, final: bool) -> list[list[str]]
     return [fields[i::width] for i in range(width)]
 
 
-def each_has_dots(texts: list[str], dots: int) -> bool:
-    """Whether each of ``texts``, none holding a comma, holds ``dots`` dots."""
-    marks = ",".join(texts).encode().translate(None, _NOT_DOT)
-    return marks == b",".join(repeat(b"." * dots, len(texts)))
+def each_has_marks(texts: list[str], marks: str) -> bool:
+    """Whether the dots and slashes of each of ``texts``, none holding a comma, are ``marks``."""
+    found = ",".join(texts).encode().translate(None, _NOT_MARK)
+    return found == ",".join(repeat(marks, len(texts))).encode()
 
 
 def parse_timestamp(text: str) -> datetime:

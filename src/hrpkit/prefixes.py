@@ -30,7 +30,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
-    ScanMeta, block_meta, each_has_dots, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal,
+    ScanMeta, block_meta, each_has_marks, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal,
     parse_ipv4, parse_uint, read_csv,
 )
 
@@ -368,7 +368,7 @@ def _slash24_column(texts: list[str]) -> array:
     """The 24-bit network values of ``a.b.c.0/24`` texts as an ``array('I')``; ValueError names
     the first text that is not such a prefix."""
     joined = ",".join(texts) + ","
-    if joined.count(".0/24,") == len(texts) and each_has_dots(texts, 3):
+    if joined.count(".0/24,") == len(texts) and each_has_marks(texts, ".../"):
         with suppress(KeyError):  # from each a.b.c.0/24 the octets 0.a.b.c: its network value
             return octet_values(("0." + joined[:-6].replace(".0/24,", ".0.")).split("."))
     return array("I", map(parse_slash24, texts))

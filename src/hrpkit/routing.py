@@ -1,19 +1,22 @@
 """Routing-table snapshots and origin-AS enrichment.
 
 The snapshot format is one ``prefix/length,asn`` entry per line with ``#``
-comments, e.g. a flattened RouteViews RIB. Lookups are longest-prefix
-match over per-length hash maps, walked from the most specific length
-present down to a default route; tables are immutable after loading, so
-concurrent lookups need no locking.
+comments, e.g. a flattened RouteViews RIB. It is read a block of lines at a
+time, like the scans (see :func:`hrpkit.ingest.table_runs`). Lookups are
+longest-prefix match over per-length hash maps, walked from the most specific
+length present down to a default route; tables are immutable after loading,
+so concurrent lookups need no locking.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import IO, Iterable, Iterator
 
-from .ingest import LENIENT, STRICT, IngestError, ScanMeta, iter_text_lines, parse_asn, parse_cidr
+from .ingest import LENIENT, STRICT, IngestError, ScanMeta, cidr_values, parse_asn, parse_cidr, table_runs
 from .prefixes import PrefixStats
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
@@ -122,13 +125,63 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
     Each line is ``a.b.c.d/length,asn`` (canonical length 0-32, ASCII-digit
     ASN up to 4294967295, whitespace allowed around both fields). Lenient
     normalizes entries with host bits set and keeps the first ASN for
-    conflicting duplicates. Blank lines count as comments.
+    conflicting duplicates. Blank lines count as comments. A plainly written
+    block of lines is parsed in columns, any other a line at a time; either
+    way each entry is checked and inserted in file order.
     """
     if policy not in (STRICT, LENIENT):
         raise ValueError(f"unknown policy: {policy!r}")
+    strict = policy == STRICT
     by_length: list[dict[int, int]] = [{} for _ in MASKS]  # {network: asn} per length
-    stats, line_number = RouteLoadStats(), 0
-    for line_number, line in enumerate(iter_text_lines(lines), start=1):
+    stats = RouteLoadStats()
+    for first, run, columns in table_runs(iter(lines), 2, 1, _route_columns):
+        stats.lines_read += len(run)
+        entries = zip(count(first), *columns) if columns else _parse_routes(enumerate(run, first), strict, stats)
+        for line_number, network, length, asn in entries:
+            masked = network & MASKS[length]
+            if masked != network:
+                if strict:
+                    line = run[line_number - first].strip()
+                    raise RouteParseError(f"host bits set in prefix: {line!r}", line_number)
+                stats.normalized_lines += 1
+                network = masked
+            nets = by_length[length]
+            existing = nets.get(network)
+            if existing is None:
+                nets[network] = asn
+            elif existing == asn:
+                stats.duplicate_repeats += 1
+            elif strict:
+                line = run[line_number - first].strip()
+                message = f"conflicting origin for {line!r}: AS{existing} already loaded"
+                raise RouteParseError(message, line_number)
+            else:
+                stats.duplicate_conflicts += 1
+    table = RoutingTable()
+    table._by_length = {length: nets for length, nets in enumerate(by_length) if nets}
+    table._index()
+    stats.entries_loaded = len(table)
+    table.load_stats = stats
+    return table
+
+
+def _route_columns(fields: list[list[str]]) -> tuple[array, list[int], list[int]] | None:
+    """The networks, lengths and ASNs of route and ASN texts, or None unless parse_cidr and
+    parse_asn take each: ASNs of at most ten ASCII digits up to 4294967295."""
+    routes, asns = fields
+    joined = "".join(asns)
+    if not (joined.isascii() and joined.isdigit()) or "" in asns or max(map(len, asns)) > 10:
+        return None
+    values = list(map(int, asns))
+    cidrs = cidr_values(routes)
+    return None if cidrs is None or max(values) > 0xFFFFFFFF else (*cidrs, values)
+
+
+def _parse_routes(
+    numbered: Iterable[tuple[int, str]], strict: bool, stats: RouteLoadStats
+) -> Iterator[tuple[int, int, int, int]]:
+    """(line number, network, length, ASN) of each route line, counting comment and invalid lines."""
+    for line_number, line in numbered:
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             stats.comment_lines += 1
@@ -138,33 +191,11 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
             network, length = parse_cidr(route_text.rstrip())  # TypeError on None
             asn = parse_asn(asn_text.lstrip())
         except (TypeError, ValueError):
-            if policy == STRICT:
+            if strict:
                 raise RouteParseError(f"invalid route line: {stripped!r}", line_number) from None
             stats.invalid_lines += 1
             continue
-        masked = network & MASKS[length]
-        if masked != network:
-            if policy == STRICT:
-                raise RouteParseError(f"host bits set in prefix: {stripped!r}", line_number)
-            stats.normalized_lines += 1
-            network = masked
-        nets = by_length[length]
-        existing = nets.get(network)
-        if existing is None:
-            nets[network] = asn
-        elif existing == asn:
-            stats.duplicate_repeats += 1
-        elif policy == STRICT:
-            message = f"conflicting origin for {stripped!r}: AS{existing} already loaded"
-            raise RouteParseError(message, line_number)
-        else:
-            stats.duplicate_conflicts += 1
-    table = RoutingTable()
-    table._by_length = {length: nets for length, nets in enumerate(by_length) if nets}
-    table._index()
-    stats.lines_read, stats.entries_loaded = line_number, len(table)
-    table.load_stats = stats
-    return table
+        yield line_number, network, length, asn
 
 
 def enrich(stats: PrefixStats, table: RoutingTable) -> PrefixStats:

@@ -19,6 +19,7 @@ from hrpkit.analytics import (
     StabilityPoint,
     persistence,
     port_profile,
+    series_meta,
     stability_series,
     vantage_diff,
     write_series_csv,
@@ -156,6 +157,17 @@ def test_stability_rejects_port_mismatch():
     scans = [_scan({1: 5}, port=443), _scan({1: 5}, port=80)]
     with pytest.raises(ValueError, match="mismatch"):
         stability_series(scans, _weeks(2))
+
+
+def test_series_meta_names_one_per_scan():
+    tcp443, tcp80 = _scan({1: 5}, port=443), _scan({1: 5}, port=80)
+    assert series_meta([tcp443, tcp443], ["a", "b"]) == make_meta(443)
+    with pytest.raises(ValueError, match="1 names for 2 scans"):
+        series_meta([tcp443, tcp80], ["x"])
+    with pytest.raises(ValueError, match="3 names for 2 scans"):
+        series_meta([tcp443, tcp443], ["a", "b", "c"])
+    with pytest.raises(ValueError, match=r"mismatch: tcp/443 \(a\) vs tcp/80 \(b\)"):
+        series_meta([tcp443, tcp80], ["a", "b"])
 
 
 def test_persistence_counts():

@@ -6,16 +6,22 @@ import io
 import ipaddress
 import random
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from hrpkit import ingest
 from hrpkit.ingest import (
+    BLOCK_LINES,
     CSV_SADDR,
+    FORMATS,
     LENIENT,
     PLAIN,
+    POLICIES,
     STRICT,
     IngestError,
+    IngestStats,
     format_ipv4,
     format_timestamp,
     open_scan_source,
@@ -316,3 +322,136 @@ def test_timestamp_text_roundtrip():
     assert format_timestamp(EPOCH) == "1970-01-01T00:00:00Z"
     assert parse_timestamp("2022-08-01T00:00:00Z") == parse_timestamp("2022-08-01T00:00:00+00:00")
     assert format_timestamp(parse_timestamp("2022-08-01T02:00:00+02:00")) == "2022-08-01T00:00:00Z"
+
+
+# --- the block reader against the per-line reader it replaced ------------------
+
+
+def _reference_addresses(source, fmt: str, policy: str, stats: IngestStats):
+    """The scan reader one line at a time, as it was before scans were read a block at a time."""
+    texts = (raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw for raw in source)
+    lines = enumerate(texts, 1)
+    parse = parse_ipv4
+    if fmt == CSV_SADDR:
+        for line_number, line in lines:
+            stats.lines_read += 1
+            stats.comment_lines += 1
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                continue
+            header = [name.strip() for name in stripped.split(",")]
+            if "saddr" not in header:
+                raise IngestError(f"header row has no 'saddr' column: {stripped!r}", line_number)
+            index = header.index("saddr")
+
+            def parse(row):
+                fields = row.split(",")
+                return parse_ipv4(fields[index].strip()) if index < len(fields) else None
+            break
+    for line_number, line in lines:
+        stats.lines_read += 1
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            stats.comment_lines += 1
+            continue
+        addr = parse(stripped)
+        if addr is None:
+            if policy == STRICT:
+                raise IngestError(f"invalid address line: {stripped!r}", line_number)
+            stats.invalid_lines += 1
+            continue
+        stats.addresses_emitted += 1
+        yield addr
+
+
+def _drain(addresses):
+    """The addresses read before any IngestError, and that error's line and message."""
+    read = []
+    try:
+        for address in addresses:
+            read.append(address)
+    except IngestError as exc:
+        return read, (exc.line_number, str(exc))
+    return read, None
+
+
+_ODD_ADDRESSES = ["256.1.2.3", "1.2.3", "1.2.3.4.5", "01.2.3.4", "+1.2.3.4", "1.2.3.4/8", "\u0661.2.3.4",
+                  "1..2.3", "not-an-address", "1.2.3.4,5", ",", "1.2.3.4\0", "1.2.3.4\ufffd", "\ufeff1.2.3.4"]
+_OTHER_FIELDS = ["443", "80", "synack", "", " ", "1.2.3.4"]
+
+
+@st.composite
+def _scan_files(draw):
+    """A scan format and the lines of a file in it: mostly plainly written address rows, among them
+    comments, blank, padded and invalid lines, CRLF and unterminated lines, U+FFFD, a BOM, bytes
+    lines and, in csv_saddr, rows of other widths and saddr in any column."""
+    fmt = draw(st.sampled_from(FORMATS))
+    width = draw(st.integers(1, 4)) if fmt == CSV_SADDR else 1
+    index = draw(st.integers(0, width - 1))
+    addresses = st.integers(0, 2**32 - 1).map(format_ipv4) | st.sampled_from(["0.0.0.0", "255.255.255.255"])
+
+    def row(address: str) -> str:
+        if fmt == PLAIN:
+            return address
+        fields = [draw(st.sampled_from(_OTHER_FIELDS)) for _ in range(width)]
+        fields[index] = address
+        # A row of another width: a field more, or too few to reach saddr.
+        extra = draw(st.sampled_from([0] * 6 + [-1, 1]))
+        return ",".join(fields + ["x"] * extra if extra >= 0 else fields[:index])
+
+    lines = []
+    if fmt == CSV_SADDR:
+        header = [f"c{i}" for i in range(width)]
+        header[index] = draw(st.sampled_from(["saddr", "saddr", " saddr ", "ip"]))
+        lines += draw(st.lists(st.sampled_from(["# zmap", "  # note"]), max_size=2)) + [",".join(header)]
+    kinds = ["address"] * draw(st.sampled_from([4, 12, 60])) + ["padded", "odd", "comment", "blank"]
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "address":
+            line = row(draw(addresses))
+        elif kind == "padded":
+            pad = draw(st.sampled_from([" ", "\t", "  ", "\x1c"]))
+            line = draw(st.sampled_from([pad + row(draw(addresses)), row(draw(addresses)) + pad]))
+        elif kind == "odd":
+            line = row(draw(st.sampled_from(_ODD_ADDRESSES)))
+        elif kind == "comment":
+            line = draw(st.sampled_from(["#", "# operator note", "  # indented", "#1.2.3.4"]))
+        else:
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(line)
+    ends = st.sampled_from(["\n"] * draw(st.sampled_from([8, 60])) + ["\r\n", ""])
+    lines = [line + draw(ends) for line in lines]
+    if lines and draw(st.booleans()):
+        lines[0] = "\ufeff" + lines[0]
+    return fmt, [line.encode() + draw(st.sampled_from([b"", b"\xff"])) if draw(st.integers(0, 9)) == 0
+                 else line for line in lines]
+
+
+@given(_scan_files(), st.sampled_from(POLICIES), st.sampled_from([1, 2, 3, 8, BLOCK_LINES]))
+@example((PLAIN, ["1.2.3.4\n", "5.6.7.8\n", "256.0.0.1\n", "9.9.9.9\n"]), STRICT, BLOCK_LINES)
+@example((CSV_SADDR, ["# zmap\n", "daddr,saddr\n", "1.1.1.1,2.2.2.2\n", "3.3.3.3\n", "4.4.4.4,5.5.5.5"]),
+         LENIENT, 2)
+def test_block_reader_matches_per_line_reference(scan, policy, block):
+    """Equal addresses in order, equal accounting and the same error, read in blocks of the
+    reader's size or so small that odd lines fall on and across their boundaries."""
+    fmt, lines = scan
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        addresses, stats = open_scan_source(lines, fmt, policy)
+        got = _drain(addresses)
+    want_stats = IngestStats()
+    assert got == _drain(_reference_addresses(lines, fmt, policy, want_stats))
+    assert stats == want_stats
+    if got[1] is None:
+        assert stats.lines_read == len(lines)
+
+
+def test_one_odd_line_is_the_only_line_read_alone():
+    """A block that does not parse is split until the odd line is a run of its own."""
+    lines = [f"10.0.{i // 256}.{i % 256}\n" for i in range(BLOCK_LINES)]
+    lines[700] = "# note\n"
+    runs = list(ingest.table_runs(iter(lines), 1, 1, lambda columns: ingest._ipv4_values(columns[0])))
+    assert [(first, run) for first, run, addresses in runs if addresses is None] == [(701, ["# note\n"])]
+    assert [line for _, run, _ in runs for line in run] == lines
+    addresses, stats = open_scan_source(lines)
+    assert list(addresses) == [parse_ipv4(line.strip()) for line in lines if line[0] != "#"]
+    assert (stats.comment_lines, stats.lines_read) == (1, BLOCK_LINES)

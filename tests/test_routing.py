@@ -6,11 +6,13 @@ import io
 import ipaddress
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrpkit.ingest import parse_ipv4
+from hrpkit import ingest
+from hrpkit.ingest import BLOCK_LINES, parse_ipv4
 from hrpkit.prefixes import classify
 from hrpkit.routing import (
     MASKS,
@@ -326,9 +328,17 @@ def _route_lines(draw):
     return line.encode("utf-8") + draw(st.sampled_from([b"", b"\xff"]))
 
 
-@given(st.lists(_route_lines(), max_size=40))
-@example(["10.0.0.0/8,1\n", "10.0.0.1/8,1\n", "10.0.0.0/8,2\n", b"\xff\n", "# c\n", "\n"])
-def test_loader_matches_per_line_reference(lines):
+@given(st.lists(_route_lines(), max_size=40), st.sampled_from([1, 2, 3, 8, BLOCK_LINES]))
+@example(["10.0.0.0/8,1\n", "10.0.0.1/8,1\n", "10.0.0.0/8,2\n", b"\xff\n", "# c\n", "\n"], BLOCK_LINES)
+@example(["10.0.0.0/8,1\n", "10.0.0.0/8,+5\n", "10.1.0.0/16,2\n", "10.0.0.0/8,1_0\n"], 2)
+def test_loader_matches_per_line_reference(lines, block):
+    """Read in blocks of the loader's size, or so small that odd lines fall on and across their
+    boundaries."""
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        _check_loader_matches_per_line_reference(lines)
+
+
+def _check_loader_matches_per_line_reference(lines):
     got = load_route_table(lines, LENIENT)
     want = _reference_load(lines, LENIENT)
     assert list(got.entries()) == list(want.entries())
@@ -346,6 +356,30 @@ def test_loader_matches_per_line_reference(lines):
         assert str(err).startswith(f"line {err.line_number}: ")
     else:
         assert list(strict.entries()) == list(_reference_load(lines, STRICT).entries())
+
+
+def test_strict_names_a_host_bit_line_before_an_unparsable_one():
+    """The host-bit line is reported, though the unparsable line after it keeps their plainly
+    written block from parsing in columns."""
+    lines = ["10.0.0.0/8,1\n", "10.1.0.1/16,2\n", "10.2.0.0/16,3\n", "300.0.0.0/8,4\n", "10.3.0.0/16,5\n"]
+    with pytest.raises(RouteParseError, match=r"^line 2: host bits set in prefix: '10\.1\.0\.1/16,2'$"):
+        load_route_table(lines, STRICT)
+    lenient = load_route_table(lines, LENIENT).load_stats
+    assert (lenient.entries_loaded, lenient.normalized_lines, lenient.invalid_lines) == (4, 1, 1)
+
+
+@pytest.mark.parametrize("asn", ["+5", "1_0", "٥", "4294967296", "00000000005"])
+def test_asn_that_int_takes_but_parse_asn_refuses_is_invalid_in_a_plain_block(asn):
+    lines = [f"10.{i}.0.0/16,{i}\n" for i in range(6)]
+    lines[3] = f"10.0.0.0/8,{asn}\n"
+    if asn == "00000000005":  # zero-padded past ten digits: still AS5, read a line at a time
+        assert load_route_table(lines, STRICT).get(0x0A000000, 8) == RouteEntry(0x0A000000, 8, 5)
+        return
+    table = load_route_table(lines, LENIENT)
+    assert (len(table), table.load_stats.invalid_lines) == (5, 1)
+    message = f"line 4: invalid route line: {lines[3].strip()!r}"
+    with pytest.raises(RouteParseError, match=f"^{re.escape(message)}$"):
+        load_route_table(lines, STRICT)
 
 
 _lengths = st.sampled_from([0, 8, 16, 23, 24]) | st.integers(25, 32) | st.integers(0, 32)
