@@ -4,6 +4,10 @@ Every subcommand is a thin adapter over one module operation and writes
 machine-readable output with deterministic ordering, fixed six-digit
 decimals, and a trailing newline. Exit codes: 0 success, 2 usage or
 schema error, 3 strict-policy data failure, 4 I/O failure.
+
+Only ``ingest``, ``prefixes`` and ``fmt`` are imported with this module;
+each subcommand imports the other modules it runs when it runs, so a
+command's start-up compiles no module it does not use.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from functools import reduce
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-from . import analytics, applayer, planner, prefixes, routing
+from . import prefixes
 from .fmt import write_json_report
 from .ingest import (
     CSV_SADDR,
@@ -33,7 +37,6 @@ from .ingest import (
     parse_timestamp,
     parse_uint,
 )
-from .planner import PlanEvaluationError
 from .prefixes import HrpThreshold, format_slash24
 
 EXIT_OK = 0
@@ -117,7 +120,7 @@ def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
     return doc
 
 
-def _check_results_port(results: applayer.AppResults, args, name: str) -> None:
+def _check_results_port(results, args, name: str) -> None:
     meta = results.meta
     if meta is not None and meta != ScanMeta(args.proto, args.port):
         raise SchemaError(
@@ -155,6 +158,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_enrich(args) -> int:
+    from . import routing
+
     stats = _read_table(args.stats, prefixes.read_prefix_stats)
     table = _read_table(args.routes, routing.load_route_table, args.policy)
     enriched = routing.enrich(stats, table)
@@ -177,6 +182,8 @@ def _cmd_enrich(args) -> int:
 
 
 def _cmd_portmatrix(args) -> int:
+    from . import analytics, routing
+
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
     report = analytics.port_profile(scans)
     ports = sorted(scan.meta for scan in scans if scan.meta is not None)
@@ -229,6 +236,8 @@ def _timestamp(text: str) -> datetime:
 
 
 def _cmd_stability(args) -> int:
+    from . import analytics
+
     labels = _series_labels(args)
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
     meta = analytics.series_meta(scans, args.stats)
@@ -247,6 +256,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_vantage(args) -> int:
+    from . import analytics
+
     stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats)
     stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats)
     meta = analytics.series_meta([stats_a, stats_b], [args.stats_a, args.stats_b])
@@ -268,6 +279,8 @@ def _cmd_vantage(args) -> int:
 
 
 def _cmd_applayer(args) -> int:
+    from . import applayer
+
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
@@ -298,6 +311,8 @@ def _cmd_applayer(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import planner
+
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
@@ -324,6 +339,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_escalate(args) -> int:
+    from . import applayer, planner
+
     plan = _read_table(args.plan, planner.read_plan_csv)
     results = _read_table(args.results, applayer.read_app_results)
     _check_results_port(results, args, args.results)
@@ -367,6 +384,8 @@ def _cmd_escalate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import applayer, planner
+
     plan = _read_table(args.plan, planner.read_plan_csv)
     truth = _read_table(args.truth, applayer.read_app_results)
     metrics = planner.evaluate_plan(plan, truth)
@@ -500,7 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except IngestError as exc:  # RouteParseError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SchemaError, PlanEvaluationError, ValueError) as exc:
+    except (SchemaError, ValueError) as exc:  # PlanEvaluationError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -415,10 +415,10 @@ def _parse_rows(
 
 def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
     """The fields of a block of table lines as ``width`` columns, or None unless the block is
-    ASCII (so holds no U+FFFD), every line but the last ends in ``\\n`` (the last one may too),
-    none is blank or starts with ``#``, no whitespace or NUL appears but those line ends, and
-    each row has ``width - 1`` commas."""
-    text = "".join(block)
+    ASCII (so holds no U+FFFD), every line but the last ends in ``\\n`` or ``\\r\\n`` (the last
+    one may too), none is blank or starts with ``#``, no whitespace or NUL appears but those line
+    ends, and each row has ``width - 1`` commas."""
+    text = "".join(block).replace("\r\n", "\n")  # a CRLF line end reads as LF; other \r fail below
     if block[-1].endswith("\n"):
         text = text[:-1]
     row = "," * (width - 1)
@@ -430,6 +430,7 @@ def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
         # in a line could fake the mark, but fails the check above)
         or "\0".join(block).count("\n\0") != len(block) - 1
         or "\n" in block
+        or "\r\n" in block
         or "" in block
         or text.startswith("#")
         or "\n#" in text

@@ -52,7 +52,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-class PlanEvaluationError(Exception):
+class PlanEvaluationError(ValueError):
     """Ground truth does not cover the plan under evaluation."""
 
 

@@ -60,3 +60,15 @@ def table_of(rows: list[Row]) -> PrefixStats:
         [r.origin_asn for r in rows],
         [r.covering_route for r in rows],
     )
+
+
+def with_line_ends(lines: list, end: str) -> list:
+    """The lines, text or bytes, with each ``\\n`` or ``\\r\\n`` line end written as ``end``."""
+
+    def rewrite(line):
+        if isinstance(line, bytes):
+            return rewrite(line.decode("latin-1")).encode("latin-1")  # every byte kept as it is
+        body = line[:-2] if line.endswith("\r\n") else line[:-1] if line.endswith("\n") else None
+        return line if body is None else body + end
+
+    return [rewrite(line) for line in lines]

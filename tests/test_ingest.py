@@ -33,7 +33,7 @@ from hrpkit.ingest import (
     parse_uint,
 )
 
-from conftest import EPOCH, make_meta
+from conftest import EPOCH, make_meta, with_line_ends
 
 
 def _read_scan(text: str, fmt: str, policy: str = LENIENT):
@@ -376,7 +376,8 @@ def _drain(addresses):
 
 
 _ODD_ADDRESSES = ["256.1.2.3", "1.2.3", "1.2.3.4.5", "01.2.3.4", "+1.2.3.4", "1.2.3.4/8", "\u0661.2.3.4",
-                  "1..2.3", "not-an-address", "1.2.3.4,5", ",", "1.2.3.4\0", "1.2.3.4\ufffd", "\ufeff1.2.3.4"]
+                  "1..2.3", "not-an-address", "1.2.3.4,5", ",", "1.2.3.4\0", "1.2.3.4\ufffd", "\ufeff1.2.3.4",
+                  "1.2.\r3.4"]
 _OTHER_FIELDS = ["443", "80", "synack", "", " ", "1.2.3.4"]
 
 
@@ -455,3 +456,32 @@ def test_one_odd_line_is_the_only_line_read_alone():
     addresses, stats = open_scan_source(lines)
     assert list(addresses) == [parse_ipv4(line.strip()) for line in lines if line[0] != "#"]
     assert (stats.comment_lines, stats.lines_read) == (1, BLOCK_LINES)
+
+
+def _scan_outcome(lines, fmt: str, policy: str, block: int):
+    """The addresses, or those before the first error and its line and message, and the accounting."""
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        try:
+            addresses, stats = open_scan_source(lines, fmt, policy)
+        except IngestError as exc:  # a csv_saddr header without saddr
+            return None, (exc.line_number, str(exc))
+        return _drain(addresses), stats
+
+
+@given(_scan_files(), st.sampled_from(POLICIES), st.sampled_from([1, 3, 8, BLOCK_LINES]))
+def test_crlf_line_ends_read_like_lf(scan, policy, block):
+    """A scan with CRLF line ends gives the addresses, accounting and errors of its LF copy."""
+    fmt, lines = scan
+    lf, crlf = with_line_ends(lines, "\n"), with_line_ends(lines, "\r\n")
+    assert _scan_outcome(crlf, fmt, policy, block) == _scan_outcome(lf, fmt, policy, block)
+
+
+def test_a_crlf_block_takes_the_column_path():
+    """Only a CR before a line's LF is a line end; any other CR sends its line to the per-line rules."""
+    columns = [["1.2.3.4", "5.6.7.8"]]
+    assert ingest._plain_columns(["1.2.3.4\r\n", "5.6.7.8\r\n"], 1) == columns
+    assert ingest._plain_columns(["1.2.3.4\r\n", "5.6.7.8"], 1) == columns
+    assert ingest._plain_columns(["1.2.3.4\n", "5.6.7.8\r\n"], 1) == columns
+    for block in (["1.2.3.4\r\n", "5.6.7.8\r"], ["1.2.3.4\r\r\n", "5.6.7.8\n"], ["1.2.\r3.4\n"],
+                  ["\r\n", "5.6.7.8\n"], ["1.2.3.4\r", "\n"]):
+        assert ingest._plain_columns(block, 1) is None, block

@@ -27,7 +27,7 @@ from hrpkit.routing import (
     load_route_table,
 )
 
-from conftest import make_meta, rows, table_with_counts
+from conftest import make_meta, rows, table_with_counts, with_line_ends
 
 
 def _table(lines: str, policy: str = LENIENT) -> RoutingTable:
@@ -298,7 +298,7 @@ def _reference_route(line: str) -> tuple[int, int, int] | None:
 # A few networks and ASNs so that repeats, conflicts and host bits are common.
 _NETWORKS = ["10.0.0.0", "10.1.0.0", "10.1.2.3", "192.0.2.128", "0.0.0.0", "255.255.255.255"]
 _ODD_FIELDS = ["", " ", "08", "+8", "-0", "33", "\u0668", "+1", "1_0", "-1", "4294967296",
-               "4294967295", "1.2.3", "01.2.3.4", "1.2.3.4 /8", "a", "/", ","]
+               "4294967295", "1.2.3", "01.2.3.4", "1.2.3.4 /8", "a", "/", ",", "1\r0"]
 
 
 @st.composite
@@ -331,6 +331,7 @@ def _route_lines(draw):
 @given(st.lists(_route_lines(), max_size=40), st.sampled_from([1, 2, 3, 8, BLOCK_LINES]))
 @example(["10.0.0.0/8,1\n", "10.0.0.1/8,1\n", "10.0.0.0/8,2\n", b"\xff\n", "# c\n", "\n"], BLOCK_LINES)
 @example(["10.0.0.0/8,1\n", "10.0.0.0/8,+5\n", "10.1.0.0/16,2\n", "10.0.0.0/8,1_0\n"], 2)
+@example(["10.0.0.0/8,1\r0\n", "10.1.0.0/16,2\r\n"], 2)
 def test_loader_matches_per_line_reference(lines, block):
     """Read in blocks of the loader's size, or so small that odd lines fall on and across their
     boundaries."""
@@ -416,3 +417,21 @@ def test_enrich_and_split_match_brute_force(case):
             origin_asn=best.origin_asn, covering_route=(best.network, best.length)))
     assert rows(enrich(stats, table)) == expected
     assert table.split_slash24s() == frozenset(e.network >> 8 for e in entries if e.length > 24)
+
+
+def _route_outcome(lines, policy: str, block: int):
+    """The loaded entries and accounting, or the error's line and message."""
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        try:
+            table = load_route_table(lines, policy)
+        except RouteParseError as exc:
+            return exc.line_number, str(exc)
+    return list(table.entries()), table.load_stats
+
+
+@given(st.lists(_route_lines(), max_size=40), st.sampled_from([STRICT, LENIENT]),
+       st.sampled_from([1, 3, 8, BLOCK_LINES]))
+def test_crlf_line_ends_load_like_lf(lines, policy, block):
+    """A snapshot with CRLF line ends loads the entries, accounting and errors of its LF copy."""
+    lf, crlf = with_line_ends(lines, "\n"), with_line_ends(lines, "\r\n")
+    assert _route_outcome(crlf, policy, block) == _route_outcome(lf, policy, block)

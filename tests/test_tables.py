@@ -53,7 +53,7 @@ from hrpkit.prefixes import (
     write_prefix_stats_csv,
 )
 
-from conftest import Row, make_meta, table_of
+from conftest import Row, make_meta, table_of, with_line_ends
 
 # name -> (reader over lines, header, one good row)
 READERS = {
@@ -628,7 +628,7 @@ def _generic_reader(lines):
     """The rows of a table whose columns are named by its first line, as read_csv gives them to a
     parser that checks nothing but undecodable bytes."""
     lines = list(lines)
-    columns = lines[0].rstrip("\n").split(",")
+    columns = lines[0].rstrip("\r\n").split(",")
     return [row for rows in read_csv(lines, columns, lambda texts: list(zip(*map(_checked_fields, texts))))
             for row in rows]
 
@@ -674,3 +674,16 @@ def test_plan_reader_in_blocks_matches_the_per_row_reference(case):
     block, lines = case
     expected = _outcome_in_blocks(block, lambda lines: _reference_read_plan(lines).items(), lines)
     assert _outcome_in_blocks(block, lambda lines: read_plan_csv(lines).entries.items(), lines) == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([1, 3]).flatmap(
+    lambda width: _long_tables(",".join(f"c{i}" for i in range(width)), _generic_rows(width))
+) | _long_tables(",".join(APP_RESULT_COLUMNS), _each(_results_row)))
+def test_crlf_line_ends_read_like_lf(case):
+    """A table with CRLF line ends gives the rows and errors, with their line numbers, of its LF copy,
+    read by read_csv alone and by a typed reader."""
+    block, lines = case
+    lf, crlf = with_line_ends(lines, "\n"), with_line_ends(lines, "\r\n")
+    for read in (_generic_reader, read_app_results):
+        assert _outcome_in_blocks(block, read, crlf) == _outcome_in_blocks(block, read, lf)
