@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import marshal
+import os
 import sys
 from datetime import datetime, timedelta
 from functools import reduce
@@ -101,15 +103,77 @@ def _aggregate_scan(source, args) -> tuple[prefixes.PrefixTable, IngestStats]:
     return prefixes.aggregate(addresses, ScanMeta(args.proto, args.port)), stats
 
 
-def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    """Aggregate the scan file(s) named on the command line, sharded then merged."""
+def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, IngestStats]:
+    """Aggregate scan shards one after another, merged in order: the serial loop."""
     total = IngestStats()
     tables = []
-    for path in args.scan:
+    for path in paths:
         table, stats = _read_table(path, _aggregate_scan, args)
         tables.append(table)
         total.merge(stats)
     return reduce(prefixes.merge, tables), total
+
+
+_ERRORS = (IngestError, ValueError, OSError)  # the errors main maps to exit codes
+
+
+def _reply(paths: Sequence[str], args) -> tuple:
+    """What a worker sends: (-1, bitmaps, counters) of _read_shards, or (index in _ERRORS, text, None)."""
+    try:
+        table, stats = _read_shards(paths, args)
+        return -1, table.bitmaps, vars(stats)
+    except _ERRORS as exc:
+        return next(i for i, kind in enumerate(_ERRORS) if isinstance(exc, kind)), str(exc), None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork or runs other threads (a
+    forked copy of a process with threads can deadlock)."""
+    threading = sys.modules.get("threading")
+    threaded = threading is not None and threading.active_count() > 1
+    if threaded or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
+    """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
+    groups, one per usable CPU, the first read here and each other one by a forked worker (all
+    here if one is stdin). The result and the error (the first failing shard's) are the serial
+    loop's. The group of a worker that does not send a whole reply and exit 0 is read here."""
+    paths = args.scan
+    n = 1 if "-" in paths else min(len(paths), _usable_cpus())
+    groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
+    workers, replies, statuses = [], [], []  # (pid, pipe) per group after the first
+    try:
+        for group in groups[1:]:
+            read_end, write_end = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(marshal.dumps(_reply(group, args)))
+                    os._exit(0)
+                finally:  # whatever is raised, the worker never returns into its caller
+                    os._exit(1)
+            os.close(write_end)
+            workers.append((pid, open(read_end, "rb")))
+        table, total = _read_shards(groups[0], args)
+        replies = [pipe.read() for _, pipe in workers]
+    finally:
+        for pid, pipe in workers:  # reap every worker, killed first unless it has replied
+            pipe.close()
+            if not replies:
+                os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
+            statuses.append(os.waitpid(pid, 0)[1])
+    for reply, status, group in zip(replies, statuses, groups[1:]):
+        kind, found, counts = _reply(group, args) if status else marshal.loads(reply)
+        if kind >= 0:  # rebuilt without __init__, which for IngestError wants a line number
+            error = _ERRORS[kind].__new__(_ERRORS[kind])
+            error.args = (found,)
+            raise error
+        table = prefixes.merge(table, prefixes.PrefixTable(table.meta, found))
+        total.merge(IngestStats(**counts))
+    return table, total
 
 
 def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
@@ -313,6 +377,12 @@ def _cmd_applayer(args) -> int:
 def _cmd_plan(args) -> int:
     from . import planner
 
+    if args.seeds is None and len(args.scan) == 2:  # the older form: one scan, then the seeds file
+        args.scan, args.seeds = args.scan[:1], args.scan[1]
+    elif args.seeds is None and len(args.scan) > 2:
+        raise SchemaError(f"{len(args.scan)} scan files but no --seeds; name the seeds file with --seeds")
+    elif args.seeds is not None and os.path.realpath(args.seeds) in map(os.path.realpath, args.scan):
+        raise SchemaError(f"{args.seeds} is given both as --seeds and as a scan file")
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
@@ -484,8 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-unresponsive-seeds", action="store_true",
                    help="drop DNS seeds the port scan did not see")
     p.add_argument("--targets-out", default=None, help="also write targets one per line")
-    p.add_argument("scan", nargs=1, help="port scan result file")
-    p.add_argument("seeds", nargs="?", default=None, help="DNS seeds CSV: ip,name_count")
+    p.add_argument("--seeds", default=None, help="DNS seeds CSV: ip,name_count")
+    p.add_argument("scan", nargs="+", help="port scan result file(s), shards of one scan; "
+                   "without --seeds, the second of two files is the seeds file")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("escalate", parents=[meta, scan_input, output, summary_opt],

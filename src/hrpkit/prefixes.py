@@ -18,12 +18,10 @@ back from its CSV form and the measures here read.
 
 from __future__ import annotations
 
-import math
 from array import array
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate, compress
 from operator import ge, ne
 from typing import IO, Callable, Iterable, Iterator, Sequence
@@ -74,8 +72,8 @@ class HrpThreshold:
     """Responsiveness cut for a /24: fraction in (0, 1] with at most six
     decimals, the precision stats files write, and the derived count.
 
-    The count is ``ceil(fraction * 256)`` computed on the decimal value of
-    the fraction so that e.g. 0.90 -> 231 and 0.95 -> 244 exactly.
+    The count is ``ceil(fraction * 256)`` computed in integers on the
+    fraction's millionths, so that e.g. 0.90 -> 231 and 0.95 -> 244 exactly.
     """
 
     fraction: float
@@ -84,10 +82,10 @@ class HrpThreshold:
     def __post_init__(self):
         if not 0 < self.fraction <= 1:
             raise ValueError(f"threshold fraction must be in (0, 1], got {self.fraction}")
-        exact = Fraction(str(self.fraction))
-        if (exact * 10**6).denominator != 1:
+        millionths = round(self.fraction * 10**6)
+        if millionths / 10**6 != self.fraction:
             raise ValueError(f"threshold fraction must have at most six decimals, got {self.fraction}")
-        object.__setattr__(self, "min_count", math.ceil(exact * SLASH24_SIZE))
+        object.__setattr__(self, "min_count", -(-millionths * SLASH24_SIZE // 10**6))
 
 
 DEFAULT_THRESHOLD = HrpThreshold(0.90)

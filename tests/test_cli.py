@@ -558,6 +558,36 @@ def test_applayer_rejects_bad_results_row_with_file_and_line(tmp_path, capsys, b
     assert f"{results}: line 3: " in capsys.readouterr().err
 
 
+def test_plan_reads_seeds_from_the_option_or_a_trailing_file_and_shards_as_one_scan(tmp_path):
+    scan = write_scan(tmp_path / "scan.txt", {5: 256, 6: 240, 9: 3})
+    lines = scan.read_text().splitlines(keepends=True)
+    shards = [tmp_path / f"shard{i}.txt" for i in range(3)]
+    for i, shard in enumerate(shards):
+        shard.write_text("".join(lines[i::3]), encoding="utf-8")
+    seeds = tmp_path / "seeds.csv"
+    seeds.write_text("ip,name_count\n" + format_ipv4((5 << 8) | 4) + ",9\n", encoding="utf-8")
+    outputs = {}
+    for form, inputs in {"trailing": [scan, seeds], "option": ["--seeds", seeds, scan],
+                         "shards": [*shards, "--seeds", seeds]}.items():
+        out = tmp_path / form
+        out.mkdir()
+        assert run("plan", "--port", 443, "--k", 10, "--rng-seed", 7, "--output", out / "plan.csv",
+                   "--summary", out / "plan.json", "--targets-out", out / "targets.txt", *inputs) == 0
+        outputs[form] = [path.read_bytes() for path in sorted(out.iterdir())]
+    assert outputs["trailing"] == outputs["option"] == outputs["shards"]
+    assert json.loads(outputs["shards"][1])["dns_seeds"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "shard", "seeds"], "3 scan files but no --seeds; name the seeds file with --seeds"),
+    (["--seeds", "seeds", "scan", "seeds"], "{seeds} is given both as --seeds and as a scan file"),
+])
+def test_plan_takes_its_seeds_file_one_way(corpus, capsys, argv, message):
+    capsys.readouterr()
+    assert main(["plan", "--port", "443", *(corpus.get(arg, arg) for arg in argv)]) == 2
+    assert capsys.readouterr().err == f"hrpkit plan: {message.format(**corpus)}\n"
+
+
 # --- every input error names its file ------------------------------------------------
 
 
@@ -600,6 +630,8 @@ NAMED_ERRORS = [
     ("applayer", [*SCAN_FLAGS, "results", "scan", "shard"], "shard", "junk", 3),
     ("plan", [*SCAN_FLAGS, "scan", "seeds"], "scan", "junk", 3),
     ("plan", [*SCAN_FLAGS, "scan", "seeds"], "seeds", "junk", 2),
+    ("plan", [*SCAN_FLAGS, "--seeds", "seeds", "scan", "shard"], "shard", "junk", 3),
+    ("plan", [*SCAN_FLAGS, "--seeds", "seeds", "scan", "shard"], "seeds", "junk", 2),
     ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "plan", "junk", 2),
     ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "results", "junk", 2),
     ("escalate", [*SCAN_FLAGS, "plan", "results", "scan", "shard"], "shard", "junk", 3),

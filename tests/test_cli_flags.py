@@ -94,6 +94,7 @@ CHANGES = {
     ("plan", "--rng-seed"): ["7"],
     ("plan", "--no-unresponsive-seeds"): [],
     ("plan", "--targets-out"): ["out/targets.txt"],
+    ("plan", "--seeds"): ["seeds.csv"],  # the trailing seeds file named again: both forms, exit 2
     ("escalate", "--port"): ["80"],
     ("escalate", "--proto"): ["udp"],
     ("escalate", "--format"): ["csv_saddr"],

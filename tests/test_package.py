@@ -112,8 +112,20 @@ RUN_AND_LIST = """\
 import sys
 from hrpkit.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.partition(".")[0] == "hrpkit"))
+print(code, *sorted(sys.modules))
 """
+
+
+def _run_and_list(folder: Path, command: str) -> set[str]:
+    """Run the command in a fresh interpreter, which must exit 0: every module it loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hrpkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST, command, *COMMANDS[command][0]],
+        cwd=folder, env=env, capture_output=True, text=True, check=False,
+    )
+    code, *modules = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(modules)
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +146,12 @@ def inputs(tmp_path_factory) -> Path:
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_subcommand_loads_only_the_modules_it_runs(inputs, command):
-    argv, extra = COMMANDS[command]
-    env = {**os.environ, "PYTHONPATH": str(Path(hrpkit.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST, command, *argv],
-        cwd=inputs, env=env, capture_output=True, text=True, check=False,
-    )
-    code, *modules = proc.stdout.splitlines()[-1].split()
-    assert code == "0", proc.stderr
-    assert set(modules) == CORE | {f"hrpkit.{name}" for name in extra}
+    modules = _run_and_list(inputs, command)
+    hrpkit_modules = {name for name in modules if name.partition(".")[0] == "hrpkit"}
+    assert hrpkit_modules == CORE | {f"hrpkit.{name}" for name in COMMANDS[command][1]}
+
+
+@pytest.mark.parametrize("command", ["detect", "enrich", "portmatrix", "stability", "vantage"])
+def test_a_subcommand_without_sampling_rates_loads_neither_fractions_nor_decimal(inputs, command):
+    modules = _run_and_list(inputs, command)
+    assert not modules & {"fractions", "decimal", "_decimal", "_pydecimal"}

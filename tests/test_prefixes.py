@@ -5,9 +5,11 @@ from __future__ import annotations
 import io
 import ipaddress
 import json
+import math
 import random
 from array import array
 from dataclasses import fields
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -191,6 +193,30 @@ def test_threshold_derivation():
         HrpThreshold(0.0)
     with pytest.raises(ValueError):
         HrpThreshold(1.5)
+
+
+def _reference_threshold(fraction: float) -> int | None:
+    """The threshold rule on the fraction's shortest decimal text: its count, or None when the
+    text has more than six decimals."""
+    exact = Fraction(str(fraction))
+    return math.ceil(exact * 256) if (exact * 10**6).denominator == 1 else None
+
+
+@given(st.floats(0, 1, exclude_min=True) | st.integers(1, 10**6).map(lambda n: n / 10**6)
+       | st.integers(1, 10**7).map(lambda n: n / 10**7))
+@example(1e-06)
+@example(1e-07)
+@example(0.9)
+@example(0.95)
+@example(1.0)
+@example(0.1234565)
+def test_threshold_matches_the_exact_decimal_rule(fraction):
+    want = _reference_threshold(fraction)
+    if want is None:
+        with pytest.raises(ValueError, match="at most six decimals"):
+            HrpThreshold(fraction)
+    else:
+        assert HrpThreshold(fraction).min_count == want
 
 
 def _flags(stats: PrefixStats) -> dict[int, bool]:
