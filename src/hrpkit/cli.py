@@ -115,6 +115,9 @@ def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, Inge
 
 
 _ERRORS = (IngestError, ValueError, OSError)  # the errors main maps to exit codes
+# Workers' shards of at most this many bytes in all are read here: a fork would cost more. One
+# worker's two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
+_FORK_MIN_BYTES = 1 << 16
 
 
 def _reply(paths: Sequence[str], args) -> tuple:
@@ -140,10 +143,14 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
     groups, one per usable CPU, the first read here and each other one by a forked worker (all
     here if one is stdin). The result and the error (the first failing shard's) are the serial
-    loop's. The group of a worker that does not send a whole reply and exit 0 is read here."""
+    loop's. The group of a worker that does not send a whole reply and exit 0 is read here, and
+    so are all groups if the workers' shards are too small to pay for their forks."""
     paths = args.scan
     n = 1 if "-" in paths else min(len(paths), _usable_cpus())
     groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
+    worker_paths = paths[len(groups[0]):]  # only regular files count as small: a pipe's size is unknown
+    if all(map(os.path.isfile, worker_paths)) and sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
+        groups = [paths]
     workers, replies, statuses = [], [], []  # (pid, pipe) per group after the first
     try:
         for group in groups[1:]:

@@ -16,8 +16,9 @@ is a comment; in ``csv_saddr`` the header is the first non-comment line.
 Fields in ``csv_saddr`` rows are split on plain commas; scan output never
 quotes fields, so no quote processing is done.
 
-Address text is four ASCII decimal octets 0-255 without leading zeros (the
-form the standard library's IPv4Address accepts), parsed by table lookup.
+Address text is four canonical ASCII decimal octets 0-255 without leading
+zeros (the form the standard library's IPv4Address accepts), parsed by the C
+library's ``inet_pton``, a column of texts in one pass.
 
 The CSV tables the stages hand each other are read by :func:`read_csv` a
 block at a time, with the field parsers here; scans and the routing
@@ -27,8 +28,8 @@ snapshot take the same block path without a header row of their own.
 from __future__ import annotations
 
 import sys
+from _socket import AF_INET, inet_pton  # not socket, whose import pulls in selectors
 from array import array
-from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -53,9 +54,9 @@ _T = TypeVar("_T")
 
 BLOCK_LINES = 1024  # lines per block of a table read in columns
 # Bytes to delete to keep only a block's field and line separators, ASCII whitespace and NULs,
-# or only a column's dots and slashes and the commas between its texts.
+# or only a column's slashes and the commas between its texts.
 _NOT_SHAPE = bytes(c for c in range(256) if c not in b",\n\t\x0b\x0c\r\x1c\x1d\x1e\x1f \0")
-_NOT_MARK = bytes(c for c in range(256) if c not in b".,/")
+_NOT_SLASH = bytes(c for c in range(256) if c not in b",/")
 
 
 class IngestError(Exception):
@@ -100,28 +101,21 @@ class IngestStats:
         self.comment_lines += other.comment_lines
 
 
-# Canonical octet and prefix-length text -> value; anything else (leading
-# zeros, signs, whitespace, non-ASCII digits, values out of range) is absent.
-_OCTETS = {str(i): i for i in range(256)}
+# inet_pton takes only four canonical decimal octets; other text raises OSError, and a NUL or a
+# lone surrogate ValueError.
+_ADDRESS = partial(inet_pton, AF_INET)
+_NOT_ADDRESS = (OSError, ValueError)
+# Canonical prefix-length text -> value; anything else (leading zeros, signs, whitespace,
+# non-ASCII digits, values out of range) is absent.
 _LENGTHS = {str(i): i for i in range(33)}
 
 
 def parse_ipv4(text: str) -> int | None:
     """Parse a dotted-quad IPv4 address to its 32-bit value, or None."""
     try:
-        a, b, c, d = text.split(".")
-        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
-    except (ValueError, KeyError):
+        return int.from_bytes(_ADDRESS(text), "big")
+    except _NOT_ADDRESS:
         return None
-
-
-def octet_values(texts: list[str]) -> array:
-    """The 32-bit values whose big-endian octets are ``texts``, four texts per value, as an
-    ``array('I')``; KeyError unless every text is a canonical octet."""
-    values = array("I", bytes(map(_OCTETS.__getitem__, texts)))
-    if sys.byteorder == "little":
-        values.byteswap()
-    return values
 
 
 def ipv4_column(texts: list[str]) -> array:
@@ -136,10 +130,13 @@ def ipv4_column(texts: list[str]) -> array:
 def _ipv4_values(texts: list[str]) -> array | None:
     """The 32-bit values of dotted-quad texts as an ``array('I')``, or None unless each text
     is an address that parse_ipv4 takes."""
-    with suppress(KeyError):  # some part is not a canonical octet
-        if each_has_marks(texts, "..."):
-            return octet_values(".".join(texts).split(".")) if texts else array("I")
-    return None
+    try:
+        values = array("I", b"".join(map(_ADDRESS, texts)))
+    except _NOT_ADDRESS:
+        return None
+    if sys.byteorder == "little":
+        values.byteswap()
+    return values
 
 
 def parse_cidr(text: str) -> tuple[int, int] | None:
@@ -148,24 +145,20 @@ def parse_cidr(text: str) -> tuple[int, int] | None:
     The length must be canonical text for 0-32; host bits are left for the
     caller to judge.
     """
-    network_text, _, length_text = text.rpartition("/")
-    network = parse_ipv4(network_text)
-    length = _LENGTHS.get(length_text)
-    return None if network is None or length is None else (network, length)
+    values = cidr_values([text])
+    return None if values is None else (values[0][0], values[1][0])
 
 
 def cidr_values(texts: list[str]) -> tuple[array, list[int]] | None:
     """The address values (an ``array('I')``) and lengths of ``a.b.c.d/length`` texts, or None
-    unless parse_cidr takes each text."""
-    if not texts or not each_has_marks(texts, ".../"):
+    unless each is an address parse_ipv4 takes, one slash and a canonical length 0-32."""
+    # each text holds one slash: the slashes and the commas between the texts alternate
+    marks = ",".join(texts).encode(errors="surrogatepass").translate(None, _NOT_SLASH)
+    if not texts or marks != b"/," * (len(texts) - 1) + b"/":
         return None
-    parts = ".".join(texts).replace("/", ".").split(".")
-    lengths = parts[4::5]
-    del parts[4::5]
-    try:
-        return octet_values(parts), list(map(_LENGTHS.__getitem__, lengths))
-    except KeyError:  # a part is not a canonical octet or length
-        return None
+    parts = "/".join(texts).split("/")
+    networks, lengths = _ipv4_values(parts[::2]), list(map(_LENGTHS.get, parts[1::2]))
+    return None if networks is None or None in lengths else (networks, lengths)
 
 
 def parse_uint(text: str, low: int, high: int, name: str) -> int:
@@ -438,12 +431,6 @@ def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
         return None
     fields = text.replace("\n", ",").split(",")
     return [fields[i::width] for i in range(width)]
-
-
-def each_has_marks(texts: list[str], marks: str) -> bool:
-    """Whether the dots and slashes of each of ``texts``, none holding a comma, are ``marks``."""
-    found = ",".join(texts).encode().translate(None, _NOT_MARK)
-    return found == ",".join(repeat(marks, len(texts))).encode()
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, groupby, islice, pairwise
 from operator import ne
 from typing import IO, Iterable, Mapping, Sequence
@@ -105,6 +104,15 @@ class DnsSeed:
             raise ValueError(f"name_count must be >= 1, got {self.name_count}")
 
 
+def _decimal(cutoff: float) -> tuple[int, int]:
+    """The decimal value of ``repr(cutoff)`` as (numerator, a positive denominator), so that rates
+    compare with it exactly in integers: ``1e-05`` is (1, 100000). ValueError unless finite."""
+    mantissa, _, exponent = repr(cutoff).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    scale = len(digits) - int(exponent or 0)  # the value is int(whole + digits) / 10**scale
+    return int(whole + digits) * 10 ** max(-scale, 0), 10 ** max(scale, 0)
+
+
 @dataclass(frozen=True)
 class SamplePolicy:
     """Sampling knobs: targets per HRP, PRNG seed, and scenario cutoffs.
@@ -124,9 +132,8 @@ class SamplePolicy:
     def __post_init__(self):
         if not 1 <= self.k <= 256:
             raise ValueError(f"k must be in [1, 256], got {self.k}")
-        proxy = Fraction(str(self.proxy_max_success))
-        cdn = Fraction(str(self.cdn_min_success))
-        if not 0 <= proxy < cdn <= 1:
+        (p, q), (c, d) = _decimal(self.proxy_max_success), _decimal(self.cdn_min_success)
+        if not (0 <= p and p * d < c * q and c <= d):  # 0 <= p/q < c/d <= 1
             raise ValueError(
                 f"need 0 <= proxy_max_success < cdn_min_success <= 1, "
                 f"got {self.proxy_max_success} / {self.cdn_min_success}"
@@ -238,10 +245,11 @@ def classify_sample(sample_results: AppResults | Sequence[AppResult], policy: Sa
         raise ValueError("classify_sample needs at least one result")
     success = STATUS_CODES[SUCCESS]
     successes = [i for code, i in zip(sample.statuses, sample.identifiers) if code == success]
-    rate = Fraction(len(successes), len(sample))
-    if rate <= Fraction(str(policy.proxy_max_success)):
+    (p, q), (c, d) = _decimal(policy.proxy_max_success), _decimal(policy.cdn_min_success)
+    hits, size = len(successes), len(sample)
+    if hits * q <= p * size:  # the success rate hits/size <= p/q
         return PROXY
-    if rate >= Fraction(str(policy.cdn_min_success)) and single_identifier(successes):
+    if hits * d >= c * size and single_identifier(successes):
         return CDN_LIKE
     return DIVERSE
 

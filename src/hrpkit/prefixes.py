@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import ge, ne
@@ -28,8 +27,8 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
-    ScanMeta, block_meta, each_has_marks, format_ipv4, octet_values, parse_asn, parse_cidr, parse_decimal,
-    parse_ipv4, parse_uint, read_csv,
+    ScanMeta, _ipv4_values, block_meta, format_ipv4, parse_asn, parse_cidr, parse_decimal, parse_ipv4,
+    parse_uint, read_csv,
 )
 
 SLASH24_SIZE = 256
@@ -328,7 +327,8 @@ def read_prefix_stats(lines: Iterable[str]) -> PrefixStats:
             raise ValueError(
                 f"is_hrp={flag_texts[i]} disagrees with count {row_counts[i]} at threshold {fraction_texts[i]}"
             )
-        prefixes = _slash24_column(prefix_texts)
+        if (prefixes := _slash24_values(prefix_texts)) is None:
+            prefixes = array("I", map(parse_slash24, prefix_texts))  # ValueError names the first bad one
         fresh = set(prefixes)
         if len(fresh) != len(prefixes) or not seen.isdisjoint(fresh):
             repeated = next(p for i, p in enumerate(prefixes) if p in seen or p in prefixes[:i])
@@ -362,14 +362,12 @@ def _parse_column(texts: list[str], known: dict, parse: Callable[[str], object])
         return list(map(known.__getitem__, texts))
 
 
-def _slash24_column(texts: list[str]) -> array:
-    """The 24-bit network values of ``a.b.c.0/24`` texts as an ``array('I')``; ValueError names
-    the first text that is not such a prefix."""
-    joined = ",".join(texts) + ","
-    if joined.count(".0/24,") == len(texts) and each_has_marks(texts, ".../"):
-        with suppress(KeyError):  # from each a.b.c.0/24 the octets 0.a.b.c: its network value
-            return octet_values(("0." + joined[:-6].replace(".0/24,", ".0.")).split("."))
-    return array("I", map(parse_slash24, texts))
+def _slash24_values(texts: list[str]) -> array | None:
+    """The 24-bit network values of ``a.b.c.0/24`` texts, each read as the address ``0.a.b.c``,
+    or None unless each is such a prefix. Joined as ``0.<text>/``, split at ``.0/24/``, they give
+    one address per text only if each ends in the mark: no address holds the slash after a text."""
+    parts = ("0." + "/0.".join(texts) + "/").split(".0/24/")
+    return _ipv4_values(parts) if len(parts) == len(texts) + 1 and parts.pop() == "" else None
 
 
 def _parse_covering(text: str) -> tuple[int, int]:

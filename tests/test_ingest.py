@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrpkit import ingest
+from hrpkit import ingest, prefixes
 from hrpkit.ingest import (
     BLOCK_LINES,
     CSV_SADDR,
@@ -485,3 +485,119 @@ def test_a_crlf_block_takes_the_column_path():
     for block in (["1.2.3.4\r\n", "5.6.7.8\r"], ["1.2.3.4\r\r\n", "5.6.7.8\n"], ["1.2.\r3.4\n"],
                   ["\r\n", "5.6.7.8\n"], ["1.2.3.4\r", "\n"]):
         assert ingest._plain_columns(block, 1) is None, block
+
+
+# --- the column kernels against the ipaddress oracle ---------------------------------
+
+def _oracle_cidr(text: str) -> tuple[int, int] | None:
+    """(address, length) of canonical ``a.b.c.d/length`` text, or None."""
+    try:
+        interface = ipaddress.IPv4Interface(text)
+    except ValueError:
+        return None
+    return (int(interface.ip), interface.network.prefixlen) if str(interface) == text else None
+
+
+def _oracle_slash24(text: str) -> int | None:
+    """The 24-bit network of canonical ``a.b.c.0/24`` text, or None."""
+    try:
+        network = ipaddress.IPv4Network(text)  # strict: host bits set are an error
+    except ValueError:
+        return None
+    return int(network.network_address) >> 8 if network.prefixlen == 24 and str(network) == text else None
+
+
+def _oracle_column(oracle, texts: list[str]) -> list | None:
+    values = [oracle(text) for text in texts]
+    return None if None in values else values
+
+
+# Text put before or after a text that makes it bad: padding, a NUL, a lone surrogate, a line
+# break, a separator of parts.
+_WRAPS = [" ", "\t", "\0", "\ud800", "\udcff", "\n", ".", "/", ",", "0"]
+
+
+def _odd(texts: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """Texts of `texts` with one wrap before or after them."""
+    return st.one_of(st.tuples(st.sampled_from(_WRAPS), texts).map("".join),
+                     st.tuples(texts, st.sampled_from(_WRAPS)).map("".join))
+
+
+_addresses = st.integers(0, 2**32 - 1).map(format_ipv4)
+_odd_addresses = st.one_of(
+    st.lists(_octets, min_size=3, max_size=5).map(".".join),  # 3- to 5-part texts of odd octets
+    _odd(_addresses),
+    st.sampled_from(["", "\0", "\ud800", "1.2.3.\ud800", "1.2.3.4\x001"]),
+)
+_cidrs = st.builds("{}/{}".format, _addresses, st.integers(0, 32))
+_odd_cidrs = st.one_of(
+    st.builds("{}/{}".format, st.one_of(_addresses, _odd_addresses),
+              st.sampled_from([*_ODD_LENGTHS, "024", "8\0", "\ud800"])),
+    st.builds("{}/{}".format, _odd_addresses, st.integers(0, 32)),
+    _odd(_cidrs),
+    _addresses,  # no length
+    st.builds("{}/{}".format, _cidrs, st.integers(0, 32)),  # two lengths
+)
+_slash24s = st.integers(0, 2**24 - 1).map(lambda prefix: format_ipv4(prefix << 8) + "/24")
+_odd_slash24s = st.one_of(
+    st.builds("{}/24".format, st.one_of(_addresses, _odd_addresses)),  # a.b.c.1/24 mostly
+    st.builds("{}.0/24".format, st.lists(_octets, min_size=2, max_size=4).map(".".join)),
+    st.builds(lambda text, length: text[:-2] + length, _slash24s, st.sampled_from(["024", "23", "32", ""])),
+    _odd(_slash24s),
+    _slash24s.map(lambda text: text[:-3]),  # no length
+)
+
+
+def _columns(good: st.SearchStrategy[str], odd: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    """Columns of good texts, or of good texts with odd ones among them."""
+    mixed = st.lists(st.one_of(good, good, odd), min_size=1, max_size=12)
+    return st.one_of(st.lists(good, max_size=12), mixed)
+
+
+@given(_columns(_addresses, _odd_addresses))
+@example(["1.2.3.4", "5.6.7"])
+@example(["1.2.3.4.5", "6.7.8"])  # the parts of two texts add up
+def test_the_address_kernel_matches_ipaddress(texts):
+    values = ingest._ipv4_values(texts)
+    assert (None if values is None else list(values)) == _oracle_column(_oracle_ipv4, texts)
+
+
+@given(_columns(_cidrs, _odd_cidrs))
+@example(["1.2.3.4/8/1.2.3.4", "24"])  # the slashes of two texts add up
+@example(["1.2.3.4", "8/1.2.3.4/24"])
+@example(["10.0.0.0/024"])
+def test_the_cidr_kernel_matches_ipaddress(texts):
+    values = ingest.cidr_values(texts)
+    want = _oracle_column(_oracle_cidr, texts) if texts else None  # a block is never empty
+    assert (None if values is None else list(zip(*values))) == want
+
+
+@given(_columns(_slash24s, _odd_slash24s))
+@example(["1.2.3.0/24/0.4.5.6.0/24", "x"])  # the marks of two texts add up
+@example(["1.2.3.0/24/0.4.5.6.0/24"])  # one text, two marks
+@example(["1.2.3.0/24", "0/24"])
+@example(["1.2.3.0/024", "1.2.3.1/24"])
+def test_the_slash24_kernel_matches_ipaddress(texts):
+    values = prefixes._slash24_values(texts)
+    want = _oracle_column(_oracle_slash24, texts) if texts else None  # a block is never empty
+    assert (None if values is None else list(values)) == want
+
+
+_bad_lines = _odd_addresses.filter(
+    lambda text: _oracle_ipv4(text.strip()) is None and not text.strip().startswith("#")
+    and "\n" not in text and "\r" not in text
+)
+
+
+@given(st.lists(_addresses, min_size=1, max_size=40), _bad_lines, st.integers(0, 40),
+       st.sampled_from([1, 3, 8, BLOCK_LINES]))
+def test_a_strict_scan_names_the_line_of_its_one_bad_text(texts, bad, position, block):
+    position = min(position, len(texts))
+    lines = [text + "\n" for text in texts[:position] + [bad] + texts[position:]]
+    with mock.patch.object(ingest, "BLOCK_LINES", block):
+        addresses, _ = open_scan_source(lines, PLAIN, STRICT)
+        got = []
+        with pytest.raises(IngestError) as error:
+            got.extend(addresses)
+    assert error.value.line_number == position + 1
+    assert got == [_oracle_ipv4(text) for text in texts[:position]]

@@ -144,11 +144,17 @@ def inputs(tmp_path_factory) -> Path:
     return folder
 
 
+# Standard library modules no command needs, each a cost on every start: addresses are parsed
+# with _socket, since socket pulls in selectors, and rates compare with cutoffs in integers.
+UNUSED = {"socket", "selectors", "fractions", "decimal", "_decimal", "_pydecimal"}
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_a_subcommand_loads_only_the_modules_it_runs(inputs, command):
     modules = _run_and_list(inputs, command)
     hrpkit_modules = {name for name in modules if name.partition(".")[0] == "hrpkit"}
     assert hrpkit_modules == CORE | {f"hrpkit.{name}" for name in COMMANDS[command][1]}
+    assert not modules & UNUSED
 
 
 @pytest.mark.parametrize("command", ["detect", "enrich", "portmatrix", "stability", "vantage"])

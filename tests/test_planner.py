@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult
 from hrpkit.planner import (
@@ -206,6 +207,42 @@ def test_classify_sample_boundaries_are_exact():
     assert classify_sample(nine_in_ten, policy) == CDN_LIKE  # 0.9 >= 0.9, one identifier
     with pytest.raises(ValueError):
         classify_sample([], SamplePolicy())
+
+
+def _oracle_scenario(hits: int, size: int, policy: SamplePolicy) -> str:
+    """classify_sample's rule on `hits` successes of one identifier in `size` results, in Fractions."""
+    rate = Fraction(hits, size)
+    if rate <= Fraction(repr(policy.proxy_max_success)):
+        return PROXY
+    return CDN_LIKE if rate >= Fraction(repr(policy.cdn_min_success)) else DIVERSE
+
+
+_CUTOFFS = st.one_of(st.sampled_from([0.0, 0.1, 0.9, 1.0, 1e-05, 1.5e-07, 1 / 3, 5 / 6, 0.123456]),
+                     st.floats(-0.5, 1.5))
+
+
+@given(_CUTOFFS, _CUTOFFS, st.integers(1, 30), st.integers(0, 30))
+@example(0.1, 0.9, 10, 1)  # 1/10 <= 0.1 exactly, though the float 0.1 is a little above 1/10
+@example(0.1, 0.9, 10, 9)  # 9/10 >= 0.9 exactly, though the float 0.9 is a little below 9/10
+@example(0.1, 0.9, 20, 3)
+@example(0.0, 1.0, 10, 0)
+@example(0.0, 1.0, 10, 10)
+@example(0.0, 1.0, 10, 1)
+@example(1e-05, 0.9, 30, 1)
+@example(1 / 3, 0.9, 3, 1)  # 1/3 is above 0.3333333333333333, though the float 1/3 is that
+@example(0.1, 5 / 6, 6, 5)  # 5/6 is below 0.8333333333333334, though the float 5/6 is that
+@example(0.9, 0.1, 10, 5)  # not a policy
+@example(1e-05, 1.0000000000000002, 10, 5)
+def test_cutoffs_compare_with_rates_exactly_on_their_decimal_values(proxy, cdn, size, hits):
+    hits = min(hits, size)
+    if not 0 <= Fraction(repr(proxy)) < Fraction(repr(cdn)) <= 1:
+        with pytest.raises(ValueError, match="need 0 <= proxy_max_success < cdn_min_success <= 1"):
+            SamplePolicy(proxy_max_success=proxy, cdn_min_success=cdn)
+        return
+    policy = SamplePolicy(proxy_max_success=proxy, cdn_min_success=cdn)
+    sample = [_truth((5 << 8) | h, SUCCESS if h < hits else UNREACHABLE, "x" if h < hits else None)
+              for h in range(size)]
+    assert classify_sample(sample, policy) == _oracle_scenario(hits, size, policy)
 
 
 def test_classify_sample_missing_identifier_means_diverse():

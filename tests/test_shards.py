@@ -28,12 +28,15 @@ def _no_worker_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-def _detect(folder: Path, shards: list[str], cpus: int, *flags: str, block: int = ingest.BLOCK_LINES):
-    """detect over the shards with `cpus` usable CPUs: exit code, stderr and the files written."""
+def _detect(folder: Path, shards: list[str], cpus: int, *flags: str, block: int = ingest.BLOCK_LINES,
+            fork_min_bytes: int = 0):
+    """detect over the shards with `cpus` usable CPUs: exit code, stderr and the files written. By
+    default any shard with a byte in it is worth a fork, so these small shards are read in workers."""
     out = folder / f"out-{cpus}"
     out.mkdir()
     err = io.StringIO()
     with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(cli, "_FORK_MIN_BYTES", fork_min_bytes), \
             mock.patch.object(ingest, "BLOCK_LINES", block), contextlib.redirect_stderr(err):
         code = main(["detect", "--port", "443", *flags, "--output", str(out / "stats.csv"),
                      "--summary", str(out / "detect.json"), *shards])
@@ -131,6 +134,29 @@ def test_a_stdin_shard_is_read_serially(tmp_path, four_shards):
         code, err, files = _detect(tmp_path, [*four_shards, "-"], 2)
     assert (code, err) == (0, "")
     assert files == _detect(tmp_path, four_shards + ["-"], 1)[2]
+
+
+def test_empty_shards_are_read_here_without_a_fork(tmp_path):
+    paths = _write_shards(tmp_path, [[], [], [], []], PLAIN)
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        code, err, files = _detect(tmp_path, paths, 4)
+    assert (code, err) == (0, "")
+    assert files == _detect(tmp_path, paths, 1)[2]
+
+
+def test_shards_too_small_to_pay_for_a_fork_are_read_here(tmp_path, four_shards):
+    assert 0 < sum(map(os.path.getsize, four_shards[2:])) <= cli._FORK_MIN_BYTES
+    serial = _detect(tmp_path, four_shards, 1)
+    with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert _detect(tmp_path, four_shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
+
+
+def test_a_shard_of_unknown_size_is_worth_a_fork(tmp_path, four_shards):
+    shards = [*four_shards, os.devnull]  # not a regular file, like a pipe
+    serial = _detect(tmp_path, shards, 1)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert _detect(tmp_path, shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
+    assert fork.call_count == 1
 
 
 def test_a_process_running_other_threads_reads_its_shards_itself():
