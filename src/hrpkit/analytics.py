@@ -12,19 +12,17 @@ scan's hrp_set.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime
 from itertools import chain
 from math import ceil
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .fmt import fmt_real
 from .ingest import ScanMeta, format_timestamp, to_utc
 from .prefixes import HrpThreshold, PrefixStats, format_slash24, hrp_set, responsiveness_histogram
 
 
-@dataclass(frozen=True)
-class PortProfile:
+class PortProfile(NamedTuple):
     """How many of the supplied ports a /24 answers on, and is an HRP on."""
 
     prefix: int
@@ -32,8 +30,7 @@ class PortProfile:
     ports_hrp: int
 
 
-@dataclass
-class PortProfileReport:
+class PortProfileReport(NamedTuple):
     """Per-prefix port profiles plus bucket histograms over both counts.
 
     responsive_histogram buckets all visible prefixes by ports_responsive;
@@ -47,8 +44,7 @@ class PortProfileReport:
     hrp_histogram: dict[int, int]
 
 
-@dataclass(frozen=True)
-class StabilityPoint:
+class StabilityPoint(NamedTuple):
     """HRP weight of one scan at the 0.90 and 0.95 cuts.
 
     hrp_count is the number of prefixes at the 0.90 cut.
@@ -61,8 +57,7 @@ class StabilityPoint:
     hrp_count: int
 
 
-@dataclass
-class PersistenceSummary:
+class PersistenceSummary(NamedTuple):
     """How consistently prefixes keep their HRP classification over a series.
 
     scans_classified maps each prefix that was ever an HRP to the number of
@@ -81,8 +76,7 @@ class PersistenceSummary:
     missing_at_most_n_share: float
 
 
-@dataclass
-class VantageDiff:
+class VantageDiff(NamedTuple):
     """Set difference of two vantage points' HRP sets for one port."""
 
     only_a: frozenset[int]

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from itertools import compress, repeat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from .ingest import ScanMeta, block_meta, format_ipv4, ipv4_column, read_csv
+from .ingest import Checked, Record, ScanMeta, block_meta, format_ipv4, ipv4_column, read_csv
 from .prefixes import SLASH24_SIZE, PrefixTable, cumulative_shares
 
 SUCCESS = "success"
@@ -34,20 +33,15 @@ _SUCCESS, _APP_ERROR = STATUS_CODES[SUCCESS], STATUS_CODES[APP_ERROR]
 APP_RESULT_COLUMNS = ("ip", "port", "proto", "status", "identifier")
 
 
-@dataclass(frozen=True)
-class AppResult:
+class AppResult(Checked, namedtuple("AppResult", "target meta status identifier")):
     """Outcome of one application-layer probe."""
 
-    target: int
-    meta: ScanMeta
-    status: str
-    identifier: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        identifier = self.identifier
-        if identifier is not None and self.status != SUCCESS:
+    def __new__(cls, target: int, meta: ScanMeta, status: str, identifier: str | None = None):
+        if status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
+        if identifier is not None and status != SUCCESS:
             raise ValueError("identifier is only valid on success results")
         if identifier is not None and (
             not identifier or identifier != identifier.strip() or any(c in identifier for c in ",\r\n\ufffd")
@@ -56,18 +50,19 @@ class AppResult:
                 f"identifier must be non-empty text without surrounding whitespace, commas, "
                 f"line breaks or U+FFFD, got {identifier!r}"
             )
+        return super().__new__(cls, target, meta, status, identifier)
 
 
-@dataclass
-class AppResults:
+class AppResults(Record):
     """Application-layer results of one scan as columns, one entry per results row in file
     order, repeats kept: targets as address ints, status codes (STATUS_CODES) and identifiers.
     meta is None only for a table without rows."""
 
-    meta: ScanMeta | None
-    targets: array
-    statuses: bytes
-    identifiers: list[str | None]
+    def __init__(self, meta: ScanMeta | None, targets: array, statuses: bytes, identifiers: list[str | None]):
+        self.meta = meta
+        self.targets = targets
+        self.statuses = statuses
+        self.identifiers = identifiers
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -104,8 +99,7 @@ class AppResults:
         )
 
 
-@dataclass(frozen=True)
-class HrpAppReport:
+class HrpAppReport(NamedTuple):
     """Application-layer outcome of one HRP.
 
     same_identifier is true only when every success carries an identifier
@@ -124,8 +118,7 @@ class HrpAppReport:
     dominant_identifier_share: float
 
 
-@dataclass
-class AddressComparison:
+class AddressComparison(NamedTuple):
     """Address-level success rates inside vs outside HRPs for one port.
 
     Rates are None when their partition is empty (undefined, not zero).
@@ -144,8 +137,7 @@ class AddressComparison:
     gt90_same_identifier_share: float | None
 
 
-@dataclass
-class AppReportSet:
+class AppReportSet(NamedTuple):
     """Per-HRP reports plus join accounting."""
 
     reports: list[HrpAppReport]
@@ -154,8 +146,7 @@ class AppReportSet:
     comparison: AddressComparison  # always with app_error counted as failure
 
 
-@dataclass
-class SuccessCdf:
+class SuccessCdf(NamedTuple):
     """Cumulative distribution of per-HRP success counts over 0..256."""
 
     total_reports: int

@@ -13,7 +13,6 @@ command's start-up compiles no module it does not use.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import marshal
 import os
 import sys
@@ -184,9 +183,10 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
 
 
 def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
-    """A dataclass as a report dict: its fields in declaration order except
+    """A record as a report dict: its fields in declaration order except
     those in drop, each passed through the render function named after it."""
-    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+    doc = {name: value for name, value in (obj._asdict() if isinstance(obj, tuple) else vars(obj)).items()
+           if name not in drop}
     doc.update((name, fn(doc[name])) for name, fn in render.items())
     return doc
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from _socket import AF_INET, inet_pton  # not socket, whose import pulls in selectors
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice, repeat
@@ -67,38 +67,54 @@ class IngestError(Exception):
         self.line_number = line_number
 
 
-@dataclass(frozen=True, order=True)
-class ScanMeta:
+class Record:
+    """A mutable record or column table: equal to a record of its class whose fields are equal,
+    and shown with its fields, ``vars(record)``, in the order its constructor sets them."""
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
+
+
+class Checked:
+    """Mixed into a named tuple whose constructor checks its fields, so that ``_make``, and with it
+    ``_replace``, builds through that constructor."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class ScanMeta(Checked, namedtuple("ScanMeta", "protocol port")):
     """The scan a table's rows come from: its protocol and port."""
 
-    protocol: str
-    port: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.protocol not in _PROTOCOLS:
-            raise ValueError(f"protocol must be one of {_PROTOCOLS}, got {self.protocol!r}")
-        if not 0 <= self.port <= 65535:
-            raise ValueError(f"port out of range: {self.port}")
+    def __new__(cls, protocol: str, port: int):
+        if protocol not in _PROTOCOLS:
+            raise ValueError(f"protocol must be one of {_PROTOCOLS}, got {protocol!r}")
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port out of range: {port}")
+        return super().__new__(cls, protocol, port)
 
 
-@dataclass
-class IngestStats:
+class IngestStats(Record):
     """Line accounting for one ingest run.
 
     Invariant: lines_read == addresses_emitted + invalid_lines + comment_lines.
     The csv_saddr header row counts as a comment line.
     """
 
-    lines_read: int = 0
-    addresses_emitted: int = 0
-    invalid_lines: int = 0
-    comment_lines: int = 0
+    def __init__(self, lines_read: int = 0, addresses_emitted: int = 0, invalid_lines: int = 0, comment_lines: int = 0):
+        self.lines_read = lines_read
+        self.addresses_emitted = addresses_emitted
+        self.invalid_lines = invalid_lines
+        self.comment_lines = comment_lines
 
     def merge(self, other: "IngestStats") -> None:
-        self.lines_read += other.lines_read
-        self.addresses_emitted += other.addresses_emitted
-        self.invalid_lines += other.invalid_lines
-        self.comment_lines += other.comment_lines
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
 
 # inet_pton takes only four canonical decimal octets; other text raises OSError, and a NUL or a

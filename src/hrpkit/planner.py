@@ -19,13 +19,14 @@ the result.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, groupby, islice, pairwise
+from math import isfinite
 from operator import ne
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults, single_identifier
-from .ingest import format_ipv4, ipv4_column, parse_uint, read_csv
+from .ingest import Checked, Record, format_ipv4, ipv4_column, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
 STRATEGY_FULL = "full"
@@ -92,16 +93,15 @@ def _sample_without_replacement(items: Sequence[int], m: int, rng: SplitMix64) -
     return pool[:m]
 
 
-@dataclass(frozen=True)
-class DnsSeed:
+class DnsSeed(Checked, namedtuple("DnsSeed", "address name_count")):
     """An address DNS points at, weighted by how many names reference it."""
 
-    address: int
-    name_count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name_count < 1:
-            raise ValueError(f"name_count must be >= 1, got {self.name_count}")
+    def __new__(cls, address: int, name_count: int):
+        if name_count < 1:
+            raise ValueError(f"name_count must be >= 1, got {name_count}")
+        return super().__new__(cls, address, name_count)
 
 
 def _decimal(cutoff: float) -> tuple[int, int]:
@@ -113,8 +113,8 @@ def _decimal(cutoff: float) -> tuple[int, int]:
     return int(whole + digits) * 10 ** max(-scale, 0), 10 ** max(scale, 0)
 
 
-@dataclass(frozen=True)
-class SamplePolicy:
+class SamplePolicy(Checked, namedtuple(
+        "SamplePolicy", "k rng_seed proxy_max_success cdn_min_success include_unresponsive_seeds")):
     """Sampling knobs: targets per HRP, PRNG seed, and scenario cutoffs.
 
     include_unresponsive_seeds keeps DNS-seeded targets that the port scan
@@ -123,39 +123,37 @@ class SamplePolicy:
     compared exactly on their decimal values.
     """
 
-    k: int = 10
-    rng_seed: int = 0
-    proxy_max_success: float = 0.10
-    cdn_min_success: float = 0.90
-    include_unresponsive_seeds: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= 256:
-            raise ValueError(f"k must be in [1, 256], got {self.k}")
-        (p, q), (c, d) = _decimal(self.proxy_max_success), _decimal(self.cdn_min_success)
+    def __new__(cls, k: int = 10, rng_seed: int = 0, proxy_max_success: float = 0.10,
+                cdn_min_success: float = 0.90, include_unresponsive_seeds: bool = True):
+        if not 1 <= k <= 256:
+            raise ValueError(f"k must be in [1, 256], got {k}")
+        for name, cutoff in ("proxy_max_success", proxy_max_success), ("cdn_min_success", cdn_min_success):
+            if not isfinite(cutoff):
+                raise ValueError(f"{name} must be finite, got {cutoff}")
+        (p, q), (c, d) = _decimal(proxy_max_success), _decimal(cdn_min_success)
         if not (0 <= p and p * d < c * q and c <= d):  # 0 <= p/q < c/d <= 1
             raise ValueError(
                 f"need 0 <= proxy_max_success < cdn_min_success <= 1, "
-                f"got {self.proxy_max_success} / {self.cdn_min_success}"
+                f"got {proxy_max_success} / {cdn_min_success}"
             )
+        return super().__new__(cls, k, rng_seed, proxy_max_success, cdn_min_success, include_unresponsive_seeds)
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(Checked, namedtuple("PlanEntry", "prefix strategy addresses runs")):
     """Targets of one /24 in plan order, with their provenances as runs: the maximal
     ``(provenance, length)`` segments over addresses, so equal plans compare equal.
     The writers rely on the runs covering the addresses, all in the prefix; both are checked."""
 
-    prefix: int
-    strategy: str
-    addresses: tuple[int, ...]
-    runs: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.runs != _runs(self.runs) or sum(length for _, length in self.runs) != len(self.addresses):
-            raise ValueError(f"runs {self.runs} are not the maximal runs over {len(self.addresses)} targets")
-        if self.addresses and not self.prefix == min(self.addresses) >> 8 == max(self.addresses) >> 8:
-            raise ValueError(f"targets outside {format_slash24(self.prefix)}")
+    def __new__(cls, prefix: int, strategy: str, addresses: tuple[int, ...], runs: tuple[tuple[str, int], ...]):
+        if runs != _runs(runs) or sum(length for _, length in runs) != len(addresses):
+            raise ValueError(f"runs {runs} are not the maximal runs over {len(addresses)} targets")
+        if addresses and not prefix == min(addresses) >> 8 == max(addresses) >> 8:
+            raise ValueError(f"targets outside {format_slash24(prefix)}")
+        return super().__new__(cls, prefix, strategy, addresses, runs)
 
 
 def _runs(segments: Iterable[Sequence]) -> tuple[tuple[str, int], ...]:
@@ -164,11 +162,11 @@ def _runs(segments: Iterable[Sequence]) -> tuple[tuple[str, int], ...]:
     return tuple((p, sum(length for _, length in group)) for p, group in groupby(nonempty, lambda s: s[0]))
 
 
-@dataclass
-class TargetPlan:
+class TargetPlan(Record):
     """Per-prefix strategies and concrete target addresses."""
 
-    entries: dict[int, PlanEntry]
+    def __init__(self, entries: dict[int, PlanEntry]):
+        self.entries = entries
 
     def total_targets(self) -> int:
         return sum(len(entry.addresses) for entry in self.entries.values())
@@ -177,8 +175,7 @@ class TargetPlan:
         return {address for entry in self.entries.values() for address in entry.addresses}
 
 
-@dataclass(frozen=True)
-class PlanMetrics:
+class PlanMetrics(NamedTuple):
     """Cost and coverage of a plan against full-scan ground truth."""
 
     handshakes_planned: int

@@ -19,16 +19,15 @@ back from its CSV form and the measures here read.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate, compress
 from operator import ge, ne
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
-    ScanMeta, _ipv4_values, block_meta, format_ipv4, parse_asn, parse_cidr, parse_decimal, parse_ipv4,
-    parse_uint, read_csv,
+    Checked, Record, ScanMeta, _ipv4_values, block_meta, format_ipv4, parse_asn, parse_cidr, parse_decimal,
+    parse_ipv4, parse_uint, read_csv,
 )
 
 SLASH24_SIZE = 256
@@ -66,55 +65,55 @@ def parse_slash24(text: str) -> int:
     return network >> 8
 
 
-@dataclass(frozen=True)
-class HrpThreshold:
+class HrpThreshold(Checked, namedtuple("HrpThreshold", "fraction min_count")):
     """Responsiveness cut for a /24: fraction in (0, 1] with at most six
     decimals, the precision stats files write, and the derived count.
 
     The count is ``ceil(fraction * 256)`` computed in integers on the
     fraction's millionths, so that e.g. 0.90 -> 231 and 0.95 -> 244 exactly.
+    A threshold is built from its fraction alone.
     """
 
-    fraction: float
-    min_count: int = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.fraction <= 1:
-            raise ValueError(f"threshold fraction must be in (0, 1], got {self.fraction}")
-        millionths = round(self.fraction * 10**6)
-        if millionths / 10**6 != self.fraction:
-            raise ValueError(f"threshold fraction must have at most six decimals, got {self.fraction}")
-        object.__setattr__(self, "min_count", -(-millionths * SLASH24_SIZE // 10**6))
+    def __new__(cls, fraction: float):
+        if not 0 < fraction <= 1:
+            raise ValueError(f"threshold fraction must be in (0, 1], got {fraction}")
+        millionths = round(fraction * 10**6)
+        if millionths / 10**6 != fraction:
+            raise ValueError(f"threshold fraction must have at most six decimals, got {fraction}")
+        return super().__new__(cls, fraction, -(-millionths * SLASH24_SIZE // 10**6))
+
+    def __getnewargs__(self) -> tuple[float]:  # for copy and pickle
+        return (self.fraction,)
 
 
 DEFAULT_THRESHOLD = HrpThreshold(0.90)
 
 
-@dataclass(frozen=True)
-class PrefixStats:
+class PrefixStats(Record):
     """The classified /24s of one scan as columns, one entry per row, each /24 at most once:
     prefixes (an ``array('I')`` of 24-bit network values), responsive counts 1-256 (an
     ``array('H')``), each row's threshold, and each row's origin ASN and covering route
     ``(network value, length)``, None where not enriched. meta is None exactly when the table
     has no rows. A row is an HRP when its count reaches its threshold's."""
 
-    meta: ScanMeta | None
-    prefixes: array
-    counts: array
-    thresholds: list[HrpThreshold]
-    origin_asns: list[int | None]
-    covering_routes: list[tuple[int, int] | None]
-
-    def __post_init__(self):
-        rows = len(self.prefixes)
-        if any(len(column) != rows for column in (self.counts, self.thresholds, self.origin_asns,
-                                                  self.covering_routes)):
+    def __init__(self, meta: ScanMeta | None, prefixes: array, counts: array, thresholds: list[HrpThreshold],
+                 origin_asns: list[int | None], covering_routes: list[tuple[int, int] | None]):
+        rows = len(prefixes)
+        if any(len(column) != rows for column in (counts, thresholds, origin_asns, covering_routes)):
             raise ValueError("columns of unequal length")
-        if (self.meta is None) != (rows == 0):
+        if (meta is None) != (rows == 0):
             raise ValueError("meta must be None exactly when the table has no rows")
-        if len(set(self.prefixes)) != rows:
-            repeated = next(p for p, n in Counter(self.prefixes).items() if n > 1)
+        if len(set(prefixes)) != rows:
+            repeated = next(p for p, n in Counter(prefixes).items() if n > 1)
             raise ValueError(f"repeated prefix {format_slash24(repeated)}")
+        self.meta = meta
+        self.prefixes = prefixes
+        self.counts = counts
+        self.thresholds = thresholds
+        self.origin_asns = origin_asns
+        self.covering_routes = covering_routes
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -125,16 +124,16 @@ class PrefixStats:
         return list(map(ge, self.counts, [threshold.min_count for threshold in self.thresholds]))
 
 
-@dataclass
-class PrefixTable:
+class PrefixTable(Record):
     """Per-/24 occupancy bitmaps for one scan.
 
     bitmaps maps the 24-bit network value to a 256-bit int; prefixes with
     no responsive address are never materialized.
     """
 
-    meta: ScanMeta
-    bitmaps: dict[int, int] = field(default_factory=dict)
+    def __init__(self, meta: ScanMeta, bitmaps: dict[int, int] | None = None):
+        self.meta = meta
+        self.bitmaps = {} if bitmaps is None else bitmaps
 
     def __len__(self) -> int:
         return len(self.bitmaps)
@@ -207,8 +206,7 @@ def hrp_address_share(stats: PrefixStats) -> float:
     return sum(compress(stats.counts, stats.is_hrp)) / total if total else 0.0
 
 
-@dataclass
-class ResponsivenessHistogram:
+class ResponsivenessHistogram(NamedTuple):
     """Distribution of per-prefix responsive counts.
 
     Lists are indexed by responsive count 0..256; index 0 stays zero because

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from itertools import count
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from .ingest import LENIENT, STRICT, IngestError, ScanMeta, cidr_values, parse_asn, parse_cidr, table_runs
+from .ingest import LENIENT, STRICT, IngestError, Record, ScanMeta, cidr_values, parse_asn, parse_cidr, table_runs
 from .prefixes import PrefixStats
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
@@ -27,8 +26,7 @@ class RouteParseError(IngestError):
     """A snapshot line could not be used (raised under strict policy)."""
 
 
-@dataclass(frozen=True)
-class RouteEntry:
+class RouteEntry(NamedTuple):
     """One announced route: normalized network value, length, origin ASN."""
 
     network: int
@@ -36,20 +34,22 @@ class RouteEntry:
     origin_asn: int
 
 
-@dataclass
-class RouteLoadStats:
+class RouteLoadStats(Record):
     """Accounting for one snapshot load (lenient mode keeps going and counts).
 
     Every line read is loaded, a comment, invalid, a conflict or a repeat.
     """
 
-    lines_read: int = 0
-    entries_loaded: int = 0
-    comment_lines: int = 0
-    invalid_lines: int = 0
-    normalized_lines: int = 0  # host bits were set and got cleared
-    duplicate_conflicts: int = 0  # same (network, length), different ASN; first kept
-    duplicate_repeats: int = 0  # exact repeats of an existing entry
+    def __init__(self, lines_read: int = 0, entries_loaded: int = 0, comment_lines: int = 0,
+                 invalid_lines: int = 0, normalized_lines: int = 0, duplicate_conflicts: int = 0,
+                 duplicate_repeats: int = 0):
+        self.lines_read = lines_read
+        self.entries_loaded = entries_loaded
+        self.comment_lines = comment_lines
+        self.invalid_lines = invalid_lines
+        self.normalized_lines = normalized_lines  # host bits were set and got cleared
+        self.duplicate_conflicts = duplicate_conflicts  # same (network, length), different ASN; first kept
+        self.duplicate_repeats = duplicate_repeats  # exact repeats of an existing entry
 
 
 class RoutingTable:
@@ -205,15 +205,14 @@ def enrich(stats: PrefixStats, table: RoutingTable) -> PrefixStats:
     entry keep the values they had. Counts and thresholds are never touched.
     """
     hits = [table._match(prefix << 8) for prefix in stats.prefixes]
-    return replace(
-        stats,
-        origin_asns=[asn if hit is None else hit[2] for asn, hit in zip(stats.origin_asns, hits)],
-        covering_routes=[route if hit is None else hit[:2] for route, hit in zip(stats.covering_routes, hits)],
+    return PrefixStats(
+        stats.meta, stats.prefixes, stats.counts, stats.thresholds,
+        [asn if hit is None else hit[2] for asn, hit in zip(stats.origin_asns, hits)],
+        [route if hit is None else hit[:2] for route, hit in zip(stats.covering_routes, hits)],
     )
 
 
-@dataclass
-class AsSummary:
+class AsSummary(NamedTuple):
     """How strongly one origin AS is filled with highly responsive prefixes.
 
     Prefix counts are over distinct /24s across all supplied scans: a /24

@@ -4,7 +4,6 @@ decimal flags follow the file rules, and every input file decodes one way."""
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import subprocess
@@ -264,7 +263,7 @@ def test_applayer_joins_its_results_once(tmp_path, inputs, monkeypatch):
     read = applayer.read_app_results
     monkeypatch.setattr(
         applayer, "read_app_results",
-        lambda lines: dataclasses.replace(table := read(lines), targets=Targets(table.targets)),
+        lambda lines: applayer.AppResults(**{**vars(table := read(lines)), "targets": Targets(table.targets)}),
     )
     assert main(["applayer", "--output", str(tmp_path / "a.json"), *inputs["applayer"]]) == 0
     assert len(passes) == 1

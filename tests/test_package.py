@@ -145,8 +145,9 @@ def inputs(tmp_path_factory) -> Path:
 
 
 # Standard library modules no command needs, each a cost on every start: addresses are parsed
-# with _socket, since socket pulls in selectors, and rates compare with cutoffs in integers.
-UNUSED = {"socket", "selectors", "fractions", "decimal", "_decimal", "_pydecimal"}
+# with _socket, since socket pulls in selectors, rates compare with cutoffs in integers, and
+# records are named tuples and plain classes, since dataclasses pulls in inspect.
+UNUSED = {"socket", "selectors", "fractions", "decimal", "_decimal", "_pydecimal", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
