@@ -20,9 +20,8 @@ _EXPORTS = {
         "persistence", "port_profile", "stability_series", "vantage_diff",
     ),
     "applayer": (
-        "AddressComparison", "AppReportSet", "AppResult", "AppResults", "HrpAppReport", "SuccessCdf",
+        "AddressComparison", "AppReportSet", "AppResults", "HrpAppReport", "SuccessCdf",
         "address_comparison", "hrp_app_report", "read_app_results", "success_cdf",
-        "write_app_results_csv",
     ),
     "ingest": ("IngestError", "IngestStats", "ScanMeta", "format_ipv4", "open_scan_source", "parse_ipv4"),
     "planner": (
@@ -36,8 +35,7 @@ _EXPORTS = {
         "write_prefix_stats_csv", "write_prefix_stats_jsonl",
     ),
     "routing": (
-        "AsSummary", "RouteEntry", "RouteParseError", "RoutingTable", "as_summary", "enrich",
-        "load_route_table",
+        "AsSummary", "RouteParseError", "RoutingTable", "as_summary", "enrich", "load_route_table",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -8,19 +8,19 @@ results aimed at addresses the port scan never saw are excluded and
 counted as anomalies. Repeated rows for one address keep the first row.
 
 A results file reads into an :class:`AppResults` table: one column each of
-targets, status codes and identifiers, every row kept in file order. The
-joins read the columns; iterating the table gives :class:`AppResult` rows.
+targets, status codes and identifiers, every row kept in file order, and
+the joins read the columns.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter, defaultdict, namedtuple
+from collections import Counter, defaultdict
 from itertools import compress, repeat
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .ingest import Checked, Record, ScanMeta, block_meta, format_ipv4, ipv4_column, read_csv
+from .ingest import Record, ScanMeta, block_meta, ipv4_column, read_csv
 from .prefixes import SLASH24_SIZE, PrefixTable, cumulative_shares
 
 SUCCESS = "success"
@@ -31,26 +31,6 @@ STATUS_CODES = {status: code for code, status in enumerate(STATUSES)}  # a statu
 _SUCCESS, _APP_ERROR = STATUS_CODES[SUCCESS], STATUS_CODES[APP_ERROR]
 
 APP_RESULT_COLUMNS = ("ip", "port", "proto", "status", "identifier")
-
-
-class AppResult(Checked, namedtuple("AppResult", "target meta status identifier")):
-    """Outcome of one application-layer probe."""
-
-    __slots__ = ()
-
-    def __new__(cls, target: int, meta: ScanMeta, status: str, identifier: str | None = None):
-        if status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
-        if identifier is not None and status != SUCCESS:
-            raise ValueError("identifier is only valid on success results")
-        if identifier is not None and (
-            not identifier or identifier != identifier.strip() or any(c in identifier for c in ",\r\n\ufffd")
-        ):  # the CSV row could not carry it back unchanged
-            raise ValueError(
-                f"identifier must be non-empty text without surrounding whitespace, commas, "
-                f"line breaks or U+FFFD, got {identifier!r}"
-            )
-        return super().__new__(cls, target, meta, status, identifier)
 
 
 class AppResults(Record):
@@ -66,27 +46,6 @@ class AppResults(Record):
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __iter__(self) -> Iterator[AppResult]:
-        meta = self.meta
-        for target, code, identifier in zip(self.targets, self.statuses, self.identifiers):
-            yield AppResult(target, meta, STATUSES[code], identifier)
-
-    @classmethod
-    def of(cls, results: Iterable[AppResult]) -> AppResults:
-        """The table of result rows, which must share one meta; a table is returned as it is."""
-        if isinstance(results, AppResults):
-            return results
-        rows = list(results)
-        metas = {r.meta for r in rows}
-        if len(metas) > 1:
-            raise ValueError(f"results from more than one port/proto: {sorted(metas)}")
-        return cls(
-            rows[0].meta if rows else None,
-            array("I", [r.target for r in rows]),
-            bytes(STATUS_CODES[r.status] for r in rows),
-            [r.identifier for r in rows],
-        )
 
     def select(self, rows: Iterable[int]) -> AppResults:
         """The table of the given rows, in the given order."""
@@ -157,7 +116,7 @@ class SuccessCdf(NamedTuple):
 
 
 def hrp_app_report(
-    results: AppResults | Iterable[AppResult],
+    results: AppResults,
     hrps: Iterable[int],
     occupancy: PrefixTable,
     exclude_app_errors: bool = False,
@@ -175,7 +134,6 @@ def hrp_app_report(
     missing = [p for p in hrp_prefixes if not occupancy.count(p)]
     if missing:
         raise ValueError(f"HRPs missing from the occupancy table: {missing[:5]}")
-    results = AppResults.of(results)
     meta = occupancy.meta
     if results.meta is not None and results.meta != meta:
         raise ValueError(
@@ -249,7 +207,7 @@ def hrp_app_report(
 
 
 def address_comparison(
-    results: AppResults | Iterable[AppResult], hrps: Iterable[int], occupancy: PrefixTable
+    results: AppResults, hrps: Iterable[int], occupancy: PrefixTable
 ) -> AddressComparison:
     """Success rates of non-HRP vs HRP addresses, plus the >90% subset shares:
     the comparison of hrp_app_report, which always counts app_error as a
@@ -271,14 +229,6 @@ def success_cdf(reports: Iterable[HrpAppReport]) -> SuccessCdf:
     return SuccessCdf(total_reports=sum(counts.values()), cumulative=tuple(cumulative))
 
 
-def write_app_results_csv(results: Iterable[AppResult], out: IO[str]) -> None:
-    """CSV form; the identifier field is empty when absent."""
-    out.write(",".join(APP_RESULT_COLUMNS) + "\n")
-    for r in results:
-        identifier = r.identifier if r.identifier is not None else ""
-        out.write(f"{format_ipv4(r.target)},{r.meta.port},{r.meta.protocol},{r.status},{identifier}\n")
-
-
 def read_app_results(lines: Iterable[str]) -> AppResults:
     """Read the CSV form back into a table, every row in file order; port/proto must agree
     across rows, and an identifier holding U+FFFD (the mark of an undecodable input byte) is
@@ -294,12 +244,20 @@ def read_app_results(lines: Iterable[str]) -> AppResults:
             raise ValueError(f"undecodable bytes in identifier {bad!r}")
         rows_meta = block_meta(ports, protos, meta)
         codes = bytes(map(STATUS_CODES.get, statuses, repeat(255)))  # 255 for an unknown status
-        # AppResult names the first row it rejects: one with an unknown status, an identifier on a
-        # result other than success (code 0), or one that its row might not carry back unchanged.
+        # Name the first row with an unknown status, an identifier on a result other than success
+        # (code 0), or an identifier that its row might not carry back unchanged.
         uncarried = not joined.isprintable() or any(map(str.isspace, identifiers))
         if uncarried or 255 in codes or any(compress(identifiers, codes)):
-            for target, status, identifier in zip(targets, statuses, identifiers):
-                AppResult(target, rows_meta, status, identifier or None)
+            for status, identifier in zip(statuses, identifiers):
+                if status not in STATUSES:
+                    raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
+                if identifier and status != SUCCESS:
+                    raise ValueError("identifier is only valid on success results")
+                if identifier != identifier.strip() or any(c in identifier for c in "\r\n"):
+                    raise ValueError(
+                        f"identifier must be non-empty text without surrounding whitespace, commas, "
+                        f"line breaks or U+FFFD, got {identifier!r}"
+                    )
         return rows_meta, targets, codes, [text or None for text in map(sys.intern, identifiers)]
 
     targets, codes, identifiers = array("I"), bytearray(), []

@@ -25,7 +25,7 @@ from math import isfinite
 from operator import ne
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .applayer import STATUS_CODES, SUCCESS, AppResult, AppResults, single_identifier
+from .applayer import STATUS_CODES, SUCCESS, AppResults, single_identifier
 from .ingest import Checked, Record, format_ipv4, ipv4_column, parse_uint, read_csv
 from .prefixes import PrefixTable, format_slash24, parse_slash24
 
@@ -231,19 +231,18 @@ def _sample_hrp(
     return PlanEntry(prefix, STRATEGY_SAMPLED, tuple(seeded + drawn), runs)
 
 
-def classify_sample(sample_results: AppResults | Sequence[AppResult], policy: SamplePolicy) -> str:
+def classify_sample(sample_results: AppResults, policy: SamplePolicy) -> str:
     """Scenario for one HRP from its sampled outcomes.
 
     success rate <= proxy_max_success -> proxy; rate >= cdn_min_success with
     every success carrying one shared identifier -> cdn_like; else diverse.
     """
-    sample = AppResults.of(sample_results)
-    if not len(sample):
+    if not len(sample_results):
         raise ValueError("classify_sample needs at least one result")
     success = STATUS_CODES[SUCCESS]
-    successes = [i for code, i in zip(sample.statuses, sample.identifiers) if code == success]
+    successes = [i for code, i in zip(sample_results.statuses, sample_results.identifiers) if code == success]
     (p, q), (c, d) = _decimal(policy.proxy_max_success), _decimal(policy.cdn_min_success)
-    hits, size = len(successes), len(sample)
+    hits, size = len(successes), len(sample_results)
     if hits * q <= p * size:  # the success rate hits/size <= p/q
         return PROXY
     if hits * d >= c * size and single_identifier(successes):
@@ -269,13 +268,12 @@ def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTabl
     return TargetPlan(entries)
 
 
-def evaluate_plan(final_plan: TargetPlan, truth: AppResults | Iterable[AppResult]) -> PlanMetrics:
+def evaluate_plan(final_plan: TargetPlan, truth: AppResults) -> PlanMetrics:
     """Cost/coverage of a plan against ground truth for every responsive address.
 
     Raises PlanEvaluationError when a planned target has no truth row. With
     an empty plan and empty truth, reduction is 0 and coverage 1 (vacuous).
     """
-    truth = AppResults.of(truth)
     # Each target's identifier from its first row: built backwards, the first row is set last.
     identifier_of = dict(zip(reversed(truth.targets), reversed(truth.identifiers)))
     planned = final_plan.target_addresses()

@@ -2,10 +2,11 @@
 
 The snapshot format is one ``prefix/length,asn`` entry per line with ``#``
 comments, e.g. a flattened RouteViews RIB. It is read a block of lines at a
-time, like the scans (see :func:`hrpkit.ingest.table_runs`). Lookups are
-longest-prefix match over per-length hash maps, walked from the most specific
-length present down to a default route; tables are immutable after loading,
-so concurrent lookups need no locking.
+time, like the scans (see :func:`hrpkit.ingest.table_runs`). A table holds one
+``{network: asn}`` map per length; a lookup is a longest-prefix match over those
+maps, walked from the most specific length present down to a default route, and
+gives a ``(network, length, origin ASN)`` tuple. Tables are not changed after
+they are built, so concurrent lookups need no locking.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ MASKS = tuple(((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF) if length else 0 for 
 
 class RouteParseError(IngestError):
     """A snapshot line could not be used (raised under strict policy)."""
-
-
-class RouteEntry(NamedTuple):
-    """One announced route: normalized network value, length, origin ASN."""
-
-    network: int
-    length: int
-    origin_asn: int
 
 
 class RouteLoadStats(Record):
@@ -53,58 +46,29 @@ class RouteLoadStats(Record):
 
 
 class RoutingTable:
-    """Longest-prefix-match table over route entries.
+    """Longest-prefix-match table over routes: ``routes`` maps each length to
+    ``{network: origin ASN}``, networks normalized.
 
     At most one entry exists per (network, length); the default route
     0.0.0.0/0 is accepted and matches anything not otherwise covered.
     """
 
-    def __init__(self):
-        self._by_length: dict[int, dict[int, int]] = {}
-        self._index()
-        self.load_stats = RouteLoadStats()
-
-    def _index(self) -> None:
+    def __init__(self, routes: dict[int, dict[int, int]] | None = None, load_stats: RouteLoadStats | None = None):
+        self.routes = {} if routes is None else routes
         # (length, mask, {network: asn}) per length present, most specific first.
-        self._levels = tuple((n, MASKS[n], nets) for n, nets in sorted(self._by_length.items(), reverse=True))
+        self._levels = tuple((n, MASKS[n], nets) for n, nets in sorted(self.routes.items(), reverse=True))
+        self.load_stats = RouteLoadStats() if load_stats is None else load_stats
 
     def __len__(self) -> int:
-        return sum(len(nets) for nets in self._by_length.values())
+        return sum(len(nets) for nets in self.routes.values())
 
-    def add(self, entry: RouteEntry) -> None:
-        """Insert an entry; the network must be normalized and not yet present."""
-        if entry.network & ~MASKS[entry.length] & 0xFFFFFFFF:
-            raise ValueError(f"host bits set in {entry}")
-        nets = self._by_length.get(entry.length)
-        if nets is None:
-            nets = self._by_length[entry.length] = {}
-            self._index()
-        if entry.network in nets:
-            raise ValueError(f"duplicate route for length {entry.length}: {entry}")
-        nets[entry.network] = entry.origin_asn
-
-    def get(self, network: int, length: int) -> RouteEntry | None:
-        asn = self._by_length.get(length, {}).get(network)
-        return None if asn is None else RouteEntry(network, length, asn)
-
-    def _match(self, addr: int) -> tuple[int, int, int] | None:
+    def lookup(self, addr: int) -> tuple[int, int, int] | None:
         """(network, length, origin ASN) of the longest covering entry, or None."""
         for length, mask, nets in self._levels:
             asn = nets.get(addr & mask)
             if asn is not None:
                 return addr & mask, length, asn
         return None
-
-    def lookup(self, addr: int) -> RouteEntry | None:
-        """The covering entry of maximal length, or None."""
-        hit = self._match(addr)
-        return None if hit is None else RouteEntry(*hit)
-
-    def entries(self) -> Iterator[RouteEntry]:
-        """All entries, ascending (length, network)."""
-        for length in sorted(self._by_length):
-            for network in sorted(self._by_length[length]):
-                yield RouteEntry(network, length, self._by_length[length][network])
 
     def split_slash24s(self) -> frozenset[int]:
         """/24 networks that contain routes more specific than /24.
@@ -113,7 +77,7 @@ class RoutingTable:
         of it are routed separately from the entry its network address hits.
         """
         split = set()
-        for length, nets in self._by_length.items():
+        for length, nets in self.routes.items():
             if length > 24:
                 split.update(network >> 8 for network in nets)
         return frozenset(split)
@@ -157,12 +121,8 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
                 raise RouteParseError(message, line_number)
             else:
                 stats.duplicate_conflicts += 1
-    table = RoutingTable()
-    table._by_length = {length: nets for length, nets in enumerate(by_length) if nets}
-    table._index()
-    stats.entries_loaded = len(table)
-    table.load_stats = stats
-    return table
+    stats.entries_loaded = sum(map(len, by_length))
+    return RoutingTable({length: nets for length, nets in enumerate(by_length) if nets}, stats)
 
 
 def _route_columns(fields: list[list[str]]) -> tuple[array, list[int], list[int]] | None:
@@ -204,7 +164,7 @@ def enrich(stats: PrefixStats, table: RoutingTable) -> PrefixStats:
     The lookup key is the /24's network address; rows without a covering
     entry keep the values they had. Counts and thresholds are never touched.
     """
-    hits = [table._match(prefix << 8) for prefix in stats.prefixes]
+    hits = [table.lookup(prefix << 8) for prefix in stats.prefixes]
     return PrefixStats(
         stats.meta, stats.prefixes, stats.counts, stats.thresholds,
         [asn if hit is None else hit[2] for asn, hit in zip(stats.origin_asns, hits)],

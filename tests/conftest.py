@@ -6,6 +6,7 @@ from array import array
 from datetime import datetime, timezone
 from typing import NamedTuple
 
+from hrpkit.applayer import STATUS_CODES, AppResults
 from hrpkit.ingest import ScanMeta
 from hrpkit.prefixes import HrpThreshold, PrefixStats, PrefixTable, aggregate
 
@@ -59,6 +60,18 @@ def table_of(rows: list[Row]) -> PrefixStats:
         [r.threshold for r in rows],
         [r.origin_asn for r in rows],
         [r.covering_route for r in rows],
+    )
+
+
+def results_of(rows, meta: ScanMeta | None = None) -> AppResults:
+    """The results table of ``(target, status, identifier)`` rows of one scan, in order: of
+    ``meta``, make_meta() by default, or of none when there are no rows."""
+    rows = list(rows)
+    return AppResults(
+        (meta or make_meta()) if rows else None,
+        array("I", [target for target, _, _ in rows]),
+        bytes(STATUS_CODES[status] for _, status, _ in rows),
+        [identifier for _, _, identifier in rows],
     )
 
 

@@ -9,9 +9,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
 from operator import ge
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from hrpkit.applayer import STATUS_CODES, STATUSES, SUCCESS
 from hrpkit.ingest import _PROTOCOLS
 from hrpkit.planner import _decimal, _runs
 from hrpkit.prefixes import SLASH24_SIZE, format_slash24
@@ -160,15 +159,6 @@ class ResponsivenessHistogram:
     total_addresses: int
 
 
-@dataclass(frozen=True)
-class RouteEntry:
-    """One announced route: normalized network value, length, origin ASN."""
-
-    network: int
-    length: int
-    origin_asn: int
-
-
 @dataclass
 class RouteLoadStats:
     """Accounting for one snapshot load (lenient mode keeps going and counts).
@@ -270,30 +260,6 @@ class VantageDiff:
     divergence: float
 
 
-@dataclass(frozen=True)
-class AppResult:
-    """Outcome of one application-layer probe."""
-
-    target: int
-    meta: ScanMeta
-    status: str
-    identifier: str | None = None
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
-        identifier = self.identifier
-        if identifier is not None and self.status != SUCCESS:
-            raise ValueError("identifier is only valid on success results")
-        if identifier is not None and (
-            not identifier or identifier != identifier.strip() or any(c in identifier for c in ",\r\n\ufffd")
-        ):  # the CSV row could not carry it back unchanged
-            raise ValueError(
-                f"identifier must be non-empty text without surrounding whitespace, commas, "
-                f"line breaks or U+FFFD, got {identifier!r}"
-            )
-
-
 @dataclass
 class AppResults:
     """Application-layer results of one scan as columns, one entry per results row in file
@@ -307,27 +273,6 @@ class AppResults:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __iter__(self) -> Iterator[AppResult]:
-        meta = self.meta
-        for target, code, identifier in zip(self.targets, self.statuses, self.identifiers):
-            yield AppResult(target, meta, STATUSES[code], identifier)
-
-    @classmethod
-    def of(cls, results: Iterable[AppResult]) -> AppResults:
-        """The table of result rows, which must share one meta; a table is returned as it is."""
-        if isinstance(results, AppResults):
-            return results
-        rows = list(results)
-        metas = {r.meta for r in rows}
-        if len(metas) > 1:
-            raise ValueError(f"results from more than one port/proto: {sorted(metas)}")
-        return cls(
-            rows[0].meta if rows else None,
-            array("I", [r.target for r in rows]),
-            bytes(STATUS_CODES[r.status] for r in rows),
-            [r.identifier for r in rows],
-        )
 
     def select(self, rows: Iterable[int]) -> AppResults:
         """The table of the given rows, in the given order."""

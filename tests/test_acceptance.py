@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from hrpkit.applayer import SUCCESS, AppResult
+from hrpkit.applayer import SUCCESS
 from hrpkit.planner import (
     CDN_LIKE,
     DIVERSE,
@@ -35,9 +35,9 @@ from hrpkit.prefixes import (
     merge,
     responsiveness_histogram,
 )
-from hrpkit.routing import MASKS, RouteEntry, RoutingTable
+from hrpkit.routing import MASKS, RoutingTable
 
-from conftest import make_meta, table_with_counts
+from conftest import make_meta, results_of, table_with_counts
 
 META = make_meta()
 
@@ -114,7 +114,7 @@ def test_criterion_4_lpm_matches_brute_force():
     rng = random.Random(64500)
     length_pool = [0, 2, 8, 8, 10, 12, 16, 16, 20, 22, 24, 24, 25, 26, 28, 30, 32]
     for _ in range(100):
-        table = RoutingTable()
+        routes: dict[int, dict[int, int]] = {}
         entries = []
         seen = set()
         target = rng.randrange(50, 1001)
@@ -124,15 +124,16 @@ def test_criterion_4_lpm_matches_brute_force():
             if (network, length) in seen:
                 continue
             seen.add((network, length))
-            entry = RouteEntry(network, length, rng.randrange(1, 1 << 20))
-            table.add(entry)
+            entry = (network, length, rng.randrange(1, 1 << 20))
+            routes.setdefault(length, {})[network] = entry[2]
             entries.append(entry)
+        table = RoutingTable(routes)
         addresses = [rng.getrandbits(32) for _ in range(10_000)]
         # Brute-force oracle: mask-compare every entry against every address.
         count = len(entries)
-        nets = np.fromiter((e.network for e in entries), dtype=np.uint32, count=count)
-        masks = np.fromiter((MASKS[e.length] for e in entries), dtype=np.uint32, count=count)
-        lens = np.fromiter((e.length for e in entries), dtype=np.int8, count=count)
+        nets = np.fromiter((network for network, _, _ in entries), dtype=np.uint32, count=count)
+        masks = np.fromiter((MASKS[length] for _, length, _ in entries), dtype=np.uint32, count=count)
+        lens = np.fromiter((length for _, length, _ in entries), dtype=np.int8, count=count)
         addr_arr = np.fromiter(addresses, dtype=np.uint32, count=len(addresses))
         matched = (addr_arr[:, None] & masks[None, :]) == nets[None, :]
         scored = np.where(matched, lens[None, :], np.int8(-1))
@@ -178,16 +179,16 @@ def test_criterion_6_planner_economy_on_cdn_corpus():
     truth = {}
     for prefix in counts:
         for addr in occupancy.addresses(prefix):
-            truth[addr] = AppResult(addr, META, SUCCESS, f"cert{prefix}")
+            truth[addr] = addr, SUCCESS, f"cert{prefix}"
     classes = {
         prefix: classify_sample(
-            [truth[a] for a in plan.entries[prefix].addresses], policy
+            results_of([truth[a] for a in plan.entries[prefix].addresses], META), policy
         )
         for prefix in plan.entries
     }
     assert set(classes.values()) == {CDN_LIKE}
     final = escalate(plan, classes, occupancy)
-    metrics = evaluate_plan(final, truth.values())
+    metrics = evaluate_plan(final, results_of(truth.values(), META))
     assert metrics.identifier_coverage == 1.0
     assert metrics.handshakes_planned == 1000
     assert metrics.reduction == 1 - 1000 / 25600
@@ -209,11 +210,11 @@ def test_criterion_7_escalation_completeness():
                 identifier = f"id{prefix}-{addr % 3}"
             else:
                 identifier = f"cert{prefix}"
-            truth[addr] = AppResult(addr, META, SUCCESS, identifier)
+            truth[addr] = addr, SUCCESS, identifier
     plan = build_plan(occupancy, set(counts), [], policy)
     classes = {
         prefix: classify_sample(
-            [truth[a] for a in plan.entries[prefix].addresses], policy
+            results_of([truth[a] for a in plan.entries[prefix].addresses], META), policy
         )
         for prefix in plan.entries
     }
@@ -223,7 +224,7 @@ def test_criterion_7_escalation_completeness():
         assert set(final.entries[prefix].addresses) == set(
             occupancy.addresses(prefix)
         )
-    metrics = evaluate_plan(final, truth.values())
+    metrics = evaluate_plan(final, results_of(truth.values(), META))
     assert metrics.identifier_coverage == 1.0
     _report(7, started, "5% diverse HRPs detected, escalated to full, coverage 1.0")
 

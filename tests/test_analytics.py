@@ -24,11 +24,11 @@ from hrpkit.analytics import (
     vantage_diff,
     write_series_csv,
 )
-from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult, hrp_app_report, single_identifier, success_cdf
+from hrpkit.applayer import SUCCESS, UNREACHABLE, hrp_app_report, single_identifier, success_cdf
 from hrpkit.planner import CDN_LIKE, SamplePolicy, classify_sample
 from hrpkit.prefixes import HrpThreshold, ResponsivenessHistogram, classify, responsiveness_histogram
 
-from conftest import EPOCH, make_meta, rows, table_with_counts
+from conftest import EPOCH, make_meta, results_of, rows, table_with_counts
 
 
 def _scan(counts: dict[int, int], port=443):
@@ -387,9 +387,8 @@ def test_measures_match_their_per_row_references(scans, missing_at_most_n, succe
 
     same = _reference_report_same_identifier(identifiers)
     assert single_identifier(identifiers) == same == _reference_sample_same_identifier(identifiers)
-    meta = make_meta()
-    results = [AppResult(7 << 8 | host, meta, SUCCESS, i) for host, i in enumerate(identifiers)]
-    (report,) = hrp_app_report(results, {7}, table_with_counts({7: 256})).reports
+    results = [(7 << 8 | host, SUCCESS, i) for host, i in enumerate(identifiers)]
+    (report,) = hrp_app_report(results_of(results), {7}, table_with_counts({7: 256})).reports
     assert report.same_identifier == same
-    sample = results or [AppResult(7 << 8, meta, UNREACHABLE)]
-    assert (classify_sample(sample, SamplePolicy()) == CDN_LIKE) == same
+    sample = results or [(7 << 8, UNREACHABLE, None)]
+    assert (classify_sample(results_of(sample), SamplePolicy()) == CDN_LIKE) == same

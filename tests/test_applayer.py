@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import random
 from collections import Counter, defaultdict
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,24 +16,31 @@ from hrpkit.applayer import (
     SUCCESS,
     UNREACHABLE,
     AddressComparison,
-    AppResult,
     HrpAppReport,
     address_comparison,
     hrp_app_report,
     read_app_results,
     success_cdf,
-    write_app_results_csv,
 )
 
+from hrpkit.ingest import format_ipv4
 from hrpkit.prefixes import PrefixTable
 
-from conftest import make_meta, table_with_counts
+from conftest import make_meta, results_of, table_with_counts
 
 META = make_meta()
 
 
-def _result(addr: int, status: str = SUCCESS, identifier: str | None = None) -> AppResult:
-    return AppResult(addr, META, status, identifier)
+class Result(NamedTuple):
+    """One results row of the META scan."""
+
+    target: int
+    status: str
+    identifier: str | None = None
+
+
+def _result(addr: int, status: str = SUCCESS, identifier: str | None = None) -> Result:
+    return Result(addr, status, identifier)
 
 
 def _results_for(prefix: int, n_success: int, identifiers, n_fail: int = 0, fail=UNREACHABLE):
@@ -46,17 +54,29 @@ def _results_for(prefix: int, n_success: int, identifiers, n_fail: int = 0, fail
     return results
 
 
+def _rejection(row: str) -> str:
+    """The error that reading a results table whose third line is ``row`` raises."""
+    lines = ["ip,port,proto,status,identifier\n", "1.2.3.3,443,tcp,success,h1\n", row + "\n"]
+    with pytest.raises(ValueError) as error:
+        read_app_results(lines)
+    return str(error.value)
+
+
 def test_identifier_requires_success():
-    with pytest.raises(ValueError):
-        AppResult(1, META, UNREACHABLE, "h1")
-    with pytest.raises(ValueError):
-        AppResult(1, META, "timeout")
+    assert _rejection("1.2.3.4,443,tcp,unreachable,h1") == "line 3: identifier is only valid on success results"
+    assert _rejection("1.2.3.4,443,tcp,timeout,") == (
+        "line 3: status must be one of ('success', 'app_error', 'unreachable'), got 'timeout'"
+    )
+    assert _rejection("1.2.3.4,443,tcp,success,a\rb") == (
+        "line 3: identifier must be non-empty text without surrounding whitespace, commas, line breaks "
+        "or U+FFFD, got 'a\\rb'"
+    )
 
 
 def test_report_high_success_single_identifier():
     occupancy = table_with_counts({5: 256})
     results = _results_for(5, 250, "h1", n_fail=6)
-    report_set = hrp_app_report(results, {5}, occupancy)
+    report_set = hrp_app_report(results_of(results), {5}, occupancy)
     (report,) = report_set.reports
     assert report.denominator == 256
     assert report.success_count == 250
@@ -68,7 +88,7 @@ def test_report_high_success_single_identifier():
 def test_report_no_successes():
     occupancy = table_with_counts({5: 240})
     results = _results_for(5, 0, None, n_fail=240)
-    (report,) = hrp_app_report(results, {5}, occupancy).reports
+    (report,) = hrp_app_report(results_of(results), {5}, occupancy).reports
     assert not report.any_success
     assert report.success_count == 0
     assert report.dominant_identifier_share == 0.0
@@ -77,14 +97,14 @@ def test_report_no_successes():
 def test_report_gt90_boundary_is_exact():
     occupancy = table_with_counts({5: 256})
     results = _results_for(5, 231, lambda host: "h1" if host % 2 else "h2")
-    (report,) = hrp_app_report(results, {5}, occupancy).reports
+    (report,) = hrp_app_report(results_of(results), {5}, occupancy).reports
     # Oracle: cross multiplication, 231/256 > 9/10 iff 2310 > 2304.
     assert (231 * 10 > 256 * 9) is True
     assert report.gt90_success is True
     assert report.same_identifier is False
     # And one fewer success falls below the cut: 2300 < 2304.
     fewer = _results_for(5, 230, "h1")
-    (report_230,) = hrp_app_report(fewer, {5}, occupancy).reports
+    (report_230,) = hrp_app_report(results_of(fewer), {5}, occupancy).reports
     assert report_230.gt90_success is False
 
 
@@ -95,7 +115,7 @@ def test_success_without_identifier_breaks_same_identifier():
         _result((5 << 8) | 1, SUCCESS, "h1"),
         _result((5 << 8) | 2, SUCCESS, None),
     ]
-    (report,) = hrp_app_report(results, {5}, occupancy).reports
+    (report,) = hrp_app_report(results_of(results), {5}, occupancy).reports
     assert report.same_identifier is False
     assert report.dominant_identifier_share == 2 / 3
 
@@ -104,16 +124,16 @@ def test_same_identifier_is_permutation_invariant():
     rng = random.Random(55)
     occupancy = table_with_counts({5: 16})
     results = _results_for(5, 10, "h1", n_fail=2)
-    baseline = hrp_app_report(results, {5}, occupancy).reports
+    baseline = hrp_app_report(results_of(results), {5}, occupancy).reports
     for _ in range(5):
         shuffled = results[:]
         rng.shuffle(shuffled)
-        assert hrp_app_report(shuffled, {5}, occupancy).reports == baseline
+        assert hrp_app_report(results_of(shuffled), {5}, occupancy).reports == baseline
 
 
 def test_hrps_without_results_still_reported():
     occupancy = table_with_counts({5: 256, 6: 256})
-    report_set = hrp_app_report(_results_for(5, 3, "h1"), {5, 6}, occupancy)
+    report_set = hrp_app_report(results_of(_results_for(5, 3, "h1")), {5, 6}, occupancy)
     assert [r.prefix for r in report_set.reports] == [5, 6]
     assert report_set.reports[1].success_count == 0
 
@@ -126,7 +146,7 @@ def test_anomalous_and_duplicate_results_are_counted():
         _result((5 << 8) | 200, SUCCESS, "h3"),  # no occupancy bit
         _result((5 << 8) | 200, SUCCESS, "h3"),  # no occupancy bit again: an anomaly, not a duplicate
     ]
-    report_set = hrp_app_report(results, {5}, occupancy)
+    report_set = hrp_app_report(results_of(results), {5}, occupancy)
     assert report_set.duplicate_count == 1
     assert report_set.anomaly_count == 2
     (report,) = report_set.reports
@@ -136,11 +156,11 @@ def test_anomalous_and_duplicate_results_are_counted():
 
 def test_report_rejects_port_mismatch_and_missing_hrp():
     occupancy = table_with_counts({5: 10})
-    other_port = AppResult(5 << 8, make_meta(port=80), SUCCESS, "x")
+    other_port = results_of([(5 << 8, SUCCESS, "x")], make_meta(port=80))
     with pytest.raises(ValueError, match="port/proto"):
-        hrp_app_report([other_port], {5}, occupancy)
+        hrp_app_report(other_port, {5}, occupancy)
     with pytest.raises(ValueError, match="missing"):
-        hrp_app_report([], {5, 77}, occupancy)
+        hrp_app_report(results_of([]), {5, 77}, occupancy)
 
 
 def test_address_comparison_rates():
@@ -150,7 +170,7 @@ def test_address_comparison_rates():
     occupancy = table_with_counts(counts)
     results = [_result(p << 8, SUCCESS if p < 89 else UNREACHABLE) for p in range(100)]
     results += _results_for(1000, 256, "h1")
-    comparison = address_comparison(results, {1000}, occupancy)
+    comparison = address_comparison(results_of(results), {1000}, occupancy)
     assert comparison.non_hrp_success_rate == 0.89
     assert comparison.hrp_success_rate == 1.0
     assert comparison.gt90_subset_share == 1.0
@@ -167,7 +187,7 @@ def test_address_comparison_planted_gt90_identifier_share():
         results += _results_for(p, 250, f"id{p}", n_fail=6)
     for p in range(23, 25):
         results += _results_for(p, 250, lambda host: f"mix{host % 5}", n_fail=6)
-    comparison = address_comparison(results, set(range(25)), occupancy)
+    comparison = address_comparison(results_of(results), set(range(25)), occupancy)
     # Oracle: 23*250 single-identifier successes of 25*250 gt90 successes.
     assert comparison.gt90_subset_share == 1.0
     assert comparison.gt90_same_identifier_share == (23 * 250) / (25 * 250)
@@ -177,10 +197,10 @@ def test_address_comparison_planted_gt90_identifier_share():
 def test_address_comparison_empty_partition_is_undefined():
     occupancy = table_with_counts({5: 256})
     results = _results_for(5, 10, "h1")
-    comparison = address_comparison(results, {5}, occupancy)
+    comparison = address_comparison(results_of(results), {5}, occupancy)
     assert comparison.non_hrp_success_rate is None
     assert comparison.hrp_success_rate == 1.0
-    no_hrp_successes = address_comparison(_results_for(5, 0, None, n_fail=5), {5}, occupancy)
+    no_hrp_successes = address_comparison(results_of(_results_for(5, 0, None, n_fail=5)), {5}, occupancy)
     assert no_hrp_successes.hrp_success_rate == 0.0
     assert no_hrp_successes.gt90_subset_share is None
     assert no_hrp_successes.gt90_same_identifier_share is None
@@ -189,7 +209,7 @@ def test_address_comparison_empty_partition_is_undefined():
 def test_app_error_counts_as_failure():
     occupancy = table_with_counts({5: 10})
     results = _results_for(5, 5, "h1", n_fail=5, fail=APP_ERROR)
-    (report,) = hrp_app_report(results, {5}, occupancy).reports
+    (report,) = hrp_app_report(results_of(results), {5}, occupancy).reports
     assert report.success_count == 5
     assert report.success_fraction == 0.5
 
@@ -199,12 +219,12 @@ def test_app_errors_can_be_disregarded():
     # denominator to 7 and flips nothing else.
     occupancy = table_with_counts({5: 10})
     results = _results_for(5, 5, "h1", n_fail=3, fail=APP_ERROR)
-    (report,) = hrp_app_report(results, {5}, occupancy, exclude_app_errors=True).reports
+    (report,) = hrp_app_report(results_of(results), {5}, occupancy, exclude_app_errors=True).reports
     assert report.denominator == 7
     assert report.success_fraction == 5 / 7
     assert report.gt90_success is False
     all_errors = _results_for(5, 0, None, n_fail=10, fail=APP_ERROR)
-    (dark,) = hrp_app_report(all_errors, {5}, occupancy, exclude_app_errors=True).reports
+    (dark,) = hrp_app_report(results_of(all_errors), {5}, occupancy, exclude_app_errors=True).reports
     assert dark.denominator == 0
     assert dark.success_fraction == 0.0
     assert dark.gt90_success is False
@@ -212,7 +232,7 @@ def test_app_errors_can_be_disregarded():
 
 def test_success_cdf_all_zero():
     occupancy = table_with_counts({p: 256 for p in range(4)})
-    reports = hrp_app_report([], set(range(4)), occupancy).reports
+    reports = hrp_app_report(results_of([]), set(range(4)), occupancy).reports
     cdf = success_cdf(reports)
     assert cdf.at(0) == 1.0
     assert cdf.at(256) == 1.0
@@ -222,7 +242,7 @@ def test_success_cdf_uniform_three_levels():
     counts = {0: 256, 1: 256, 2: 256}
     occupancy = table_with_counts(counts)
     results = _results_for(1, 128, "a") + _results_for(2, 256, "b")
-    reports = hrp_app_report(results, {0, 1, 2}, occupancy).reports
+    reports = hrp_app_report(results_of(results), {0, 1, 2}, occupancy).reports
     cdf = success_cdf(reports)
     assert cdf.at(0) == 1 / 3
     assert cdf.at(128) == 2 / 3
@@ -236,7 +256,7 @@ def test_success_cdf_planted_twenty_percent_dark():
     results = []
     for p in range(2, 10):  # prefixes 0 and 1 stay dark
         results += _results_for(p, 200, "h")
-    reports = hrp_app_report(results, set(range(10)), occupancy).reports
+    reports = hrp_app_report(results_of(results), set(range(10)), occupancy).reports
     cdf = success_cdf(reports)
     assert cdf.at(0) == 0.20
     values = [cdf.at(c) for c in range(257)]
@@ -251,20 +271,21 @@ def test_success_cdf_empty():
 
 
 def test_results_csv_roundtrip():
-    results = [
+    text = (
+        "ip,port,proto,status,identifier\n"
+        "198.51.100.7,443,tcp,success,sha256:aa\n"
+        "198.51.100.8,443,tcp,app_error,\n"
+        "198.51.100.9,443,tcp,unreachable,\n"
+    )
+    table = read_app_results(io.StringIO(text))
+    assert table == results_of([
         _result(0xC6336407, SUCCESS, "sha256:aa"),
         _result(0xC6336408, APP_ERROR),
         _result(0xC6336409, UNREACHABLE),
-    ]
-    out = io.StringIO()
-    write_app_results_csv(results, out)
-    parsed = read_app_results(io.StringIO(out.getvalue()))
-    assert [(r.target, r.status, r.identifier) for r in parsed] == [
-        (r.target, r.status, r.identifier) for r in results
-    ]
-    again = io.StringIO()
-    write_app_results_csv(parsed, again)
-    assert again.getvalue() == out.getvalue()
+    ])
+    rows = zip(map(format_ipv4, table.targets), table.statuses, table.identifiers)
+    written = [f"{ip},443,tcp,{STATUSES[code]},{identifier or ''}\n" for ip, code, identifier in rows]
+    assert "".join(["ip,port,proto,status,identifier\n", *written]) == text
 
 
 # --- the one-pass join against the two-pass reference --------------------------
@@ -273,8 +294,8 @@ def test_results_csv_roundtrip():
 def _reference_report(results, hrps, occupancy, exclude_app_errors):
     """The first result per target and the per-HRP reports, one pass per call."""
     hrp_prefixes = sorted(set(hrps))
-    by_target: dict[int, AppResult] = {}
-    successes: dict[int, list[AppResult]] = defaultdict(list)
+    by_target: dict[int, Result] = {}
+    successes: dict[int, list[Result]] = defaultdict(list)
     app_errors: Counter[int] = Counter()
     duplicates = anomalies = 0
     for r in results:
@@ -376,8 +397,8 @@ def _joins(draw):
 def test_one_pass_join_matches_the_two_pass_reference(join, exclude_app_errors):
     results, hrps, occupancy = join
     _, reports, anomalies, duplicates = _reference_report(results, hrps, occupancy, exclude_app_errors)
-    report_set = hrp_app_report(results, hrps, occupancy, exclude_app_errors)
+    report_set = hrp_app_report(results_of(results), hrps, occupancy, exclude_app_errors)
     assert report_set.reports == reports
     assert (report_set.anomaly_count, report_set.duplicate_count) == (anomalies, duplicates)
     assert report_set.comparison == _reference_comparison(results, hrps, occupancy)
-    assert address_comparison(results, hrps, occupancy) == report_set.comparison
+    assert address_comparison(results_of(results), hrps, occupancy) == report_set.comparison

@@ -14,17 +14,17 @@ import hrpkit
 from hrpkit.cli import main
 
 ALL = [
-    "AddressComparison", "AppReportSet", "AppResult", "AppResults", "AsSummary", "DnsSeed",
+    "AddressComparison", "AppReportSet", "AppResults", "AsSummary", "DnsSeed",
     "HrpAppReport", "HrpThreshold", "IngestError", "IngestStats", "PersistenceSummary",
     "PlanEvaluationError", "PlanMetrics", "PortProfile", "PortProfileReport", "PrefixStats",
-    "PrefixTable", "ResponsivenessHistogram", "RouteEntry", "RouteParseError", "RoutingTable",
+    "PrefixTable", "ResponsivenessHistogram", "RouteParseError", "RoutingTable",
     "SamplePolicy", "ScanMeta", "StabilityPoint", "SuccessCdf", "TargetPlan", "VantageDiff",
     "address_comparison", "aggregate", "as_summary", "build_plan", "classify", "classify_sample",
     "enrich", "escalate", "evaluate_plan", "format_ipv4", "hrp_address_share", "hrp_app_report",
     "hrp_set", "load_route_table", "merge", "open_scan_source", "parse_ipv4", "persistence",
     "port_profile", "read_app_results", "read_dns_seeds", "read_plan_csv", "read_prefix_stats",
     "responsiveness_histogram", "stability_series", "success_cdf", "vantage_diff",
-    "write_app_results_csv", "write_plan_csv", "write_prefix_stats_csv", "write_prefix_stats_jsonl",
+    "write_plan_csv", "write_prefix_stats_csv", "write_prefix_stats_jsonl",
 ]
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrpkit.applayer import SUCCESS, UNREACHABLE, AppResult
+from hrpkit.applayer import SUCCESS, UNREACHABLE
 from hrpkit.planner import (
     CDN_LIKE,
     DIVERSE,
@@ -35,13 +35,13 @@ from hrpkit.planner import (
     write_plan_csv,
 )
 
-from conftest import make_meta, table_with_counts
+from conftest import make_meta, results_of, table_with_counts
 
 META = make_meta()
 
 
-def _truth(addr: int, status: str = SUCCESS, identifier: str | None = None) -> AppResult:
-    return AppResult(addr, META, status, identifier)
+def _truth(addr: int, status: str = SUCCESS, identifier: str | None = None) -> tuple[int, str, str | None]:
+    return addr, status, identifier
 
 
 def _provenances(entry) -> list[str]:
@@ -190,23 +190,23 @@ def test_plan_has_no_duplicates_and_respects_k():
 
 def test_classify_sample_scenarios():
     sample = [_truth((5 << 8) | h, UNREACHABLE) for h in range(10)]
-    assert classify_sample(sample, SamplePolicy()) == PROXY
+    assert classify_sample(results_of(sample), SamplePolicy()) == PROXY
     sample = [_truth((5 << 8) | h, SUCCESS, "one") for h in range(10)]
-    assert classify_sample(sample, SamplePolicy()) == CDN_LIKE
+    assert classify_sample(results_of(sample), SamplePolicy()) == CDN_LIKE
     sample = [_truth((5 << 8) | h, SUCCESS, f"id{h % 3}") for h in range(10)]
-    assert classify_sample(sample, SamplePolicy()) == DIVERSE
+    assert classify_sample(results_of(sample), SamplePolicy()) == DIVERSE
 
 
 def test_classify_sample_boundaries_are_exact():
     policy = SamplePolicy(proxy_max_success=0.10, cdn_min_success=0.90)
     one_in_ten = [_truth((5 << 8) | h, SUCCESS if h == 0 else UNREACHABLE, "x" if h == 0 else None)
                   for h in range(10)]
-    assert classify_sample(one_in_ten, policy) == PROXY  # 0.1 <= 0.1
+    assert classify_sample(results_of(one_in_ten), policy) == PROXY  # 0.1 <= 0.1
     nine_in_ten = [_truth((5 << 8) | h, SUCCESS if h else UNREACHABLE, "x" if h else None)
                    for h in range(10)]
-    assert classify_sample(nine_in_ten, policy) == CDN_LIKE  # 0.9 >= 0.9, one identifier
+    assert classify_sample(results_of(nine_in_ten), policy) == CDN_LIKE  # 0.9 >= 0.9, one identifier
     with pytest.raises(ValueError):
-        classify_sample([], SamplePolicy())
+        classify_sample(results_of([]), SamplePolicy())
 
 
 def _oracle_scenario(hits: int, size: int, policy: SamplePolicy) -> str:
@@ -242,12 +242,12 @@ def test_cutoffs_compare_with_rates_exactly_on_their_decimal_values(proxy, cdn, 
     policy = SamplePolicy(proxy_max_success=proxy, cdn_min_success=cdn)
     sample = [_truth((5 << 8) | h, SUCCESS if h < hits else UNREACHABLE, "x" if h < hits else None)
               for h in range(size)]
-    assert classify_sample(sample, policy) == _oracle_scenario(hits, size, policy)
+    assert classify_sample(results_of(sample), policy) == _oracle_scenario(hits, size, policy)
 
 
 def test_classify_sample_missing_identifier_means_diverse():
     sample = [_truth((5 << 8) | h, SUCCESS, "one" if h else None) for h in range(10)]
-    assert classify_sample(sample, SamplePolicy()) == DIVERSE
+    assert classify_sample(results_of(sample), SamplePolicy()) == DIVERSE
 
 
 def test_escalate_grows_only_diverse_prefixes():
@@ -317,7 +317,7 @@ def test_evaluate_full_plan_is_baseline():
     occupancy = table_with_counts({5: 30})
     plan = build_plan(occupancy, set(), [], SamplePolicy(k=10, rng_seed=2))
     truth = [_truth(addr, SUCCESS, f"id{addr}") for addr in occupancy.addresses(5)]
-    metrics = evaluate_plan(plan, truth)
+    metrics = evaluate_plan(plan, results_of(truth))
     assert metrics.reduction == 0.0
     assert metrics.identifier_coverage == 1.0
     assert metrics.handshakes_planned == metrics.handshakes_full_baseline == 30
@@ -330,7 +330,7 @@ def test_evaluate_synthetic_cdn_corpus():
     truth = [
         _truth(addr, SUCCESS, f"cert{p}") for p in counts for addr in occupancy.addresses(p)
     ]
-    metrics = evaluate_plan(plan, truth)
+    metrics = evaluate_plan(plan, results_of(truth))
     assert metrics.handshakes_planned == 1000
     assert metrics.handshakes_full_baseline == 25600
     assert metrics.reduction == 1 - 1000 / 25600
@@ -342,12 +342,12 @@ def test_evaluate_rejects_uncovered_plan():
     plan = build_plan(occupancy, set(), [], SamplePolicy())
     truth = [_truth(addr, SUCCESS, "x") for addr in occupancy.addresses(5)[:-1]]
     with pytest.raises(PlanEvaluationError):
-        evaluate_plan(plan, truth)
+        evaluate_plan(plan, results_of(truth))
 
 
 def test_evaluate_empty_plan_and_truth():
     plan = build_plan(table_with_counts({}), set(), [], SamplePolicy())
-    metrics = evaluate_plan(plan, [])
+    metrics = evaluate_plan(plan, results_of([]))
     assert metrics.reduction == 0.0
     assert metrics.identifier_coverage == 1.0
 

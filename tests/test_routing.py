@@ -18,7 +18,6 @@ from hrpkit.routing import (
     MASKS,
     LENIENT,
     STRICT,
-    RouteEntry,
     RouteLoadStats,
     RouteParseError,
     RoutingTable,
@@ -44,7 +43,7 @@ def test_host_bits_strict_vs_lenient():
     with pytest.raises(RouteParseError):
         _table("10.0.0.1/8,64500\n", STRICT)
     table = _table("10.0.0.1/8,64500\n", LENIENT)
-    assert table.get(parse_ipv4("10.0.0.0"), 8) == RouteEntry(parse_ipv4("10.0.0.0"), 8, 64500)
+    assert table.routes == {8: {parse_ipv4("10.0.0.0"): 64500}}
     assert table.load_stats.normalized_lines == 1
 
 
@@ -53,7 +52,7 @@ def test_conflicting_duplicate_strict_vs_lenient():
     with pytest.raises(RouteParseError):
         _table(text, STRICT)
     table = _table(text, LENIENT)
-    assert table.lookup(parse_ipv4("10.1.2.3")).origin_asn == 64500  # first kept
+    assert table.lookup(parse_ipv4("10.1.2.3")) == (parse_ipv4("10.0.0.0"), 8, 64500)  # first kept
     assert table.load_stats.duplicate_conflicts == 1
 
 
@@ -98,10 +97,7 @@ def test_non_canonical_lengths_and_asns_are_invalid(line):
 
 def test_whitespace_around_fields_is_tolerated():
     table = _table(" 10.0.0.0/8 ,\t4294967295 \n10.1.0.0/16, 064500\n", STRICT)
-    assert list(table.entries()) == [
-        RouteEntry(parse_ipv4("10.0.0.0"), 8, 2**32 - 1),
-        RouteEntry(parse_ipv4("10.1.0.0"), 16, 64500),
-    ]
+    assert table.routes == {8: {parse_ipv4("10.0.0.0"): 2**32 - 1}, 16: {parse_ipv4("10.1.0.0"): 64500}}
 
 
 def test_comments_and_blank_lines():
@@ -112,22 +108,24 @@ def test_comments_and_blank_lines():
 
 def test_lookup_prefers_longer_match():
     table = _table("10.0.0.0/8,64500\n10.1.0.0/16,64501\n")
-    assert table.lookup(parse_ipv4("10.1.2.3")).origin_asn == 64501
-    assert table.lookup(parse_ipv4("10.2.3.4")).origin_asn == 64500
+    assert table.lookup(parse_ipv4("10.1.2.3")) == (parse_ipv4("10.1.0.0"), 16, 64501)
+    assert table.lookup(parse_ipv4("10.2.3.4")) == (parse_ipv4("10.0.0.0"), 8, 64500)
     assert table.lookup(parse_ipv4("192.0.2.1")) is None
 
 
 def test_default_route_catches_everything():
     table = _table("0.0.0.0/0,64496\n10.0.0.0/8,64500\n")
-    assert table.lookup(parse_ipv4("192.0.2.1")).origin_asn == 64496
-    assert table.lookup(parse_ipv4("10.9.9.9")).origin_asn == 64500
+    assert table.lookup(parse_ipv4("192.0.2.1")) == (0, 0, 64496)
+    assert table.lookup(parse_ipv4("10.9.9.9"))[2] == 64500
 
 
-def _brute_force(entries: list[RouteEntry], addr: int) -> RouteEntry | None:
+def _brute_force(entries: list[tuple[int, int, int]], addr: int) -> tuple[int, int, int] | None:
+    """The (network, length, ASN) entry of maximal length that covers addr, or None."""
     best = None
     for entry in entries:
-        if addr & MASKS[entry.length] == entry.network:
-            if best is None or entry.length > best.length:
+        network, length, _ = entry
+        if addr & MASKS[length] == network:
+            if best is None or length > best[1]:
                 best = entry
     return best
 
@@ -135,7 +133,7 @@ def _brute_force(entries: list[RouteEntry], addr: int) -> RouteEntry | None:
 def test_lookup_matches_brute_force():
     rng = random.Random(2023)
     for _ in range(10):
-        table = RoutingTable()
+        routes: dict[int, dict[int, int]] = {}
         entries = []
         seen = set()
         while len(entries) < 200:
@@ -144,9 +142,10 @@ def test_lookup_matches_brute_force():
             if (network, length) in seen:
                 continue
             seen.add((network, length))
-            entry = RouteEntry(network, length, rng.randrange(1, 1 << 17))
-            table.add(entry)
+            entry = (network, length, rng.randrange(1, 1 << 17))
+            routes.setdefault(length, {})[network] = entry[2]
             entries.append(entry)
+        table = RoutingTable(routes)
         for _ in range(2000):
             addr = rng.getrandbits(32)
             assert table.lookup(addr) == _brute_force(entries, addr)
@@ -241,11 +240,11 @@ def test_as_summary_reproduces_planted_ratios():
 # --- differential tests against per-line and brute-force references ------
 
 
-def _reference_load(lines, policy: str) -> RoutingTable:
+def _reference_load(lines, policy: str) -> tuple[dict[int, dict[int, int]], RouteLoadStats]:
     """The snapshot grammar, one line at a time, with ipaddress parsing the
-    network and the table's own checked ``get``/``add`` doing the inserts."""
-    table = RoutingTable()
-    stats = table.load_stats = RouteLoadStats()
+    network: the routes map, ``{length: {network: asn}}``, and its accounting."""
+    routes: dict[int, dict[int, int]] = {}
+    stats = RouteLoadStats()
     for line_number, raw in enumerate(lines, start=1):
         line = raw.decode("utf-8", "replace") if isinstance(raw, bytes) else raw
         stats.lines_read += 1
@@ -265,17 +264,17 @@ def _reference_load(lines, policy: str) -> RoutingTable:
                 raise RouteParseError("host bits", line_number)
             stats.normalized_lines += 1
             network &= MASKS[length]
-        existing = table.get(network, length)
+        existing = routes.get(length, {}).get(network)
         if existing is None:
-            table.add(RouteEntry(network, length, asn))
+            routes.setdefault(length, {})[network] = asn
             stats.entries_loaded += 1
-        elif existing.origin_asn == asn:
+        elif existing == asn:
             stats.duplicate_repeats += 1
         elif policy == STRICT:
             raise RouteParseError("conflict", line_number)
         else:
             stats.duplicate_conflicts += 1
-    return table
+    return routes, stats
 
 
 def _reference_route(line: str) -> tuple[int, int, int] | None:
@@ -341,9 +340,7 @@ def test_loader_matches_per_line_reference(lines, block):
 
 def _check_loader_matches_per_line_reference(lines):
     got = load_route_table(lines, LENIENT)
-    want = _reference_load(lines, LENIENT)
-    assert list(got.entries()) == list(want.entries())
-    assert got.load_stats == want.load_stats
+    assert (got.routes, got.load_stats) == _reference_load(lines, LENIENT)
     s = got.load_stats
     assert s.lines_read == len(lines) == (s.entries_loaded + s.comment_lines + s.invalid_lines
                                           + s.duplicate_conflicts + s.duplicate_repeats)
@@ -356,7 +353,7 @@ def _check_loader_matches_per_line_reference(lines):
         assert err.line_number == want_err.value.line_number
         assert str(err).startswith(f"line {err.line_number}: ")
     else:
-        assert list(strict.entries()) == list(_reference_load(lines, STRICT).entries())
+        assert strict.routes == _reference_load(lines, STRICT)[0]
 
 
 def test_strict_names_a_host_bit_line_before_an_unparsable_one():
@@ -374,7 +371,7 @@ def test_asn_that_int_takes_but_parse_asn_refuses_is_invalid_in_a_plain_block(as
     lines = [f"10.{i}.0.0/16,{i}\n" for i in range(6)]
     lines[3] = f"10.0.0.0/8,{asn}\n"
     if asn == "00000000005":  # zero-padded past ten digits: still AS5, read a line at a time
-        assert load_route_table(lines, STRICT).get(0x0A000000, 8) == RouteEntry(0x0A000000, 8, 5)
+        assert load_route_table(lines, STRICT).routes[8] == {0x0A000000: 5}
         return
     table = load_route_table(lines, LENIENT)
     assert (len(table), table.load_stats.invalid_lines) == (5, 1)
@@ -391,20 +388,21 @@ def _tables_and_stats(draw):
     keys = draw(st.lists(st.tuples(st.integers(0, 2**32 - 1), _lengths), max_size=30))
     if draw(st.booleans()):
         keys.append((0, 0))  # default route
-    table = RoutingTable()
+    routes: dict[int, dict[int, int]] = {}
     entries = []
     for address, length in keys:
         network = address & MASKS[length]
-        if table.get(network, length) is None:
-            entry = RouteEntry(network, length, draw(st.integers(0, 2**32 - 1)))
-            table.add(entry)
+        nets = routes.setdefault(length, {})
+        if network not in nets:
+            entry = (network, length, draw(st.integers(0, 2**32 - 1)))
+            nets[network] = entry[2]
             entries.append(entry)
     # Stats at random /24s and at /24s inside the routes, so more-specifics hit.
-    near = [e.network >> 8 for e in entries]
+    near = [network >> 8 for network, _, _ in entries]
     prefixes = draw(st.lists(st.integers(0, 2**24 - 1) | (st.sampled_from(near) if near else st.nothing()),
                              max_size=30))
     stats = classify(table_with_counts({p: 1 + p % 256 for p in prefixes}))
-    return table, entries, stats
+    return RoutingTable(routes), entries, stats
 
 
 @given(_tables_and_stats())
@@ -413,10 +411,9 @@ def test_enrich_and_split_match_brute_force(case):
     expected = []
     for s in rows(stats):
         best = _brute_force(entries, s.prefix << 8)
-        expected.append(s if best is None else s._replace(
-            origin_asn=best.origin_asn, covering_route=(best.network, best.length)))
+        expected.append(s if best is None else s._replace(origin_asn=best[2], covering_route=best[:2]))
     assert rows(enrich(stats, table)) == expected
-    assert table.split_slash24s() == frozenset(e.network >> 8 for e in entries if e.length > 24)
+    assert table.split_slash24s() == frozenset(network >> 8 for network, length, _ in entries if length > 24)
 
 
 def _route_outcome(lines, policy: str, block: int):
@@ -426,7 +423,7 @@ def _route_outcome(lines, policy: str, block: int):
             table = load_route_table(lines, policy)
         except RouteParseError as exc:
             return exc.line_number, str(exc)
-    return list(table.entries()), table.load_stats
+    return table.routes, table.load_stats
 
 
 @given(st.lists(_route_lines(), max_size=40), st.sampled_from([STRICT, LENIENT]),

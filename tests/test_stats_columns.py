@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import example, given, strategies as st
 
 from hrpkit.prefixes import HrpThreshold, PrefixTable, classify, hrp_address_share, hrp_set
-from hrpkit.routing import RouteEntry, RoutingTable, enrich
+from hrpkit.routing import RoutingTable, enrich
 
 from conftest import Row, make_meta, rows, table_of, table_with_counts
 
@@ -27,7 +27,7 @@ def _reference_enrich(stats: list[Row], table: RoutingTable) -> list[Row]:
         hit = table.lookup(s.prefix << 8)
         enriched.append(s if hit is None else Row(
             prefix=s.prefix, meta=s.meta, responsive_count=s.responsive_count, is_hrp=s.is_hrp,
-            threshold=s.threshold, origin_asn=hit.origin_asn, covering_route=(hit.network, hit.length),
+            threshold=s.threshold, origin_asn=hit[2], covering_route=hit[:2],
         ))
     return enriched
 
@@ -68,11 +68,12 @@ def _rows(draw) -> list[Row]:
 
 @st.composite
 def _ribs(draw) -> RoutingTable:
-    table = RoutingTable()
+    routes: dict[int, dict[int, int]] = {}
     for network, length in draw(st.lists(_ROUTES, max_size=6)):
-        if table.get(network, length) is None:
-            table.add(RouteEntry(network, length, draw(st.integers(0, 2**32 - 1))))
-    return table
+        nets = routes.setdefault(length, {})
+        if network not in nets:
+            nets[network] = draw(st.integers(0, 2**32 - 1))
+    return RoutingTable(routes)
 
 
 @given(

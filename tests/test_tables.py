@@ -17,9 +17,8 @@ from hrpkit.applayer import (
     APP_RESULT_COLUMNS,
     STATUSES,
     SUCCESS,
-    AppResult,
+    AppResults,
     read_app_results,
-    write_app_results_csv,
 )
 from hrpkit.ingest import (
     BLOCK_LINES,
@@ -53,7 +52,7 @@ from hrpkit.prefixes import (
     write_prefix_stats_csv,
 )
 
-from conftest import Row, make_meta, table_of, with_line_ends
+from conftest import Row, make_meta, results_of, table_of, with_line_ends
 
 # name -> (reader over lines, header, one good row)
 READERS = {
@@ -198,44 +197,55 @@ def test_prefix_stats_csv_roundtrip(stats):
 _identifiers = st.text(string.ascii_letters + string.digits + ":-_", min_size=1, max_size=12)
 
 
+def _carried(identifier: str) -> bool:
+    """Whether a results row carries this identifier back unchanged, by read_app_results' rule:
+    non-empty, without surrounding whitespace, commas, line breaks or U+FFFD."""
+    return bool(identifier) and identifier == identifier.strip() and not any(c in identifier for c in ",\r\n\ufffd")
+
+
 @st.composite
-def _app_results(draw):
-    """Results whose identifiers are arbitrary text, except those AppResult rejects."""
+def _app_results(draw) -> AppResults:
+    """Results whose identifiers are arbitrary text, except text that a row cannot carry."""
     meta = make_meta(port=draw(st.integers(0, 65535)), proto=draw(st.sampled_from(["tcp", "udp"])))
-    results = []
+    rows = []
     for _ in range(draw(st.integers(0, 8))):
         status = draw(st.sampled_from(STATUSES))
         identifier = draw(st.none() | _identifiers | st.text(max_size=12)) if status == SUCCESS else None
-        try:
-            results.append(AppResult(draw(st.integers(0, 0xFFFFFFFF)), meta, status, identifier))
-        except ValueError:
+        if identifier is None or _carried(identifier):
+            rows.append((draw(st.integers(0, 0xFFFFFFFF)), status, identifier))
+        else:
             assert not _reads_back(identifier)
-    return results
+    return results_of(rows, meta)
+
+
+def _write_app_results(results: AppResults, out: io.StringIO) -> None:
+    """The CSV form of a results table; the identifier field is empty when absent."""
+    out.write(",".join(APP_RESULT_COLUMNS) + "\n")
+    meta = results.meta
+    for target, code, identifier in zip(results.targets, results.statuses, results.identifiers):
+        out.write(f"{format_ipv4(target)},{meta.port},{meta.protocol},{STATUSES[code]},{identifier or ''}\n")
 
 
 def _reads_back(identifier: str) -> bool:
     """Whether a results row written with this identifier reads back with it unchanged."""
     try:
         text = f"ip,port,proto,status,identifier\n1.2.3.4,443,tcp,success,{identifier}\n"
-        (row,) = read_app_results(io.StringIO(text))
+        table = read_app_results(io.StringIO(text))
     except ValueError:
         return False
-    return row.identifier == identifier
+    return table.identifiers == [identifier]
 
 
 @given(_app_results())
 def test_app_results_csv_roundtrip(results):
     out = io.StringIO()
-    write_app_results_csv(results, out)
-    table = read_app_results(io.StringIO(out.getvalue()))
-    assert len(table) == len(results)
-    assert list(table) == results
+    _write_app_results(results, out)
+    assert read_app_results(io.StringIO(out.getvalue())) == results
 
 
 @pytest.mark.parametrize("identifier", ["a,b", "a\nb", "a\rb", "a\ufffdb", " a", "a\t", ""])
 def test_app_result_rejects_an_identifier_its_row_cannot_carry(identifier):
-    with pytest.raises(ValueError, match="identifier"):
-        AppResult(1, make_meta(), SUCCESS, identifier)
+    assert not _carried(identifier)
     assert not _reads_back(identifier)
 
 
@@ -404,20 +414,31 @@ def test_plan_reader_matches_the_per_row_reference(text):
     assert _outcome(lambda lines: read_plan_csv(lines).entries, text) == expected
 
 
-def _reference_read_app_results(lines) -> list[AppResult]:
-    """Application results read one row at a time, as one AppResult each."""
+def _reference_read_app_results(lines) -> AppResults:
+    """Application results read one row at a time, every check on every row, as columns."""
     meta_of = _reference_meta()
 
-    def parse_row(fields: list[str]) -> AppResult:
+    def parse_row(fields: list[str]) -> tuple[tuple[int, str, str | None], ScanMeta]:
         ip_text, port_text, proto, status, identifier = fields
         target = parse_ipv4(ip_text)
         if target is None:
             raise ValueError(f"invalid address {ip_text!r}")
         if "\ufffd" in identifier:
             raise ValueError(f"undecodable bytes in identifier {identifier!r}")
-        return AppResult(target, meta_of(port_text, proto), status, identifier or None)
+        meta = meta_of(port_text, proto)
+        if status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {status!r}")
+        if identifier and status != SUCCESS:
+            raise ValueError("identifier is only valid on success results")
+        if identifier and not _carried(identifier):
+            raise ValueError(
+                f"identifier must be non-empty text without surrounding whitespace, commas, "
+                f"line breaks or U+FFFD, got {identifier!r}"
+            )
+        return (target, status, identifier or None), meta
 
-    return _reference_table(lines, APP_RESULT_COLUMNS, parse_row)
+    parsed = _reference_table(lines, APP_RESULT_COLUMNS, parse_row)
+    return results_of([row for row, _ in parsed], parsed[-1][1] if parsed else None)
 
 
 def _reference_read_prefix_stats(lines) -> PrefixStats:
@@ -654,10 +675,10 @@ def test_a_block_takes_the_column_path_only_when_its_rows_read_alike(case):
 @given(_long_tables(",".join(APP_RESULT_COLUMNS), _each(_results_row)))
 def test_results_reader_matches_the_per_row_reference(case):
     block, lines = case
-    expected = _outcome_in_blocks(block, _reference_read_app_results, lines)
-    assert _outcome_in_blocks(block, read_app_results, lines) == expected
+    expected = _outcome_in_blocks(block, lambda lines: [_reference_read_app_results(lines)], lines)
+    assert _outcome_in_blocks(block, lambda lines: [read_app_results(lines)], lines) == expected
     if isinstance(expected, list):
-        assert len(read_app_results(lines)) == len(expected)
+        assert len(read_app_results(lines)) == len(expected[0].targets)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -685,5 +706,5 @@ def test_crlf_line_ends_read_like_lf(case):
     read by read_csv alone and by a typed reader."""
     block, lines = case
     lf, crlf = with_line_ends(lines, "\n"), with_line_ends(lines, "\r\n")
-    for read in (_generic_reader, read_app_results):
+    for read in (_generic_reader, lambda lines: [read_app_results(lines)]):
         assert _outcome_in_blocks(block, read, crlf) == _outcome_in_blocks(block, read, lf)
