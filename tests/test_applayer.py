@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import io
 import random
+from array import array
 from collections import Counter, defaultdict
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hrpkit import applayer
 from hrpkit.applayer import (
     APP_ERROR,
     STATUSES,
     SUCCESS,
     UNREACHABLE,
     AddressComparison,
+    AppResults,
     HrpAppReport,
     address_comparison,
     hrp_app_report,
@@ -71,6 +74,51 @@ def test_identifier_requires_success():
         "line 3: identifier must be non-empty text without surrounding whitespace, commas, line breaks "
         "or U+FFFD, got 'a\\rb'"
     )
+
+
+def _row_record_error(status: str, identifier: str | None) -> str | None:
+    """The error the results row record raised on a row, checked in its order, or None."""
+    if status not in STATUSES:
+        return f"status must be one of {STATUSES}, got {status!r}"
+    if identifier is not None and status != SUCCESS:
+        return "identifier is only valid on success results"
+    if identifier is not None and (
+        not identifier or identifier != identifier.strip() or any(c in identifier for c in ",\r\n\ufffd")
+    ):
+        return (
+            f"identifier must be non-empty text without surrounding whitespace, commas, line breaks "
+            f"or U+FFFD, got {identifier!r}"
+        )
+    return None
+
+
+@given(
+    st.sampled_from([*STATUSES, "timeout", "Success"]),
+    st.sampled_from(["", "x", "sha256:aa", " x", "x ", " ", "\t", "a\rb", "a\tb", "a b"]),
+)
+def test_read_app_results_checks_each_row_as_the_row_record_did(status, identifier):
+    row = f"1.2.3.4,443,tcp,{status},{identifier}"
+    identifier = identifier.strip() or identifier or None  # the reader strips around a field
+    error = _row_record_error(status, identifier)
+    if error is not None:
+        assert _rejection(row) == f"line 3: {error}"
+    else:
+        table = read_app_results(["ip,port,proto,status,identifier\n", "1.2.3.3,443,tcp,success,h1\n", row + "\n"])
+        assert table == results_of([(0x01020303, SUCCESS, "h1"), (0x01020304, status, identifier)])
+
+
+def test_results_are_one_table_without_a_row_api():
+    assert not hasattr(applayer, "AppResult") and not hasattr(applayer, "write_app_results_csv")
+    assert not hasattr(AppResults, "of")
+    with pytest.raises(TypeError):
+        iter(results_of([(1, SUCCESS, "x")]))
+
+
+def test_results_of_builds_the_table_the_reader_builds():
+    header = "ip,port,proto,status,identifier\n"
+    assert results_of([]) == read_app_results([header]) == AppResults(None, array("I"), b"", [])
+    rows = [header, "0.0.0.1,443,tcp,success,x\n", "0.0.0.2,443,tcp,app_error,\n", "0.0.0.1,443,tcp,unreachable,\n"]
+    assert results_of([(1, SUCCESS, "x"), (2, APP_ERROR, None), (1, UNREACHABLE, None)]) == read_app_results(rows)
 
 
 def test_report_high_success_single_identifier():

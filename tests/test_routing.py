@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hrpkit import ingest
+from hrpkit import ingest, routing
 from hrpkit.ingest import BLOCK_LINES, parse_ipv4
 from hrpkit.prefixes import classify
 from hrpkit.routing import (
@@ -117,6 +117,32 @@ def test_default_route_catches_everything():
     table = _table("0.0.0.0/0,64496\n10.0.0.0/8,64500\n")
     assert table.lookup(parse_ipv4("192.0.2.1")) == (0, 0, 64496)
     assert table.lookup(parse_ipv4("10.9.9.9"))[2] == 64500
+
+
+def test_lookup_returns_a_plain_tuple_or_none():
+    table = _table("10.0.0.0/8,64500\n")
+    hit = table.lookup(parse_ipv4("10.1.2.3"))
+    assert type(hit) is tuple and hit == (parse_ipv4("10.0.0.0"), 8, 64500)
+    assert table.lookup(parse_ipv4("11.0.0.0")) is None
+
+
+def test_a_table_is_built_from_its_routes_map():
+    empty = RoutingTable()
+    assert (empty.routes, len(empty), empty.lookup(0), empty.split_slash24s()) == ({}, 0, None, frozenset())
+    assert empty.load_stats == RouteLoadStats()
+    routes = {8: {parse_ipv4("10.0.0.0"): 64500}, 25: {parse_ipv4("10.1.2.128"): 64501}}
+    table = RoutingTable(routes)
+    assert table.routes is routes and len(table) == 2
+    assert table.lookup(parse_ipv4("10.1.2.200")) == (parse_ipv4("10.1.2.128"), 25, 64501)
+    assert table.lookup(parse_ipv4("10.1.2.1")) == (parse_ipv4("10.0.0.0"), 8, 64500)
+    assert table.split_slash24s() == frozenset({parse_ipv4("10.1.2.0") >> 8})
+    assert _table("10.0.0.0/8,64500\n10.1.2.128/25,64501\n").routes == routes
+
+
+def test_a_routing_table_has_only_its_four_methods():
+    methods = {name for name, value in vars(RoutingTable).items() if callable(value)}
+    assert methods == {"__init__", "__len__", "lookup", "split_slash24s"}
+    assert not hasattr(routing, "RouteEntry")
 
 
 def _brute_force(entries: list[tuple[int, int, int]], addr: int) -> tuple[int, int, int] | None:
