@@ -1,7 +1,9 @@
 """Command-line front end: detect -> enrich -> analyze -> plan -> evaluate.
 
-Every subcommand is a thin adapter over one module operation and writes
-machine-readable output with deterministic ordering, fixed six-digit
+Every subcommand is a thin adapter over one module operation: it writes
+its tables and returns its JSON report, which ``main`` writes to
+``--summary`` (default stderr) if the command has it, else ``--output``
+(default stdout). Output has deterministic ordering, fixed six-digit
 decimals, and a trailing newline. Exit codes: 0 success, 2 usage or
 schema error, 3 strict-policy data failure, 4 I/O failure.
 
@@ -44,10 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
-
-
-class SchemaError(Exception):
-    """Inputs that parse individually but disagree with each other or the flags."""
 
 
 def _flag(parse: Callable, *args) -> Callable[[str], object]:
@@ -113,19 +111,9 @@ def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, Inge
     return reduce(prefixes.merge, tables), total
 
 
-_ERRORS = (IngestError, ValueError, OSError)  # the errors main maps to exit codes
 # Workers' shards of at most this many bytes in all are read here: a fork would cost more. One
 # worker's two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
 _FORK_MIN_BYTES = 1 << 16
-
-
-def _reply(paths: Sequence[str], args) -> tuple:
-    """What a worker sends: (-1, bitmaps, counters) of _read_shards, or (index in _ERRORS, text, None)."""
-    try:
-        table, stats = _read_shards(paths, args)
-        return -1, table.bitmaps, vars(stats)
-    except _ERRORS as exc:
-        return next(i for i, kind in enumerate(_ERRORS) if isinstance(exc, kind)), str(exc), None
 
 
 def _usable_cpus() -> int:
@@ -143,12 +131,13 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     groups, one per usable CPU, the first read here and each other one by a forked worker (all
     here if one is stdin). The result and the error (the first failing shard's) are the serial
     loop's. The group of a worker that does not send a whole reply and exit 0 is read here, and
-    so are all groups if the workers' shards are too small to pay for their forks."""
+    so are all groups if the workers' shards are too small to pay for their forks or one is not a
+    regular file."""
     paths = args.scan
     n = 1 if "-" in paths else min(len(paths), _usable_cpus())
     groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
-    worker_paths = paths[len(groups[0]):]  # only regular files count as small: a pipe's size is unknown
-    if all(map(os.path.isfile, worker_paths)) and sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
+    worker_paths = paths[len(groups[0]):]  # only regular files, which can be read again if a worker fails
+    if not all(map(os.path.isfile, worker_paths)) or sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
         groups = [paths]
     workers, replies, statuses = [], [], []  # (pid, pipe) per group after the first
     try:
@@ -156,10 +145,11 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
             read_end, write_end = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
+                    found, stats = _read_shards(group, args)
                     with open(write_end, "wb") as pipe:
-                        pipe.write(marshal.dumps(_reply(group, args)))
+                        pipe.write(marshal.dumps((found.bitmaps, vars(stats))))
                     os._exit(0)
-                finally:  # whatever is raised, the worker never returns into its caller
+                finally:  # whatever is raised, the worker exits without a reply and never returns
                     os._exit(1)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
@@ -172,13 +162,13 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
                 os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
             statuses.append(os.waitpid(pid, 0)[1])
     for reply, status, group in zip(replies, statuses, groups[1:]):
-        kind, found, counts = _reply(group, args) if status else marshal.loads(reply)
-        if kind >= 0:  # rebuilt without __init__, which for IngestError wants a line number
-            error = _ERRORS[kind].__new__(_ERRORS[kind])
-            error.args = (found,)
-            raise error
-        table = prefixes.merge(table, prefixes.PrefixTable(table.meta, found))
-        total.merge(IngestStats(**counts))
+        if status:  # no reply: the group is read here, which raises its error if it has one
+            found, stats = _read_shards(group, args)
+        else:
+            bitmaps, counts = marshal.loads(reply)
+            found, stats = prefixes.PrefixTable(table.meta, bitmaps), IngestStats(**counts)
+        table = prefixes.merge(table, found)
+        total.merge(stats)
     return table, total
 
 
@@ -194,7 +184,7 @@ def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
 def _check_results_port(results, args, name: str) -> None:
     meta = results.meta
     if meta is not None and meta != ScanMeta(args.proto, args.port):
-        raise SchemaError(
+        raise ValueError(
             f"port/proto mismatch: {meta.protocol}/{meta.port} ({name}) vs "
             f"{args.proto}/{args.port} (flags)"
         )
@@ -212,11 +202,11 @@ def _write_stats(stats, args) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> dict:
     table, ingest_stats = _load_occupancy(args)
     stats = prefixes.classify(table, args.threshold)
     _write_stats(stats, args)
-    summary = {
+    return {
         "files": len(args.scan),
         **_record(ingest_stats),
         "distinct_addresses": table.total_addresses(),
@@ -224,11 +214,9 @@ def _cmd_detect(args) -> int:
         "hrp_prefixes": len(prefixes.hrp_set(stats)),
         "hrp_address_share": prefixes.hrp_address_share(stats),
     }
-    _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_enrich(args) -> int:
+def _cmd_enrich(args) -> dict:
     from . import routing
 
     stats = _read_table(args.stats, prefixes.read_prefix_stats)
@@ -237,7 +225,7 @@ def _cmd_enrich(args) -> int:
     _write_stats(enriched, args)
     split = table.split_slash24s()
     load = table.load_stats
-    summary = {
+    return {
         "routes_loaded": load.entries_loaded,
         "route_lines_read": load.lines_read,
         "route_invalid_lines": load.invalid_lines,
@@ -248,11 +236,9 @@ def _cmd_enrich(args) -> int:
         "prefixes_with_origin": len(enriched) - enriched.origin_asns.count(None),
         "split_slash24_ambiguities": len(split.intersection(enriched.prefixes)),
     }
-    _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_portmatrix(args) -> int:
+def _cmd_portmatrix(args) -> dict:
     from . import analytics, routing
 
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
@@ -275,22 +261,19 @@ def _cmd_portmatrix(args) -> int:
         rows = routing.as_summary(scans)
         as_doc = [_record(row) for row in rows]
         _write_to(args.as_summary, lambda out: write_json_report(as_doc, out))
-    if args.histogram_csv is not None:
-        _write_to(args.histogram_csv, lambda out: analytics.write_port_histogram_csv(report, out))
-    if args.profiles_csv is not None:
-        _write_to(args.profiles_csv, lambda out: analytics.write_port_profiles_csv(report, out))
-    _write_to(args.output, lambda out: write_json_report(doc, out), default=sys.stdout)
-    return EXIT_OK
+    _write_to(args.histogram_csv, lambda out: analytics.write_port_histogram_csv(report, out))
+    _write_to(args.profiles_csv, lambda out: analytics.write_port_profiles_csv(report, out))
+    return doc
 
 
 def _series_labels(args) -> list[tuple[str, datetime]]:
     scan_ids = args.scan_ids.split(",") if args.scan_ids else [_stem(p) for p in args.stats]
     if len(scan_ids) != len(args.stats):
-        raise SchemaError(f"--scan-ids names {len(scan_ids)} scans but {len(args.stats)} files given")
+        raise ValueError(f"--scan-ids names {len(scan_ids)} scans but {len(args.stats)} files given")
     if args.timestamps:
         stamps = [_timestamp(t) for t in args.timestamps.split(",")]
         if len(stamps) != len(args.stats):
-            raise SchemaError(
+            raise ValueError(
                 f"--timestamps names {len(stamps)} scans but {len(args.stats)} files given"
             )
     else:
@@ -303,10 +286,10 @@ def _timestamp(text: str) -> datetime:
     try:
         return parse_timestamp(text)
     except (ValueError, OverflowError) as exc:  # OverflowError: a time whose UTC form leaves the calendar
-        raise SchemaError(f"--timestamps entry {text!r}: {exc}") from None
+        raise ValueError(f"--timestamps entry {text!r}: {exc}") from None
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args) -> dict:
     from . import analytics
 
     labels = _series_labels(args)
@@ -320,20 +303,18 @@ def _cmd_stability(args) -> int:
         "series": [_record(p, timestamp=format_timestamp) for p in points],
         "persistence": _record(summary, drop=("scans_classified",)),
     }
-    if args.series_csv is not None:
-        _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
-    _write_to(args.output, lambda out: write_json_report(doc, out), default=sys.stdout)
-    return EXIT_OK
+    _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
+    return doc
 
 
-def _cmd_vantage(args) -> int:
+def _cmd_vantage(args) -> dict:
     from . import analytics
 
     stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats)
     stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats)
     meta = analytics.series_meta([stats_a, stats_b], [args.stats_a, args.stats_b])
     diff = analytics.vantage_diff(prefixes.hrp_set(stats_a), prefixes.hrp_set(stats_b))
-    doc = {
+    return {
         "proto": meta.protocol if meta else None,
         "port": meta.port if meta else None,
         "vantage_a": args.stats_a,
@@ -345,11 +326,9 @@ def _cmd_vantage(args) -> int:
         "both_count": len(diff.both),
         "divergence": diff.divergence,
     }
-    _write_to(args.output, lambda out: write_json_report(doc, out), default=sys.stdout)
-    return EXIT_OK
 
 
-def _cmd_applayer(args) -> int:
+def _cmd_applayer(args) -> dict:
     from . import applayer
 
     occupancy, _ = _load_occupancy(args)
@@ -360,7 +339,7 @@ def _cmd_applayer(args) -> int:
     report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
     cdf = applayer.success_cdf(report_set.reports)
     steps = sorted({r.success_count for r in report_set.reports})
-    doc = {
+    return {
         "proto": args.proto,
         "port": args.port,
         "threshold_fraction": args.threshold.fraction,
@@ -377,19 +356,17 @@ def _cmd_applayer(args) -> int:
             ],
         },
     }
-    _write_to(args.output, lambda out: write_json_report(doc, out), default=sys.stdout)
-    return EXIT_OK
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args) -> dict:
     from . import planner
 
     if args.seeds is None and len(args.scan) == 2:  # the older form: one scan, then the seeds file
         args.scan, args.seeds = args.scan[:1], args.scan[1]
     elif args.seeds is None and len(args.scan) > 2:
-        raise SchemaError(f"{len(args.scan)} scan files but no --seeds; name the seeds file with --seeds")
+        raise ValueError(f"{len(args.scan)} scan files but no --seeds; name the seeds file with --seeds")
     elif args.seeds is not None and os.path.realpath(args.seeds) in map(os.path.realpath, args.scan):
-        raise SchemaError(f"{args.seeds} is given both as --seeds and as a scan file")
+        raise ValueError(f"{args.seeds} is given both as --seeds and as a scan file")
     occupancy, _ = _load_occupancy(args)
     stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
@@ -399,9 +376,8 @@ def _cmd_plan(args) -> int:
     )
     plan = planner.build_plan(occupancy, hrps, seeds, policy)
     _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default=sys.stdout)
-    if args.targets_out is not None:
-        _write_to(args.targets_out, lambda out: planner.write_plan_targets(plan, out))
-    summary = {
+    _write_to(args.targets_out, lambda out: planner.write_plan_targets(plan, out))
+    return {
         "proto": args.proto,
         "port": args.port,
         "threshold_fraction": args.threshold.fraction,
@@ -411,11 +387,9 @@ def _cmd_plan(args) -> int:
         "dns_seeds": len(seeds),
         **planner.plan_summary(plan),
     }
-    _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_escalate(args) -> int:
+def _cmd_escalate(args) -> dict:
     from . import applayer, planner
 
     plan = _read_table(args.plan, planner.read_plan_csv)
@@ -449,25 +423,22 @@ def _cmd_escalate(args) -> int:
     class_counts = {name: 0 for name in planner.SCENARIOS}
     for scenario in classes.values():
         class_counts[scenario] += 1
-    summary = {
+    return {
         "classified_prefixes": len(classes),
         "scenario_counts": class_counts,
         "off_plan_results": off_plan,
         "added_targets": escalated.total_targets() - plan.total_targets(),
         **planner.plan_summary(escalated),
     }
-    _write_to(args.summary, lambda out: write_json_report(summary, out), default=sys.stderr)
-    return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> dict:
     from . import applayer, planner
 
     plan = _read_table(args.plan, planner.read_plan_csv)
     truth = _read_table(args.truth, applayer.read_app_results)
     metrics = planner.evaluate_plan(plan, truth)
-    _write_to(args.output, lambda out: write_json_report(_record(metrics), out), default=sys.stdout)
-    return EXIT_OK
+    return _record(metrics)
 
 
 # --- parser ----------------------------------------------------------------
@@ -593,11 +564,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        report = args.func(args)
+        path, default = (args.summary, sys.stderr) if "summary" in args else (args.output, sys.stdout)
+        _write_to(path, lambda out: write_json_report(report, out), default)
+        return EXIT_OK
     except IngestError as exc:  # RouteParseError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (SchemaError, ValueError) as exc:  # PlanEvaluationError included
+    except ValueError as exc:  # PlanEvaluationError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -648,3 +648,44 @@ def test_input_errors_name_the_file_and_line(corpus, capsys, command, argv, bad,
     capsys.readouterr()
     assert main([command, *(corpus.get(arg, arg) for arg in argv)]) == code
     assert capsys.readouterr().err.startswith(f"hrpkit {command}: {path}: line {line_number}: ")
+
+
+# --- where each command's JSON report goes ---------------------------------------------
+
+# Per command: the least argv over corpus names and the two files below, and the option that
+# names the report's path.
+REPORTS = {
+    "detect": (["--port", "443", "scan"], "--summary"),
+    "enrich": (["stats", "routes"], "--summary"),
+    "portmatrix": (["stats", "stats80"], "--output"),
+    "stability": (["stats", "stats2"], "--output"),
+    "vantage": (["stats", "stats2"], "--output"),
+    "applayer": (["--port", "443", "results", "scan"], "--output"),
+    "plan": (["--port", "443", "--seeds", "seeds", "scan"], "--summary"),
+    "escalate": (["--port", "443", "plan", "results", "scan"], "--summary"),
+    "evaluate": (["plan", "truth"], "--output"),
+}
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_the_report_goes_to_its_option_or_by_default_to_its_stream(corpus, tmp_path, capsys, command):
+    truth = tmp_path / "truth.csv"  # every address of the corpus scan
+    truth.write_text("ip,port,proto,status,identifier\n" + "".join(
+        f"{format_ipv4(prefix << 8 | host)},443,tcp,success,certA\n" for prefix, count in ((5, 256), (9, 3))
+        for host in range(count)), encoding="utf-8")
+    files = {**corpus, "truth": str(truth), "stats80": str(_detect(tmp_path, "stats80", {5: 3}, port=80))}
+    names, option = REPORTS[command]
+    argv = [command, *(files.get(name, name) for name in names)]
+    if option == "--summary":  # the command's table goes to a file, out of the streams
+        argv += ["--output", str(tmp_path / "table.out")]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    report = err if option == "--summary" else out
+    assert isinstance(json.loads(report), dict)
+    assert (out, err) == (("", report) if option == "--summary" else (report, ""))
+    assert main([*argv, option, str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == report
+    assert main([*argv, option, "-"]) == 0
+    assert capsys.readouterr() == (report, "")

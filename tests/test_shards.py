@@ -151,12 +151,34 @@ def test_shards_too_small_to_pay_for_a_fork_are_read_here(tmp_path, four_shards)
         assert _detect(tmp_path, four_shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
 
 
-def test_a_shard_of_unknown_size_is_worth_a_fork(tmp_path, four_shards):
-    shards = [*four_shards, os.devnull]  # not a regular file, like a pipe
-    serial = _detect(tmp_path, shards, 1)
-    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        assert _detect(tmp_path, shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
-    assert fork.call_count == 1
+@contextlib.contextmanager
+def _piped(text: str):
+    """A /dev/fd path to a pipe that holds the text, whose write end is closed."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        pipe.write(text)  # a few kB, within the pipe's buffer
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+def test_a_shard_that_is_not_a_regular_file_keeps_every_shard_here(tmp_path, four_shards):
+    text = Path(four_shards[3]).read_text(encoding="utf-8")
+    with _piped(text) as pipe:
+        serial = _detect(tmp_path, [*four_shards[:3], os.devnull, pipe], 1)
+    with _piped(text) as pipe, mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+        assert _detect(tmp_path, [*four_shards[:3], os.devnull, pipe], 2) == serial
+
+
+def test_a_pipe_shard_is_read_once_when_a_worker_dies(tmp_path):
+    files = _write_shards(tmp_path, [[format_ipv4(10 << 24 | i) for i in range(500)],
+                                     [format_ipv4(11 << 24 | i) for i in range(250)]], PLAIN)
+    serial = _detect(tmp_path, files, 1)
+    assert serial[:2] == (0, "") and b'"lines_read": 750' in serial[2]["detect.json"]
+    broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
+    with _piped(Path(files[1]).read_text(encoding="utf-8")) as pipe, mock.patch.object(cli, "marshal", broken):
+        assert _detect(tmp_path, [files[0], pipe], 2) == serial
 
 
 def test_a_process_running_other_threads_reads_its_shards_itself():
