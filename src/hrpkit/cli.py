@@ -46,6 +46,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+_ERRORS = (IngestError, ValueError, OSError)  # what main reports, with exit codes 3, 2 and 4
+
+
+def _kind(error: BaseException) -> int:
+    """The error's index in _ERRORS, the first kind it is: a worker sends it, main maps it to a code."""
+    return next(i for i, kind in enumerate(_ERRORS) if isinstance(error, kind))
 
 
 def _flag(parse: Callable, *args) -> Callable[[str], object]:
@@ -130,14 +136,14 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
     groups, one per usable CPU, the first read here and each other one by a forked worker (all
     here if one is stdin). The result and the error (the first failing shard's) are the serial
-    loop's. The group of a worker that does not send a whole reply and exit 0 is read here, and
-    so are all groups if the workers' shards are too small to pay for their forks or one is not a
-    regular file."""
+    loop's, but for an I/O error if a worker dies without a whole reply and one of its shards is not
+    a regular file, such as a pipe. Else its group is read here, and so are all groups if the
+    workers' shards are too small to pay for their forks."""
     paths = args.scan
     n = 1 if "-" in paths else min(len(paths), _usable_cpus())
     groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
-    worker_paths = paths[len(groups[0]):]  # only regular files, which can be read again if a worker fails
-    if not all(map(os.path.isfile, worker_paths)) or sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
+    worker_paths = paths[len(groups[0]):]  # only regular files count as small: a pipe's size is unknown
+    if all(map(os.path.isfile, worker_paths)) and sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
         groups = [paths]
     workers, replies, statuses = [], [], []  # (pid, pipe) per group after the first
     try:
@@ -145,11 +151,15 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
             read_end, write_end = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
-                    found, stats = _read_shards(group, args)
+                    try:  # the reply: (bitmaps, counters), or (the error's kind, its text)
+                        found, stats = _read_shards(group, args)
+                        reply = found.bitmaps, vars(stats)
+                    except _ERRORS as exc:
+                        reply = _kind(exc), str(exc)
                     with open(write_end, "wb") as pipe:
-                        pipe.write(marshal.dumps((found.bitmaps, vars(stats))))
+                        pipe.write(marshal.dumps(reply))
                     os._exit(0)
-                finally:  # whatever is raised, the worker exits without a reply and never returns
+                finally:  # whatever else is raised, the worker exits without a reply and never returns
                     os._exit(1)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
@@ -162,10 +172,14 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
                 os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
             statuses.append(os.waitpid(pid, 0)[1])
     for reply, status, group in zip(replies, statuses, groups[1:]):
+        if status and not all(map(os.path.isfile, group)):  # a pipe the worker drained cannot be read again
+            raise OSError(f"the worker reading {', '.join(group)} exited without a reply, and a pipe is read once")
         if status:  # no reply: the group is read here, which raises its error if it has one
             found, stats = _read_shards(group, args)
         else:
             bitmaps, counts = marshal.loads(reply)
+            if isinstance(bitmaps, int):  # built without __init__, which for IngestError wants a line number
+                raise _ERRORS[bitmaps].__new__(_ERRORS[bitmaps], counts)
             found, stats = prefixes.PrefixTable(table.meta, bitmaps), IngestStats(**counts)
         table = prefixes.merge(table, found)
         total.merge(stats)
@@ -244,7 +258,13 @@ def _cmd_portmatrix(args) -> dict:
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
     report = analytics.port_profile(scans)
     ports = sorted(scan.meta for scan in scans if scan.meta is not None)
-    doc = {
+    if args.as_summary is not None:
+        rows = routing.as_summary(scans)
+        as_doc = [_record(row) for row in rows]
+        _write_to(args.as_summary, lambda out: write_json_report(as_doc, out))
+    _write_to(args.histogram_csv, lambda out: analytics.write_port_histogram_csv(report, out))
+    _write_to(args.profiles_csv, lambda out: analytics.write_port_profiles_csv(report, out))
+    return {
         "ports": [f"{meta.protocol}/{meta.port}" for meta in ports],
         "port_count": report.port_count,
         "prefixes": len(report.profiles),
@@ -257,13 +277,6 @@ def _cmd_portmatrix(args) -> dict:
             {"ports": bucket, "prefixes": count} for bucket, count in report.hrp_histogram.items()
         ],
     }
-    if args.as_summary is not None:
-        rows = routing.as_summary(scans)
-        as_doc = [_record(row) for row in rows]
-        _write_to(args.as_summary, lambda out: write_json_report(as_doc, out))
-    _write_to(args.histogram_csv, lambda out: analytics.write_port_histogram_csv(report, out))
-    _write_to(args.profiles_csv, lambda out: analytics.write_port_profiles_csv(report, out))
-    return doc
 
 
 def _series_labels(args) -> list[tuple[str, datetime]]:
@@ -297,14 +310,13 @@ def _cmd_stability(args) -> dict:
     meta = analytics.series_meta(scans, args.stats)
     points = analytics.stability_series(scans, labels)
     summary = analytics.persistence(scans, args.persistence_n)
-    doc = {
+    _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
+    return {
         "proto": meta.protocol if meta else None,
         "port": meta.port if meta else None,
         "series": [_record(p, timestamp=format_timestamp) for p in points],
         "persistence": _record(summary, drop=("scans_classified",)),
     }
-    _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
-    return doc
 
 
 def _cmd_vantage(args) -> dict:
@@ -568,15 +580,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         path, default = (args.summary, sys.stderr) if "summary" in args else (args.output, sys.stdout)
         _write_to(path, lambda out: write_json_report(report, out), default)
         return EXIT_OK
-    except IngestError as exc:  # RouteParseError included
+    except _ERRORS as exc:  # RouteParseError and PlanEvaluationError included
         print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:  # PlanEvaluationError included
-        print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return (EXIT_DATA, EXIT_USAGE, EXIT_IO)[_kind(exc)]
 
 
 if __name__ == "__main__":

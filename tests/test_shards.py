@@ -151,6 +151,14 @@ def test_shards_too_small_to_pay_for_a_fork_are_read_here(tmp_path, four_shards)
         assert _detect(tmp_path, four_shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
 
 
+def test_a_shard_of_unknown_size_is_worth_a_fork(tmp_path, four_shards):
+    shards = [*four_shards, os.devnull]  # not a regular file, like a pipe
+    serial = _detect(tmp_path, shards, 1)
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert _detect(tmp_path, shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
+    assert fork.call_count == 1
+
+
 @contextlib.contextmanager
 def _piped(text: str):
     """A /dev/fd path to a pipe that holds the text, whose write end is closed."""
@@ -163,22 +171,28 @@ def _piped(text: str):
         os.close(read_end)
 
 
-def test_a_shard_that_is_not_a_regular_file_keeps_every_shard_here(tmp_path, four_shards):
+def test_a_strict_error_in_a_workers_pipe_is_the_serial_loops(tmp_path, four_shards):
+    _with_bad_line(four_shards[3])
     text = Path(four_shards[3]).read_text(encoding="utf-8")
     with _piped(text) as pipe:
-        serial = _detect(tmp_path, [*four_shards[:3], os.devnull, pipe], 1)
-    with _piped(text) as pipe, mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-        assert _detect(tmp_path, [*four_shards[:3], os.devnull, pipe], 2) == serial
+        serial = _detect(tmp_path, [*four_shards[:3], pipe], 1, "--policy", "strict")
+    assert serial[:2] == (3, f"hrpkit detect: {pipe}: line 241: invalid address line: 'junk'\n")
+    with _piped(text) as pipe, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        assert _detect(tmp_path, [*four_shards[:3], pipe], 2, "--policy", "strict") == serial
+    assert fork.call_count == 1
 
 
-def test_a_pipe_shard_is_read_once_when_a_worker_dies(tmp_path):
+def test_a_worker_that_dies_after_reading_a_pipe_is_an_io_error(tmp_path):
+    # The pipe goes to the worker, which drains it and dies before its reply. Reading the group
+    # again here would read an empty pipe: detect exited 0 with 500 of the 750 lines.
     files = _write_shards(tmp_path, [[format_ipv4(10 << 24 | i) for i in range(500)],
                                      [format_ipv4(11 << 24 | i) for i in range(250)]], PLAIN)
-    serial = _detect(tmp_path, files, 1)
-    assert serial[:2] == (0, "") and b'"lines_read": 750' in serial[2]["detect.json"]
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
     with _piped(Path(files[1]).read_text(encoding="utf-8")) as pipe, mock.patch.object(cli, "marshal", broken):
-        assert _detect(tmp_path, [files[0], pipe], 2) == serial
+        code, err, written = _detect(tmp_path, [files[0], pipe], 2)
+    assert (code, err, written) == (
+        4, f"hrpkit detect: the worker reading {pipe} exited without a reply, and a pipe is read once\n", {})
+    assert broken.dumps.call_count == 0  # only the worker called it
 
 
 def test_a_process_running_other_threads_reads_its_shards_itself():
