@@ -39,6 +39,10 @@ class AppResults(Record):
     meta is None only for a table without rows."""
 
     def __init__(self, meta: ScanMeta | None, targets: array, statuses: bytes, identifiers: list[str | None]):
+        if not len(targets) == len(statuses) == len(identifiers):
+            raise ValueError("columns of unequal length")
+        if max(statuses, default=0) >= len(STATUSES):
+            raise ValueError(f"status codes must be below {len(STATUSES)}, got {max(statuses)}")
         self.meta = meta
         self.targets = targets
         self.statuses = statuses

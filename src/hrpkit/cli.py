@@ -411,18 +411,13 @@ def _cmd_escalate(args) -> dict:
     policy = planner.SamplePolicy(
         proxy_max_success=args.proxy_max_success, cdn_min_success=args.cdn_min_success
     )
-    sampled = {
-        address
-        for entry in plan.entries.values()
-        if entry.strategy == planner.STRATEGY_SAMPLED
-        for address in entry.addresses
-    }
     rows_by_prefix: dict[int, list[int]] = {}
     seen: set[int] = set()
     off_plan = 0
     for row, target in enumerate(results.targets):
-        if target not in sampled:  # outside every sampled prefix, or never planned there
-            off_plan += 1
+        entry = plan.entries.get(target >> 8)
+        if not (entry and entry.strategy == planner.STRATEGY_SAMPLED and target & 0xFF in entry.hosts):
+            off_plan += 1  # outside every sampled prefix, or never planned there
         elif target not in seen:  # the first row per target counts, as in applayer
             seen.add(target)
             rows_by_prefix.setdefault(target >> 8, []).append(row)

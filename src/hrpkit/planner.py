@@ -1,11 +1,11 @@
 """HRP-aware application-layer target plans.
 
-Non-HRP prefixes are planned in full. Each HRP gets at most ``k`` targets:
-addresses named by DNS seeds first (most-referenced first, then lowest
-address), topped up with a uniform without-replacement draw from the
-prefix's remaining responsive addresses. Sampled outcomes classify the
-prefix as proxy, cdn_like, or diverse; diverse prefixes escalate to a full
-scan of their responsive addresses.
+Each /24's targets are planned as host octets. Non-HRP prefixes are planned
+in full. Each HRP gets at most ``k`` targets: hosts named by DNS seeds first
+(most-referenced first, then lowest host), topped up with a uniform
+without-replacement draw from the prefix's remaining responsive hosts.
+Sampled outcomes classify the prefix as proxy, cdn_like, or diverse;
+diverse prefixes escalate to a full scan of their responsive hosts.
 
 Plans must be byte-identical across platforms and Python versions, so
 sampling uses an in-repo SplitMix64 generator (Steele et al.'s mix
@@ -141,19 +141,17 @@ class SamplePolicy(Checked, namedtuple(
         return super().__new__(cls, k, rng_seed, proxy_max_success, cdn_min_success, include_unresponsive_seeds)
 
 
-class PlanEntry(Checked, namedtuple("PlanEntry", "prefix strategy addresses runs")):
-    """Targets of one /24 in plan order, with their provenances as runs: the maximal
-    ``(provenance, length)`` segments over addresses, so equal plans compare equal.
-    The writers rely on the runs covering the addresses, all in the prefix; both are checked."""
+class PlanEntry(Checked, namedtuple("PlanEntry", "prefix strategy hosts runs")):
+    """Targets of one /24 in plan order as host octets, the last byte of each address, with
+    their provenances as runs: the maximal ``(provenance, length)`` segments over the hosts, so
+    equal plans compare equal. The writers rely on the runs covering the hosts, which is checked."""
 
     __slots__ = ()
 
-    def __new__(cls, prefix: int, strategy: str, addresses: tuple[int, ...], runs: tuple[tuple[str, int], ...]):
-        if runs != _runs(runs) or sum(length for _, length in runs) != len(addresses):
-            raise ValueError(f"runs {runs} are not the maximal runs over {len(addresses)} targets")
-        if addresses and not prefix == min(addresses) >> 8 == max(addresses) >> 8:
-            raise ValueError(f"targets outside {format_slash24(prefix)}")
-        return super().__new__(cls, prefix, strategy, addresses, runs)
+    def __new__(cls, prefix: int, strategy: str, hosts: bytes, runs: tuple[tuple[str, int], ...]):
+        if runs != _runs(runs) or sum(length for _, length in runs) != len(hosts):
+            raise ValueError(f"runs {runs} are not the maximal runs over {len(hosts)} targets")
+        return super().__new__(cls, prefix, strategy, bytes(hosts), runs)
 
 
 def _runs(segments: Iterable[Sequence]) -> tuple[tuple[str, int], ...]:
@@ -169,10 +167,10 @@ class TargetPlan(Record):
         self.entries = entries
 
     def total_targets(self) -> int:
-        return sum(len(entry.addresses) for entry in self.entries.values())
+        return sum(len(entry.hosts) for entry in self.entries.values())
 
     def target_addresses(self) -> set[int]:
-        return {address for entry in self.entries.values() for address in entry.addresses}
+        return {prefix << 8 | host for prefix, entry in self.entries.items() for host in entry.hosts}
 
 
 class PlanMetrics(NamedTuple):
@@ -195,40 +193,38 @@ def build_plan(
     missing = sorted(p for p in hrp_set if not occupancy.count(p))
     if missing:
         raise ValueError(f"HRPs missing from the occupancy table: {missing[:5]}")
-    seeds_by_prefix: dict[int, dict[int, int]] = {}
+    seeds_by_prefix: dict[int, dict[int, int]] = {}  # prefix -> host -> name count
     for seed in seeds:
         per_prefix = seeds_by_prefix.setdefault(seed.address >> 8, {})
-        per_prefix[seed.address] = per_prefix.get(seed.address, 0) + seed.name_count
+        per_prefix[seed.address & 0xFF] = per_prefix.get(seed.address & 0xFF, 0) + seed.name_count
     entries: dict[int, PlanEntry] = {}
     for prefix in occupancy.prefixes():
-        responsive = occupancy.addresses(prefix)
+        responsive = occupancy.hosts(prefix)
         if prefix not in hrp_set:
-            runs = _runs([(NON_HRP_FULL, len(responsive))])
-            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, tuple(responsive), runs)
+            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, responsive, ((NON_HRP_FULL, len(responsive)),))
             continue
         entries[prefix] = _sample_hrp(prefix, responsive, seeds_by_prefix.get(prefix, {}), policy)
     return TargetPlan(entries)
 
 
 def _sample_hrp(
-    prefix: int, responsive: list[int], seed_names: dict[int, int], policy: SamplePolicy
+    prefix: int, responsive: bytes, seed_names: dict[int, int], policy: SamplePolicy
 ) -> PlanEntry:
-    responsive_set = set(responsive)
     eligible = [
-        (address, names)
-        for address, names in seed_names.items()
-        if policy.include_unresponsive_seeds or address in responsive_set
+        (host, names)
+        for host, names in seed_names.items()
+        if policy.include_unresponsive_seeds or host in responsive
     ]
     eligible.sort(key=lambda pair: (-pair[1], pair[0]))
-    seeded = [address for address, _ in eligible[: policy.k]]
+    seeded = [host for host, _ in eligible[: policy.k]]
     drawn: list[int] = []
     fill_budget = policy.k - len(seeded)
     if fill_budget > 0:
-        candidates = [addr for addr in responsive if addr not in seed_names]
+        candidates = [host for host in responsive if host not in seed_names]
         rng = _prefix_stream(policy.rng_seed, prefix)
         drawn = _sample_without_replacement(candidates, min(fill_budget, len(candidates)), rng)
     runs = _runs([(DNS_SEED, len(seeded)), (UNIFORM_FILL, len(drawn))])
-    return PlanEntry(prefix, STRATEGY_SAMPLED, tuple(seeded + drawn), runs)
+    return PlanEntry(prefix, STRATEGY_SAMPLED, seeded + drawn, runs)
 
 
 def classify_sample(sample_results: AppResults, policy: SamplePolicy) -> str:
@@ -261,10 +257,9 @@ def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTabl
         if scenario != DIVERSE:
             continue
         entry = entries[prefix]
-        planned = set(entry.addresses)
-        additions = tuple(addr for addr in occupancy.addresses(prefix) if addr not in planned)
+        additions = bytes(h for h in occupancy.hosts(prefix) if h not in entry.hosts)
         runs = _runs([*entry.runs, (ESCALATION, len(additions))])
-        entries[prefix] = PlanEntry(prefix, entry.strategy, entry.addresses + additions, runs)
+        entries[prefix] = PlanEntry(prefix, entry.strategy, entry.hosts + additions, runs)
     return TargetPlan(entries)
 
 
@@ -316,17 +311,17 @@ def write_plan_csv(plan: TargetPlan, out: IO[str]) -> None:
         entry = plan.entries[prefix]
         slash24 = format_slash24(prefix)
         base = slash24[:-4]  # a.b.c.
-        addresses = iter(entry.addresses)
+        hosts = iter(entry.hosts)
         for provenance, length in entry.runs:
             tail = f",{slash24},{entry.strategy},{provenance}\n"
-            out.write("".join([f"{base}{a & 0xFF}{tail}" for a in islice(addresses, length)]))
+            out.write("".join([f"{base}{host}{tail}" for host in islice(hosts, length)]))
 
 
 def write_plan_targets(plan: TargetPlan, out: IO[str]) -> None:
     """One target address per line: a ready-made input list for a scanner."""
     for prefix in sorted(plan.entries):
         base = format_slash24(prefix)[:-4]
-        out.write("".join([f"{base}{a & 0xFF}\n" for a in plan.entries[prefix].addresses]))
+        out.write("".join([f"{base}{host}\n" for host in plan.entries[prefix].hosts]))
 
 
 def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
@@ -335,7 +330,7 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     Each address must lie in its row's prefix and appear once; every row of
     one prefix must name the same strategy.
     """
-    rows: dict[int, tuple[str, array, list[tuple[str, int]]]] = {}  # prefix -> strategy, addresses, runs
+    rows: dict[int, tuple[str, bytearray, list[tuple[str, int]]]] = {}  # prefix -> strategy, hosts, runs
     seen: set[int] = set()  # the addresses so far
 
     def parse(columns: list[list[str]]) -> tuple[list[tuple[int, str, array, str]], set[int]]:
@@ -372,10 +367,10 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     for segments, added in read_csv(lines, PLAN_COLUMNS, parse):
         seen |= added
         for prefix, strategy, targets, provenance in segments:
-            _, addresses, runs = rows.setdefault(prefix, (strategy, array("I"), []))
-            addresses += targets
+            _, hosts, runs = rows.setdefault(prefix, (strategy, bytearray(), []))
+            hosts += bytes(a & 0xFF for a in targets)
             runs.append((provenance, len(targets)))
-    return TargetPlan({p: PlanEntry(p, s, tuple(a), _runs(r)) for p, (s, a, r) in rows.items()})
+    return TargetPlan({p: PlanEntry(p, s, h, _runs(r)) for p, (s, h, r) in rows.items()})
 
 
 def plan_summary(plan: TargetPlan) -> dict:

@@ -45,6 +45,7 @@ PREFIX_STAT_COLUMNS = (
 
 _HRP_FLAGS = {"true": True, "false": False}
 _COUNTS = {str(count): count for count in range(1, SLASH24_SIZE + 1)}  # canonical count text -> value
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # binary digits -> the bits they spell
 
 
 def format_slash24(prefix: int) -> str:
@@ -151,6 +152,11 @@ class PrefixTable(Record):
             members.append(base | (low.bit_length() - 1))
             bits ^= low
         return members
+
+    def hosts(self, prefix: int) -> bytes:
+        """Host octets of one prefix's members, ascending."""
+        bits = f"{self.bitmaps.get(prefix, 0):0256b}"[::-1].encode().translate(_BIT_VALUES)  # byte i: bit i
+        return bytes(compress(range(SLASH24_SIZE), bits))
 
     def total_addresses(self) -> int:
         return sum(bits.bit_count() for bits in self.bitmaps.values())

@@ -11,6 +11,7 @@ from datetime import datetime
 from operator import ge
 from typing import Iterable
 
+from hrpkit.applayer import STATUSES
 from hrpkit.ingest import _PROTOCOLS
 from hrpkit.planner import _decimal, _runs
 from hrpkit.prefixes import SLASH24_SIZE, format_slash24
@@ -271,6 +272,12 @@ class AppResults:
     statuses: bytes
     identifiers: list[str | None]
 
+    def __post_init__(self):
+        if not len(self.targets) == len(self.statuses) == len(self.identifiers):
+            raise ValueError("columns of unequal length")
+        if max(self.statuses, default=0) >= len(STATUSES):
+            raise ValueError(f"status codes must be below {len(STATUSES)}, got {max(self.statuses)}")
+
     def __len__(self) -> int:
         return len(self.targets)
 
@@ -387,20 +394,19 @@ class SamplePolicy:
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """Targets of one /24 in plan order, with their provenances as runs: the maximal
-    ``(provenance, length)`` segments over addresses, so equal plans compare equal.
-    The writers rely on the runs covering the addresses, all in the prefix; both are checked."""
+    """Targets of one /24 in plan order as host octets, the last byte of each address, with
+    their provenances as runs: the maximal ``(provenance, length)`` segments over the hosts, so
+    equal plans compare equal. The writers rely on the runs covering the hosts, which is checked."""
 
     prefix: int
     strategy: str
-    addresses: tuple[int, ...]
+    hosts: bytes
     runs: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if self.runs != _runs(self.runs) or sum(length for _, length in self.runs) != len(self.addresses):
-            raise ValueError(f"runs {self.runs} are not the maximal runs over {len(self.addresses)} targets")
-        if self.addresses and not self.prefix == min(self.addresses) >> 8 == max(self.addresses) >> 8:
-            raise ValueError(f"targets outside {format_slash24(self.prefix)}")
+        if self.runs != _runs(self.runs) or sum(length for _, length in self.runs) != len(self.hosts):
+            raise ValueError(f"runs {self.runs} are not the maximal runs over {len(self.hosts)} targets")
+        object.__setattr__(self, "hosts", bytes(self.hosts))
 
 
 @dataclass
@@ -410,10 +416,10 @@ class TargetPlan:
     entries: dict[int, PlanEntry]
 
     def total_targets(self) -> int:
-        return sum(len(entry.addresses) for entry in self.entries.values())
+        return sum(len(entry.hosts) for entry in self.entries.values())
 
     def target_addresses(self) -> set[int]:
-        return {address for entry in self.entries.values() for address in entry.addresses}
+        return {prefix << 8 | host for prefix, entry in self.entries.items() for host in entry.hosts}
 
 
 @dataclass(frozen=True)

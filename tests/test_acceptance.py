@@ -182,7 +182,7 @@ def test_criterion_6_planner_economy_on_cdn_corpus():
             truth[addr] = addr, SUCCESS, f"cert{prefix}"
     classes = {
         prefix: classify_sample(
-            results_of([truth[a] for a in plan.entries[prefix].addresses], META), policy
+            results_of([truth[prefix << 8 | h] for h in plan.entries[prefix].hosts], META), policy
         )
         for prefix in plan.entries
     }
@@ -214,14 +214,14 @@ def test_criterion_7_escalation_completeness():
     plan = build_plan(occupancy, set(counts), [], policy)
     classes = {
         prefix: classify_sample(
-            results_of([truth[a] for a in plan.entries[prefix].addresses], META), policy
+            results_of([truth[prefix << 8 | h] for h in plan.entries[prefix].hosts], META), policy
         )
         for prefix in plan.entries
     }
     assert {p for p, c in classes.items() if c == DIVERSE} == diverse_prefixes
     final = escalate(plan, classes, occupancy)
     for prefix in diverse_prefixes:
-        assert set(final.entries[prefix].addresses) == set(
+        assert {prefix << 8 | h for h in final.entries[prefix].hosts} == set(
             occupancy.addresses(prefix)
         )
     metrics = evaluate_plan(final, results_of(truth.values(), META))

@@ -27,6 +27,7 @@ from hrpkit.applayer import (
 )
 
 from hrpkit.ingest import format_ipv4
+from hrpkit.planner import SamplePolicy, classify_sample
 from hrpkit.prefixes import PrefixTable
 
 from conftest import make_meta, results_of, table_with_counts
@@ -112,6 +113,19 @@ def test_results_are_one_table_without_a_row_api():
     assert not hasattr(AppResults, "of")
     with pytest.raises(TypeError):
         iter(results_of([(1, SUCCESS, "x")]))
+
+
+@pytest.mark.parametrize("targets, statuses, identifiers, message", [
+    ([1, 2, 3], bytes([0]), [None, None, None], "unequal length"),  # classify_sample took it as diverse
+    ([1, 2], bytes([0, 0]), ["x"], "unequal length"),
+    ([1], bytes([7]), [None], "status codes must be below 3, got 7"),  # classify_sample took it as proxy
+    ([1, 2], bytes([0, len(STATUSES)]), ["x", None], "status codes must be below 3, got 3"),
+], ids=["3 targets 1 status", "2 targets 1 identifier", "status code 7", "status code 3"])
+def test_results_table_checks_its_columns(targets, statuses, identifiers, message):
+    with pytest.raises(ValueError, match=message):
+        classify_sample(AppResults(META, array("I", targets), statuses, identifiers), SamplePolicy())
+    valid = AppResults(META, array("I", [1, 2]), bytes([0, len(STATUSES) - 1]), ["x", None])
+    assert valid.select([1, 0, 1]).statuses == bytes([2, 0, 2])
 
 
 def test_results_of_builds_the_table_the_reader_builds():

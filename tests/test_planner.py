@@ -50,7 +50,7 @@ def _provenances(entry) -> list[str]:
 
 def _targets(entry) -> list[tuple[int, str]]:
     """(address, provenance) per target, in plan order."""
-    return list(zip(entry.addresses, _provenances(entry), strict=True))
+    return list(zip([entry.prefix << 8 | host for host in entry.hosts], _provenances(entry), strict=True))
 
 
 def test_splitmix64_matches_published_vector():
@@ -92,7 +92,7 @@ def test_plan_mixes_seeds_and_uniform_fill():
     seed_addresses = {s.address for s in seeds}
     fill_addresses = {a for a, provenance in _targets(entry) if provenance == UNIFORM_FILL}
     assert not (fill_addresses & seed_addresses)
-    assert len(set(entry.addresses)) == 10
+    assert len(set(entry.hosts)) == 10
 
 
 def test_plan_truncates_excess_seeds_by_name_count():
@@ -100,17 +100,17 @@ def test_plan_truncates_excess_seeds_by_name_count():
     seeds = [DnsSeed((5 << 8) | host, 100 - host) for host in range(12)]
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
     entry = plan.entries[5]
-    assert len(entry.addresses) == 10
+    assert len(entry.hosts) == 10
     assert entry.runs == ((DNS_SEED, 10),)
     # Highest name_count first; host 0 has the most references.
-    assert [a & 0xFF for a in entry.addresses] == list(range(10))
+    assert entry.hosts == bytes(range(10))
 
 
 def test_seed_tie_break_is_ascending_address():
     occupancy = table_with_counts({5: 256})
     seeds = [DnsSeed((5 << 8) | host, 7) for host in (9, 3, 6)]
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=2, rng_seed=1))
-    assert [a & 0xFF for a in plan.entries[5].addresses] == [3, 6]
+    assert plan.entries[5].hosts == bytes([3, 6])
 
 
 def test_non_hrp_prefixes_are_planned_in_full():
@@ -125,7 +125,7 @@ def test_small_hrp_takes_all_responsive():
     # k exceeding the responsive count takes everything, without error.
     occupancy = table_with_counts({6: 4})
     plan = build_plan(occupancy, {6}, [], SamplePolicy(k=10, rng_seed=1))
-    assert len(plan.entries[6].addresses) == 4
+    assert len(plan.entries[6].hosts) == 4
     assert set(_provenances(plan.entries[6])) == {UNIFORM_FILL}
 
 
@@ -133,13 +133,13 @@ def test_unresponsive_seeds_follow_the_policy_flag():
     occupancy = table_with_counts({5: 100})  # hosts 0..99 responsive
     seeds = [DnsSeed((5 << 8) | 200, 50)]  # not responsive
     kept = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
-    assert (5 << 8) | 200 in kept.entries[5].addresses
+    assert 200 in kept.entries[5].hosts
     dropped = build_plan(
         occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1, include_unresponsive_seeds=False)
     )
-    addresses = set(dropped.entries[5].addresses)
-    assert (5 << 8) | 200 not in addresses
-    assert len(addresses) == 10
+    hosts = set(dropped.entries[5].hosts)
+    assert 200 not in hosts
+    assert len(hosts) == 10
 
 
 def test_plan_determinism_and_seed_isolation():
@@ -179,13 +179,13 @@ def test_plan_has_no_duplicates_and_respects_k():
         policy = SamplePolicy(k=rng.randrange(1, 20) % 256 + 1, rng_seed=rng.getrandbits(32))
         plan = build_plan(occupancy, hrps, seeds, policy)
         for prefix, entry in plan.entries.items():
-            addresses = list(entry.addresses)
-            assert len(addresses) == len(set(addresses))
-            assert all(addr >> 8 == prefix for addr in addresses)
+            hosts = list(entry.hosts)
+            assert len(hosts) == len(set(hosts))
+            assert entry.prefix == prefix
             if entry.strategy == STRATEGY_SAMPLED:
-                assert len(addresses) <= policy.k
+                assert len(hosts) <= policy.k
             else:
-                assert len(addresses) == counts[prefix]
+                assert len(hosts) == counts[prefix]
 
 
 def test_classify_sample_scenarios():
@@ -256,7 +256,7 @@ def test_escalate_grows_only_diverse_prefixes():
     grown = escalate(plan, {5: DIVERSE, 6: PROXY}, occupancy)
     added = [t for t in _targets(grown.entries[5]) if t[1] == ESCALATION]
     assert len(added) == 246
-    assert set(grown.entries[5].addresses) == set(occupancy.addresses(5))
+    assert {5 << 8 | host for host in grown.entries[5].hosts} == set(occupancy.addresses(5))
     assert grown.entries[6] == plan.entries[6]
 
 
@@ -266,7 +266,7 @@ def test_escalating_again_grows_the_trailing_escalation_run():
     twice = escalate(once, {5: DIVERSE}, table_with_counts({5: 256}))
     assert once.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 230))
     assert twice.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 246))
-    assert twice.entries[5].addresses[:240] == once.entries[5].addresses
+    assert twice.entries[5].hosts[:240] == once.entries[5].hosts
 
 
 @given(st.data())
@@ -293,7 +293,7 @@ def test_plan_runs_are_maximal_through_escalate_and_csv(data):
     entries = read_plan_csv(io.StringIO(out.getvalue())).entries
     assert entries == plan.entries
     for entry in entries.values():
-        assert sum(length for _, length in entry.runs) == len(entry.addresses)
+        assert sum(length for _, length in entry.runs) == len(entry.hosts)
         assert all(length > 0 for _, length in entry.runs)
         assert all(a != b for (a, _), (b, _) in zip(entry.runs, entry.runs[1:]))
 
@@ -366,17 +366,17 @@ def test_seeds_csv_parses_and_merges_duplicates():
         read_dns_seeds(io.StringIO(f"ip,name_count\n1.2.3.4,{1 << 63}\n"))
 
 
-@pytest.mark.parametrize("addresses, runs", [
-    ((0x0505_01, 0x0505_02), ((DNS_SEED, 1),)),  # runs cover fewer targets
-    ((0x0505_01,), ((DNS_SEED, 1), (UNIFORM_FILL, 1))),  # runs cover more targets
-    ((0x0505_01, 0x0505_02), ((DNS_SEED, 1), (DNS_SEED, 1))),  # runs not maximal
-    ((0x0505_01, 0x0505_02), ((DNS_SEED, 2), (UNIFORM_FILL, 0))),  # empty run
-    ((0x0505_01, 0x0505_02), ((DNS_SEED, 3), (UNIFORM_FILL, -1))),  # negative run
-    ((0x0505_01, 0x0506_02), ((DNS_SEED, 2),)),  # target outside the prefix
+@pytest.mark.parametrize("hosts, runs, message", [
+    (b"\x01\x02", ((DNS_SEED, 1),), "maximal runs"),  # runs cover fewer targets
+    (b"\x01", ((DNS_SEED, 1), (UNIFORM_FILL, 1)), "maximal runs"),  # runs cover more targets
+    (b"\x01\x02", ((DNS_SEED, 1), (DNS_SEED, 1)), "maximal runs"),  # runs not maximal
+    (b"\x01\x02", ((DNS_SEED, 2), (UNIFORM_FILL, 0)), "maximal runs"),  # empty run
+    (b"\x01\x02", ((DNS_SEED, 3), (UNIFORM_FILL, -1)), "maximal runs"),  # negative run
+    ((0x0505_01, 0x0505_02), ((DNS_SEED, 2),), "range"),  # addresses, not host octets
 ])
-def test_plan_entry_rejects_runs_or_targets_the_writers_would_change(addresses, runs):
-    with pytest.raises(ValueError):
-        PlanEntry(0x0505, STRATEGY_SAMPLED, addresses, runs)
+def test_plan_entry_rejects_runs_or_targets_the_writers_would_change(hosts, runs, message):
+    with pytest.raises(ValueError, match=message):
+        PlanEntry(0x0505, STRATEGY_SAMPLED, hosts, runs)
 
 
 def test_plan_csv_roundtrip():

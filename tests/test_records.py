@@ -30,7 +30,7 @@ cutoffs = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, -0.1, 1.1, 1e-05, 0.1000001,
 prefix_lists = st.lists(st.integers(0, 3), max_size=4)
 provenances = st.sampled_from(planner.PROVENANCES)
 runs = st.lists(st.tuples(provenances, st.integers(0, 2)), max_size=3).map(tuple)
-addresses = st.lists(st.sampled_from([0, 1, 2, 256, 257]), max_size=4, unique=True).map(tuple)
+hosts = st.lists(st.sampled_from([0, 1, 2, 255, 256, 257]), max_size=4, unique=True).map(tuple)
 times = st.sampled_from([datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(days=d) for d in range(2)])
 
 
@@ -47,8 +47,10 @@ def _stats_args(draw) -> tuple:
 def _plan_entry_args(draw) -> tuple:
     entry_runs = draw(runs)
     length = sum(n for _, n in entry_runs)
-    entry_addresses = draw(addresses | st.just(tuple(range(length))) | st.just(tuple(range(256, 256 + length))))
-    return draw(small), draw(st.sampled_from(planner.STRATEGIES)), entry_addresses, entry_runs
+    # Host octets as a tuple, bytes or bytearray, or address ints given by mistake.
+    entry_hosts = draw(hosts | st.just(tuple(range(length))) | st.just(tuple(range(256, 256 + length)))
+                       | st.sampled_from([bytes, bytearray]).map(lambda form: form(range(length))))
+    return draw(small), draw(st.sampled_from(planner.STRATEGIES)), entry_hosts, entry_runs
 
 
 # name -> (record class, the strategy of its constructor's positional arguments)
@@ -75,7 +77,7 @@ RECORDS = {
     "VantageDiff": (analytics.VantageDiff, st.tuples(*[st.frozensets(small, max_size=2)] * 3, reals)),
     "AppResults": (applayer.AppResults, st.tuples(
         optional_metas, st.lists(small, max_size=3).map(lambda t: array("I", t)),
-        st.lists(st.integers(0, 2), max_size=3).map(bytes), st.lists(st.none() | st.just("x"), max_size=3))),
+        st.lists(st.integers(0, 3), max_size=3).map(bytes), st.lists(st.none() | st.just("x"), max_size=3))),
     "HrpAppReport": (applayer.HrpAppReport, st.tuples(small, small, small, reals, st.booleans(), st.booleans(),
                                                       st.booleans(), reals)),
     "AddressComparison": (applayer.AddressComparison, st.tuples(*[small] * 4, *[st.none() | reals] * 4)),
@@ -209,7 +211,7 @@ VALID = {
     "ScanMeta": ("tcp", 443),
     "DnsSeed": (1, 1),
     "SamplePolicy": (),
-    "PlanEntry": (0, "full", (1,), (("non_hrp_full", 1),)),
+    "PlanEntry": (0, "full", b"\x01", (("non_hrp_full", 1),)),
 }
 
 

@@ -259,9 +259,8 @@ def _plans(draw):
     for prefix in draw(st.sets(st.integers(0, 0xFFFFFF), max_size=5)):
         hosts = draw(st.lists(st.integers(0, 255), min_size=1, max_size=10, unique=True))
         provenances = [draw(st.sampled_from(PROVENANCES)) for _ in hosts]
-        addresses = tuple((prefix << 8) | host for host in hosts)
         entries[prefix] = PlanEntry(
-            prefix, draw(st.sampled_from(STRATEGIES)), addresses, _runs_of(provenances)
+            prefix, draw(st.sampled_from(STRATEGIES)), bytes(hosts), _runs_of(provenances)
         )
     return TargetPlan(entries)
 
@@ -348,12 +347,12 @@ def _reference_read_plan(lines) -> dict[int, PlanEntry]:
         if bits >> (address & 0xFF) & 1:
             raise ValueError(f"repeated address {ip_text} in {prefix_text}")
         seen[prefix] = bits | 1 << (address & 0xFF)
-        targets.append((address, provenance))
+        targets.append((address & 0xFF, provenance))
 
     _reference_table(lines, PLAN_COLUMNS, parse_row)
     return {
         prefix: PlanEntry(
-            prefix, strategy, tuple(a for a, _ in targets), _runs_of([p for _, p in targets])
+            prefix, strategy, bytes(h for h, _ in targets), _runs_of([p for _, p in targets])
         )
         for prefix, (strategy, targets) in rows.items()
     }
