@@ -412,15 +412,16 @@ def _cmd_escalate(args) -> dict:
         proxy_max_success=args.proxy_max_success, cdn_min_success=args.cdn_min_success
     )
     rows_by_prefix: dict[int, list[int]] = {}
-    seen: set[int] = set()
+    seen_of: dict[int, int] = {}  # prefix -> bitmap of the hosts with a row so far
     off_plan = 0
     for row, target in enumerate(results.targets):
-        entry = plan.entries.get(target >> 8)
-        if not (entry and entry.strategy == planner.STRATEGY_SAMPLED and target & 0xFF in entry.hosts):
+        prefix, host = target >> 8, target & 0xFF
+        entry = plan.entries.get(prefix)
+        if not (entry and entry.strategy == planner.STRATEGY_SAMPLED and host in entry.hosts):
             off_plan += 1  # outside every sampled prefix, or never planned there
-        elif target not in seen:  # the first row per target counts, as in applayer
-            seen.add(target)
-            rows_by_prefix.setdefault(target >> 8, []).append(row)
+        elif not seen_of.get(prefix, 0) >> host & 1:  # the first row per target counts, as in applayer
+            seen_of[prefix] = seen_of.get(prefix, 0) | 1 << host
+            rows_by_prefix.setdefault(prefix, []).append(row)
     classes = {
         prefix: planner.classify_sample(results.select(rows), policy)
         for prefix, rows in sorted(rows_by_prefix.items())

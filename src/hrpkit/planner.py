@@ -18,11 +18,11 @@ the result.
 
 from __future__ import annotations
 
-from array import array
 from collections import namedtuple
+from functools import reduce
 from itertools import compress, groupby, islice, pairwise
 from math import isfinite
-from operator import ne
+from operator import ne, or_
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .applayer import STATUS_CODES, SUCCESS, AppResults, single_identifier
@@ -169,9 +169,6 @@ class TargetPlan(Record):
     def total_targets(self) -> int:
         return sum(len(entry.hosts) for entry in self.entries.values())
 
-    def target_addresses(self) -> set[int]:
-        return {prefix << 8 | host for prefix, entry in self.entries.items() for host in entry.hosts}
-
 
 class PlanMetrics(NamedTuple):
     """Cost and coverage of a plan against full-scan ground truth."""
@@ -266,26 +263,36 @@ def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTabl
 def evaluate_plan(final_plan: TargetPlan, truth: AppResults) -> PlanMetrics:
     """Cost/coverage of a plan against ground truth for every responsive address.
 
-    Raises PlanEvaluationError when a planned target has no truth row. With
-    an empty plan and empty truth, reduction is 0 and coverage 1 (vacuous).
+    A target's first truth row gives its identifier. Memory is a bitmap per /24 of the targets
+    seen plus a flag per distinct identifier. Raises PlanEvaluationError when a planned target
+    has no truth row. With an empty plan and empty truth, reduction is 0 and coverage 1 (vacuous).
     """
-    # Each target's identifier from its first row: built backwards, the first row is set last.
-    identifier_of = dict(zip(reversed(truth.targets), reversed(truth.identifiers)))
-    planned = final_plan.target_addresses()
-    uncovered = sorted(a for a in planned if a not in identifier_of)
-    if uncovered:
-        raise PlanEvaluationError(
-            f"{len(uncovered)} planned targets missing from ground truth, "
-            f"first: {format_ipv4(uncovered[0])}"
-        )
-    baseline = len(identifier_of)
-    all_identifiers = set(identifier_of.values()) - {None}
-    reached = {identifier_of[a] for a in planned} - {None}
+    entries = final_plan.entries
+    seen_of: dict[int, int] = {}  # prefix -> bitmap of the hosts with a truth row so far
+    reached: dict[str, bool] = {}  # identifier -> whether a planned target's first row has it
+    for target, identifier in zip(truth.targets, truth.identifiers):
+        prefix, host = target >> 8, target & 0xFF
+        if not (seen := seen_of.get(prefix, 0)) >> host & 1:
+            seen_of[prefix] = seen | 1 << host
+            if identifier is not None and not reached.get(identifier):
+                reached[identifier] = prefix in entries and host in entries[prefix].hosts
+    planned, missing = 0, []  # (prefix, bitmap) of the planned targets without a truth row
+    for prefix, entry in entries.items():
+        mask = reduce(or_, map((1).__lshift__, entry.hosts), 0)
+        planned += mask.bit_count()
+        if bits := mask & ~seen_of.get(prefix, 0):
+            missing.append((prefix, bits))
+    if missing:
+        prefix, bits = min(missing)
+        count = sum(b.bit_count() for _, b in missing)
+        first = format_ipv4(prefix << 8 | (bits & -bits).bit_length() - 1)
+        raise PlanEvaluationError(f"{count} planned targets missing from ground truth, first: {first}")
+    baseline = sum(map(int.bit_count, seen_of.values()))
     return PlanMetrics(
-        handshakes_planned=len(planned),
+        handshakes_planned=planned,
         handshakes_full_baseline=baseline,
-        reduction=1 - len(planned) / baseline if baseline else 0.0,
-        identifier_coverage=len(reached) / len(all_identifiers) if all_identifiers else 1.0,
+        reduction=1 - planned / baseline if baseline else 0.0,
+        identifier_coverage=sum(reached.values()) / len(reached) if reached else 1.0,
     )
 
 
@@ -327,15 +334,13 @@ def write_plan_targets(plan: TargetPlan, out: IO[str]) -> None:
 def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     """Read the CSV form back into a plan.
 
-    Each address must lie in its row's prefix and appear once; every row of
-    one prefix must name the same strategy.
+    Each address must lie in its row's prefix and appear once, which is checked against the
+    /24's hosts so far, so memory is per /24; every row of one prefix must name the same strategy.
     """
-    rows: dict[int, tuple[str, bytearray, list[tuple[str, int]]]] = {}  # prefix -> strategy, hosts, runs
-    seen: set[int] = set()  # the addresses so far
+    entries: dict[int, PlanEntry] = {}
 
-    def parse(columns: list[list[str]]) -> tuple[list[tuple[int, str, array, str]], set[int]]:
-        """The rows as segments ``(prefix, strategy, addresses, provenance)`` of consecutive rows
-        alike but for their address, and the addresses they add to ``seen``."""
+    def parse(columns: list[list[str]]) -> dict[int, PlanEntry]:
+        """The entries of the prefixes that the rows name, each grown by the rows' runs in order."""
         ips, prefix_texts, strategies, provenances = columns
         addresses = ipv4_column(ips)
         for name, texts, known in ("strategy", strategies, STRATEGIES), ("provenance", provenances, PROVENANCES):
@@ -343,9 +348,7 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
                 raise ValueError(f"unknown {name} {next(t for t in texts if t not in known)!r}")
         keys = list(zip(prefix_texts, strategies, provenances))
         starts = [0, *compress(range(1, len(keys)), map(ne, keys[1:], keys)), len(keys)]
-        segments = []
-        strategy_of: dict[int, str] = {}  # of each prefix in the block
-        added: set[int] = set()
+        grown: dict[int, PlanEntry] = {}
         for start, end in pairwise(starts):
             prefix_text, strategy, provenance = keys[start]
             prefix = parse_slash24(prefix_text)
@@ -353,24 +356,20 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
             if not prefix == min(targets) >> 8 == max(targets) >> 8:
                 outside = next(a for a in targets if a >> 8 != prefix)
                 raise ValueError(f"address {format_ipv4(outside)} is outside {prefix_text}")
-            known = strategy_of.setdefault(prefix, rows[prefix][0] if prefix in rows else strategy)
+            _, known, before, runs = grown.get(prefix) or entries.get(prefix) or (prefix, strategy, b"", ())
             if known != strategy:
                 raise ValueError(f"mixed strategies for {prefix_text}")
-            fresh = set(targets)
-            if len(fresh) != len(targets) or not seen.isdisjoint(fresh) or not added.isdisjoint(fresh):
-                repeated = next(a for i, a in enumerate(targets) if a in seen or a in added or a in targets[:i])
-                raise ValueError(f"repeated address {format_ipv4(repeated)} in {prefix_text}")
-            added |= fresh
-            segments.append((prefix, strategy, targets, provenance))
-        return segments, added
+            hosts = bytes(map((0xFF).__and__, targets))
+            # before holds no repeat: hosts adds none if it holds none and deletes none from before
+            if len(set(hosts)) != len(hosts) or len(before.translate(None, hosts)) != len(before):
+                repeated = next(h for i, h in enumerate(hosts) if h in before or h in hosts[:i])
+                raise ValueError(f"repeated address {format_ipv4(prefix << 8 | repeated)} in {prefix_text}")
+            grown[prefix] = PlanEntry(prefix, strategy, before + hosts, _runs([*runs, (provenance, len(hosts))]))
+        return grown
 
-    for segments, added in read_csv(lines, PLAN_COLUMNS, parse):
-        seen |= added
-        for prefix, strategy, targets, provenance in segments:
-            _, hosts, runs = rows.setdefault(prefix, (strategy, bytearray(), []))
-            hosts += bytes(a & 0xFF for a in targets)
-            runs.append((provenance, len(targets)))
-    return TargetPlan({p: PlanEntry(p, s, h, _runs(r)) for p, (s, h, r) in rows.items()})
+    for grown in read_csv(lines, PLAN_COLUMNS, parse):
+        entries.update(grown)
+    return TargetPlan(entries)
 
 
 def plan_summary(plan: TargetPlan) -> dict:

@@ -418,9 +418,6 @@ class TargetPlan:
     def total_targets(self) -> int:
         return sum(len(entry.hosts) for entry in self.entries.values())
 
-    def target_addresses(self) -> set[int]:
-        return {prefix << 8 | host for prefix, entry in self.entries.items() for host in entry.hosts}
-
 
 @dataclass(frozen=True)
 class PlanMetrics:

@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hrpkit.applayer import SUCCESS, UNREACHABLE
+from hrpkit.ingest import format_ipv4
 from hrpkit.planner import (
     CDN_LIKE,
     DIVERSE,
@@ -24,8 +25,10 @@ from hrpkit.planner import (
     DnsSeed,
     PlanEntry,
     PlanEvaluationError,
+    PlanMetrics,
     SamplePolicy,
     SplitMix64,
+    TargetPlan,
     build_plan,
     classify_sample,
     escalate,
@@ -350,6 +353,82 @@ def test_evaluate_empty_plan_and_truth():
     metrics = evaluate_plan(plan, results_of([]))
     assert metrics.reduction == 0.0
     assert metrics.identifier_coverage == 1.0
+
+
+def _reference_evaluate_plan(final_plan: TargetPlan, truth) -> PlanMetrics:
+    """evaluate_plan over one int per address: a dict of every truth row and a set of every
+    planned target."""
+    # Each target's identifier from its first row: built backwards, the first row is set last.
+    identifier_of = dict(zip(reversed(truth.targets), reversed(truth.identifiers)))
+    planned = {prefix << 8 | host for prefix, entry in final_plan.entries.items() for host in entry.hosts}
+    uncovered = sorted(a for a in planned if a not in identifier_of)
+    if uncovered:
+        raise PlanEvaluationError(
+            f"{len(uncovered)} planned targets missing from ground truth, "
+            f"first: {format_ipv4(uncovered[0])}"
+        )
+    baseline = len(identifier_of)
+    all_identifiers = set(identifier_of.values()) - {None}
+    reached = {identifier_of[a] for a in planned} - {None}
+    return PlanMetrics(
+        handshakes_planned=len(planned),
+        handshakes_full_baseline=baseline,
+        reduction=1 - len(planned) / baseline if baseline else 0.0,
+        identifier_coverage=len(reached) / len(all_identifiers) if all_identifiers else 1.0,
+    )
+
+
+# The lowest and highest prefixes and hosts, so that 0.0.0.0 and 255.255.255.255 can be targets.
+_EVAL_PREFIXES = st.sampled_from([0, 1, 0x0A0000, 0xFFFFFF])
+_EVAL_HOSTS = st.sampled_from([0, 1, 2, 128, 254, 255])
+
+
+@st.composite
+def _evaluated_plans(draw) -> TargetPlan:
+    """Plans over a few prefixes; a few repeat a host, which counts once."""
+    entries = {}
+    for prefix in draw(st.sets(_EVAL_PREFIXES, max_size=4)):
+        hosts = bytes(draw(st.lists(_EVAL_HOSTS, max_size=6, unique=draw(st.integers(0, 5)) > 0)))
+        strategy = draw(st.sampled_from([STRATEGY_FULL, STRATEGY_SAMPLED]))
+        entries[prefix] = PlanEntry(prefix, strategy, hosts, ((NON_HRP_FULL, len(hosts)),) if hosts else ())
+    return TargetPlan(entries)
+
+
+@st.composite
+def _truths(draw, plan: TargetPlan) -> list[tuple[int, str, str | None]]:
+    """Truth rows over the plan's targets, most or all of them, and targets outside it, with some
+    targets repeated under another identifier or none."""
+    planned = [prefix << 8 | host for prefix, entry in plan.entries.items() for host in entry.hosts]
+    covered = draw(st.sampled_from([planned, planned, []]) | st.lists(st.sampled_from(planned or [0]), max_size=8))
+    outside = draw(st.lists(st.builds(lambda p, h: p << 8 | h, _EVAL_PREFIXES, _EVAL_HOSTS), max_size=8))
+    targets = draw(st.permutations(covered + outside))
+    targets += draw(st.lists(st.sampled_from(targets), max_size=6)) if targets else []
+    return [_truth(t, SUCCESS, draw(st.sampled_from([None, "a", "b", "c", "d"]))) for t in targets]
+
+
+def _metrics_or_error(evaluate, plan, truth):
+    try:
+        return evaluate(plan, truth)
+    except PlanEvaluationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_evaluated_plans().flatmap(lambda plan: st.tuples(st.just(plan), _truths(plan))))
+@example((TargetPlan({}), []))
+@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", ((NON_HRP_FULL, 2),))}), []))
+@example((TargetPlan({}), [_truth(5, SUCCESS, "a")]))
+@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", ((NON_HRP_FULL, 2),))}),
+          [_truth(0xFF, SUCCESS, None), _truth(0xFF, SUCCESS, "a"), _truth(0, SUCCESS, "b"),
+           _truth(0x100, SUCCESS, "a")]))  # 0.0.0.255's first row has no identifier: "a" is not reached
+@example((TargetPlan({p: PlanEntry(p, STRATEGY_FULL, b"\x00\x07\xff", ((NON_HRP_FULL, 3),))
+                      for p in (0xFFFFFF, 0, 0x0A0000)}),
+          [_truth(0, SUCCESS, "a"), _truth(0xFFFFFFFF, SUCCESS, "b"), _truth(0x0A000007)]))  # six uncovered
+def test_evaluate_matches_the_per_address_reference(case):
+    """The same metrics, or the same error text with its count and lowest uncovered target."""
+    plan, rows = case
+    truth = results_of(rows)
+    assert _metrics_or_error(evaluate_plan, plan, truth) == _metrics_or_error(_reference_evaluate_plan, plan, truth)
 
 
 def test_seeds_csv_parses_and_merges_duplicates():

@@ -696,6 +696,58 @@ def test_plan_reader_in_blocks_matches_the_per_row_reference(case):
     assert _outcome_in_blocks(block, lambda lines: read_plan_csv(lines).entries.items(), lines) == expected
 
 
+def _plan_lines(*rows: tuple[int, int, str, str]) -> list[str]:
+    """A plan table of ``(prefix, host, strategy, provenance)`` rows."""
+    return [",".join(PLAN_COLUMNS) + "\n"] + [
+        f"{format_ipv4(prefix << 8 | host)},{format_slash24(prefix)},{strategy},{provenance}\n"
+        for prefix, host, strategy, provenance in rows
+    ]
+
+
+_A, _B = 0x010203, 0xFFFFFF  # 1.2.3.0/24 and 255.255.255.0/24
+_SPLIT = [(_A, h, "full", "non_hrp_full") for h in (0, 1, 2, 3)] + [
+    (_B, h, "sampled", "dns_seed") for h in range(20)]  # A in the first blocks, then 20 rows of B
+
+# name -> (rows, the error of the per-row reference, or None for a plan)
+PLAN_REPEATS = {
+    "a repeat within one segment": (
+        [(_A, 255, "full", "non_hrp_full"), (_A, 255, "full", "non_hrp_full")],
+        "line 3: repeated address 1.2.3.255 in 1.2.3.0/24"),
+    "a repeat across segments of one block": (
+        [(_A, 0, "sampled", "dns_seed"), (_B, 0, "sampled", "dns_seed"), (_A, 0, "sampled", "uniform_fill")],
+        "line 4: repeated address 1.2.3.0 in 1.2.3.0/24"),
+    "a repeat across provenances of one prefix": (
+        [(_A, 7, "sampled", "dns_seed"), (_A, 8, "sampled", "uniform_fill"), (_A, 7, "sampled", "escalation")],
+        "line 4: repeated address 1.2.3.7 in 1.2.3.0/24"),
+    "a repeat across blocks": (
+        [(_A, h, "full", "non_hrp_full") for h in range(9)] + [(_A, 4, "full", "non_hrp_full")],
+        "line 11: repeated address 1.2.3.4 in 1.2.3.0/24"),
+    "a prefix split across blocks": (_SPLIT + [(_A, h, "full", "non_hrp_full") for h in (255, 4)], None),
+    "a prefix split across blocks, then a repeat": (
+        _SPLIT + [(_A, 255, "full", "non_hrp_full"), (_A, 0, "full", "non_hrp_full")],
+        "line 27: repeated address 1.2.3.0 in 1.2.3.0/24"),
+    "a prefix split across blocks, then another strategy": (
+        _SPLIT + [(_A, 4, "sampled", "dns_seed")], "line 26: mixed strategies for 1.2.3.0/24"),
+    "a repeat of a later run's own host": (
+        _SPLIT + [(_A, 9, "full", "escalation"), (_A, 10, "full", "escalation"), (_A, 9, "full", "escalation")],
+        "line 28: repeated address 1.2.3.9 in 1.2.3.0/24"),
+}
+
+
+@pytest.mark.parametrize("block", [2, 3, 8])
+@pytest.mark.parametrize("name", PLAN_REPEATS)
+def test_plan_reader_finds_repeats_per_prefix_in_blocks(name, block):
+    """Repeats within a run, across runs of one block and across blocks, and a prefix whose rows
+    come back blocks later: the reference's plan, or its error on the same line."""
+    rows, error = PLAN_REPEATS[name]
+    lines = _plan_lines(*rows)
+    expected = _outcome_in_blocks(block, lambda lines: _reference_read_plan(lines).items(), lines)
+    assert _outcome_in_blocks(block, lambda lines: read_plan_csv(lines).entries.items(), lines) == expected
+    assert (expected if error else None) == error
+    if error is None:
+        assert bytes(dict(expected)[_A].hosts) == bytes([0, 1, 2, 3, 255, 4])
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from([1, 3]).flatmap(
     lambda width: _long_tables(",".join(f"c{i}" for i in range(width)), _generic_rows(width))
