@@ -145,19 +145,19 @@ def hrp_app_report(
             f"occupancy {meta.protocol}/{meta.port}"
         )
     hrp_set = set(hrp_prefixes)
-    seen: set[int] = set()  # targets whose first row was kept
+    kept: dict[int, int] = {}  # prefix -> bitmap of the hosts whose first row was kept
     successes: dict[int, list[str | None]] = defaultdict(list)  # identifiers per HRP, first rows only
     app_errors: Counter[int] = Counter()
     duplicates = anomalies = hrp_targets = non_hrp_successes = 0
     bitmaps = occupancy.bitmaps
     for target, code, identifier in zip(results.targets, results.statuses, results.identifiers):
-        prefix = target >> 8
-        if target in seen:
-            duplicates += 1
-        elif not bitmaps.get(prefix, 0) >> (target & 0xFF) & 1:
+        prefix, host = target >> 8, target & 0xFF
+        if not bitmaps.get(prefix, 0) >> host & 1:  # no first row is kept off the occupancy bits
             anomalies += 1
+        elif (seen := kept.get(prefix, 0)) >> host & 1:
+            duplicates += 1
         else:
-            seen.add(target)
+            kept[prefix] = seen | 1 << host
             if prefix not in hrp_set:
                 if code == _SUCCESS:
                     non_hrp_successes += 1
@@ -194,7 +194,7 @@ def hrp_app_report(
             gt90_successes += success_count
             if same_identifier:
                 gt90_same_id_successes += success_count
-    non_hrp_targets = len(seen) - hrp_targets
+    non_hrp_targets = sum(map(int.bit_count, kept.values())) - hrp_targets
     comparison = AddressComparison(
         non_hrp_targets=non_hrp_targets,
         non_hrp_successes=non_hrp_successes,

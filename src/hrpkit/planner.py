@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from itertools import compress, groupby, islice, pairwise
+from itertools import compress, pairwise
 from math import isfinite
 from operator import ne, or_
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
@@ -38,6 +38,7 @@ DNS_SEED = "dns_seed"
 UNIFORM_FILL = "uniform_fill"
 ESCALATION = "escalation"
 PROVENANCES = (NON_HRP_FULL, DNS_SEED, UNIFORM_FILL, ESCALATION)
+PROVENANCE_CODES = {provenance: code for code, provenance in enumerate(PROVENANCES)}  # as PlanEntry holds them
 
 PROXY = "proxy"
 CDN_LIKE = "cdn_like"
@@ -141,23 +142,23 @@ class SamplePolicy(Checked, namedtuple(
         return super().__new__(cls, k, rng_seed, proxy_max_success, cdn_min_success, include_unresponsive_seeds)
 
 
-class PlanEntry(Checked, namedtuple("PlanEntry", "prefix strategy hosts runs")):
-    """Targets of one /24 in plan order as host octets, the last byte of each address, with
-    their provenances as runs: the maximal ``(provenance, length)`` segments over the hosts, so
-    equal plans compare equal. The writers rely on the runs covering the hosts, which is checked."""
+class PlanEntry(Checked, namedtuple("PlanEntry", "prefix strategy hosts provenances")):
+    """Targets of one /24 in plan order as host octets, the last byte of each address, and their
+    provenances as one code (PROVENANCE_CODES) per target: checked, as the writers rely on both."""
 
     __slots__ = ()
 
-    def __new__(cls, prefix: int, strategy: str, hosts: bytes, runs: tuple[tuple[str, int], ...]):
-        if runs != _runs(runs) or sum(length for _, length in runs) != len(hosts):
-            raise ValueError(f"runs {runs} are not the maximal runs over {len(hosts)} targets")
-        return super().__new__(cls, prefix, strategy, bytes(hosts), runs)
-
-
-def _runs(segments: Iterable[Sequence]) -> tuple[tuple[str, int], ...]:
-    """Maximal runs over consecutive ``(provenance, length)`` segments; empty ones drop out."""
-    nonempty = [(provenance, length) for provenance, length in segments if length > 0]
-    return tuple((p, sum(length for _, length in group)) for p, group in groupby(nonempty, lambda s: s[0]))
+    def __new__(cls, prefix: int, strategy: str, hosts: bytes, provenances: bytes):
+        if not 0 <= prefix < 1 << 24:
+            raise ValueError(f"prefix out of range: {prefix}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+        hosts, provenances = bytes(hosts), bytes(provenances)
+        if len(provenances) != len(hosts):
+            raise ValueError(f"{len(provenances)} provenance codes for {len(hosts)} targets")
+        if max(provenances, default=0) >= len(PROVENANCES):
+            raise ValueError(f"provenance codes must be below {len(PROVENANCES)}, got {max(provenances)}")
+        return super().__new__(cls, prefix, strategy, hosts, provenances)
 
 
 class TargetPlan(Record):
@@ -198,7 +199,7 @@ def build_plan(
     for prefix in occupancy.prefixes():
         responsive = occupancy.hosts(prefix)
         if prefix not in hrp_set:
-            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, responsive, ((NON_HRP_FULL, len(responsive)),))
+            entries[prefix] = PlanEntry(prefix, STRATEGY_FULL, responsive, bytes(len(responsive)))  # NON_HRP_FULL
             continue
         entries[prefix] = _sample_hrp(prefix, responsive, seeds_by_prefix.get(prefix, {}), policy)
     return TargetPlan(entries)
@@ -220,8 +221,8 @@ def _sample_hrp(
         candidates = [host for host in responsive if host not in seed_names]
         rng = _prefix_stream(policy.rng_seed, prefix)
         drawn = _sample_without_replacement(candidates, min(fill_budget, len(candidates)), rng)
-    runs = _runs([(DNS_SEED, len(seeded)), (UNIFORM_FILL, len(drawn))])
-    return PlanEntry(prefix, STRATEGY_SAMPLED, seeded + drawn, runs)
+    codes = b"\1" * len(seeded) + b"\2" * len(drawn)  # DNS_SEED, then UNIFORM_FILL
+    return PlanEntry(prefix, STRATEGY_SAMPLED, seeded + drawn, codes)
 
 
 def classify_sample(sample_results: AppResults, policy: SamplePolicy) -> str:
@@ -254,9 +255,9 @@ def escalate(plan: TargetPlan, classes: Mapping[int, str], occupancy: PrefixTabl
         if scenario != DIVERSE:
             continue
         entry = entries[prefix]
-        additions = bytes(h for h in occupancy.hosts(prefix) if h not in entry.hosts)
-        runs = _runs([*entry.runs, (ESCALATION, len(additions))])
-        entries[prefix] = PlanEntry(prefix, entry.strategy, entry.hosts + additions, runs)
+        additions = occupancy.hosts(prefix).translate(None, entry.hosts)
+        codes = entry.provenances + b"\3" * len(additions)  # ESCALATION
+        entries[prefix] = PlanEntry(prefix, entry.strategy, entry.hosts + additions, codes)
     return TargetPlan(entries)
 
 
@@ -314,14 +315,12 @@ def read_dns_seeds(lines: Iterable[str]) -> list[DnsSeed]:
 def write_plan_csv(plan: TargetPlan, out: IO[str]) -> None:
     """CSV form, prefixes ascending and targets in plan order."""
     out.write(",".join(PLAN_COLUMNS) + "\n")
+    ends = [f"{provenance}\n" for provenance in PROVENANCES]  # a row's last field by its code
     for prefix in sorted(plan.entries):
         entry = plan.entries[prefix]
         slash24 = format_slash24(prefix)
-        base = slash24[:-4]  # a.b.c.
-        hosts = iter(entry.hosts)
-        for provenance, length in entry.runs:
-            tail = f",{slash24},{entry.strategy},{provenance}\n"
-            out.write("".join([f"{base}{host}{tail}" for host in islice(hosts, length)]))
+        base, mid = slash24[:-4], f",{slash24},{entry.strategy},"  # a.b.c. and the fields after the host
+        out.write("".join([f"{base}{host}{mid}{ends[code]}" for host, code in zip(entry.hosts, entry.provenances)]))
 
 
 def write_plan_targets(plan: TargetPlan, out: IO[str]) -> None:
@@ -340,7 +339,7 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
     entries: dict[int, PlanEntry] = {}
 
     def parse(columns: list[list[str]]) -> dict[int, PlanEntry]:
-        """The entries of the prefixes that the rows name, each grown by the rows' runs in order."""
+        """The entries of the prefixes that the rows name, each grown by the rows in order."""
         ips, prefix_texts, strategies, provenances = columns
         addresses = ipv4_column(ips)
         for name, texts, known in ("strategy", strategies, STRATEGIES), ("provenance", provenances, PROVENANCES):
@@ -356,7 +355,7 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
             if not prefix == min(targets) >> 8 == max(targets) >> 8:
                 outside = next(a for a in targets if a >> 8 != prefix)
                 raise ValueError(f"address {format_ipv4(outside)} is outside {prefix_text}")
-            _, known, before, runs = grown.get(prefix) or entries.get(prefix) or (prefix, strategy, b"", ())
+            _, known, before, codes = grown.get(prefix) or entries.get(prefix) or (prefix, strategy, b"", b"")
             if known != strategy:
                 raise ValueError(f"mixed strategies for {prefix_text}")
             hosts = bytes(map((0xFF).__and__, targets))
@@ -364,7 +363,8 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
             if len(set(hosts)) != len(hosts) or len(before.translate(None, hosts)) != len(before):
                 repeated = next(h for i, h in enumerate(hosts) if h in before or h in hosts[:i])
                 raise ValueError(f"repeated address {format_ipv4(prefix << 8 | repeated)} in {prefix_text}")
-            grown[prefix] = PlanEntry(prefix, strategy, before + hosts, _runs([*runs, (provenance, len(hosts))]))
+            codes += bytes([PROVENANCE_CODES[provenance]]) * len(hosts)
+            grown[prefix] = PlanEntry(prefix, strategy, before + hosts, codes)
         return grown
 
     for grown in read_csv(lines, PLAN_COLUMNS, parse):
@@ -375,14 +375,13 @@ def read_plan_csv(lines: Iterable[str]) -> TargetPlan:
 def plan_summary(plan: TargetPlan) -> dict:
     """Counts by strategy and provenance for the JSON summary."""
     strategy_counts = {STRATEGY_FULL: 0, STRATEGY_SAMPLED: 0}
-    provenance_counts = {p: 0 for p in PROVENANCES}
+    codes = bytearray()  # every target's provenance code
     for entry in plan.entries.values():
         strategy_counts[entry.strategy] += 1
-        for provenance, length in entry.runs:
-            provenance_counts[provenance] += length
+        codes += entry.provenances
     return {
         "prefixes": len(plan.entries),
         "targets": plan.total_targets(),
         "strategy_prefixes": strategy_counts,
-        "provenance_targets": provenance_counts,
+        "provenance_targets": {p: codes.count(code) for p, code in PROVENANCE_CODES.items()},
     }

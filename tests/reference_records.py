@@ -13,7 +13,7 @@ from typing import Iterable
 
 from hrpkit.applayer import STATUSES
 from hrpkit.ingest import _PROTOCOLS
-from hrpkit.planner import _decimal, _runs
+from hrpkit.planner import PROVENANCES, STRATEGIES, _decimal
 from hrpkit.prefixes import SLASH24_SIZE, format_slash24
 
 
@@ -394,19 +394,26 @@ class SamplePolicy:
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """Targets of one /24 in plan order as host octets, the last byte of each address, with
-    their provenances as runs: the maximal ``(provenance, length)`` segments over the hosts, so
-    equal plans compare equal. The writers rely on the runs covering the hosts, which is checked."""
+    """Targets of one /24 in plan order as host octets, the last byte of each address, and their
+    provenances as one code per target, the code of a provenance being its index in PROVENANCES."""
 
     prefix: int
     strategy: str
     hosts: bytes
-    runs: tuple[tuple[str, int], ...]
+    provenances: bytes
 
     def __post_init__(self):
-        if self.runs != _runs(self.runs) or sum(length for _, length in self.runs) != len(self.hosts):
-            raise ValueError(f"runs {self.runs} are not the maximal runs over {len(self.hosts)} targets")
+        if not 0 <= self.prefix <= 0xFFFFFF:
+            raise ValueError(f"prefix out of range: {self.prefix}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         object.__setattr__(self, "hosts", bytes(self.hosts))
+        object.__setattr__(self, "provenances", bytes(self.provenances))
+        if len(self.provenances) != len(self.hosts):
+            raise ValueError(f"{len(self.provenances)} provenance codes for {len(self.hosts)} targets")
+        for code in self.provenances:
+            if code not in range(len(PROVENANCES)):
+                raise ValueError(f"provenance codes must be below {len(PROVENANCES)}, got {max(self.provenances)}")
 
 
 @dataclass

@@ -9,7 +9,7 @@ from collections import Counter, defaultdict
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hrpkit import applayer
 from hrpkit.applayer import (
@@ -455,7 +455,21 @@ def _joins(draw):
     return results, hrps, occupancy
 
 
+# Hosts 0 and 255 of the lowest and highest /24s, occupied, then probed again, beside an unoccupied
+# host and a dark /24: the ends of a kept-host bitmap.
+_EDGE_OCCUPANCY = PrefixTable(META, {0: 1 << 255 | 1, 0xFFFFFF: 1 << 255 | 1})
+_EDGE_RESULTS = [
+    _result(0xFF, SUCCESS, "a"), _result(0, APP_ERROR), _result(0xFF, UNREACHABLE), _result(1, SUCCESS, "a"),
+    _result(0xFFFFFF00, SUCCESS), _result(0xFFFFFFFF, SUCCESS, "b"), _result(0xFFFFFFFF, APP_ERROR),
+    _result(0xFFFFFE00, SUCCESS, "a"), _result(0, SUCCESS, "a"),
+]
+
+
 @given(_joins(), st.booleans())
+@example((_EDGE_RESULTS, {0}, _EDGE_OCCUPANCY), True)
+@example((_EDGE_RESULTS, {0xFFFFFF}, _EDGE_OCCUPANCY), False)
+@example((_EDGE_RESULTS, set(), _EDGE_OCCUPANCY), False)
+@example((_EDGE_RESULTS[::-1], {0, 0xFFFFFF}, _EDGE_OCCUPANCY), True)
 def test_one_pass_join_matches_the_two_pass_reference(join, exclude_app_errors):
     results, hrps, occupancy = join
     _, reports, anomalies, duplicates = _reference_report(results, hrps, occupancy, exclude_app_errors)

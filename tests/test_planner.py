@@ -17,6 +17,7 @@ from hrpkit.planner import (
     DNS_SEED,
     ESCALATION,
     NON_HRP_FULL,
+    PROVENANCES,
     PROXY,
     SCENARIOS,
     STRATEGY_FULL,
@@ -48,7 +49,7 @@ def _truth(addr: int, status: str = SUCCESS, identifier: str | None = None) -> t
 
 
 def _provenances(entry) -> list[str]:
-    return [provenance for provenance, length in entry.runs for _ in range(length)]
+    return [PROVENANCES[code] for code in entry.provenances]
 
 
 def _targets(entry) -> list[tuple[int, str]]:
@@ -91,7 +92,7 @@ def test_plan_mixes_seeds_and_uniform_fill():
     entry = plan.entries[5]
     assert entry.strategy == STRATEGY_SAMPLED
     assert _provenances(entry) == [DNS_SEED] * 5 + [UNIFORM_FILL] * 5
-    assert entry.runs == ((DNS_SEED, 5), (UNIFORM_FILL, 5))
+    assert entry.provenances == b"\1" * 5 + b"\2" * 5
     seed_addresses = {s.address for s in seeds}
     fill_addresses = {a for a, provenance in _targets(entry) if provenance == UNIFORM_FILL}
     assert not (fill_addresses & seed_addresses)
@@ -104,7 +105,7 @@ def test_plan_truncates_excess_seeds_by_name_count():
     plan = build_plan(occupancy, {5}, seeds, SamplePolicy(k=10, rng_seed=1))
     entry = plan.entries[5]
     assert len(entry.hosts) == 10
-    assert entry.runs == ((DNS_SEED, 10),)
+    assert _provenances(entry) == [DNS_SEED] * 10
     # Highest name_count first; host 0 has the most references.
     assert entry.hosts == bytes(range(10))
 
@@ -267,13 +268,13 @@ def test_escalating_again_grows_the_trailing_escalation_run():
     plan = build_plan(table_with_counts({5: 240}), {5}, [], SamplePolicy(k=10, rng_seed=2))
     once = escalate(plan, {5: DIVERSE}, table_with_counts({5: 240}))
     twice = escalate(once, {5: DIVERSE}, table_with_counts({5: 256}))
-    assert once.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 230))
-    assert twice.entries[5].runs == ((UNIFORM_FILL, 10), (ESCALATION, 246))
+    assert _provenances(once.entries[5]) == [UNIFORM_FILL] * 10 + [ESCALATION] * 230
+    assert _provenances(twice.entries[5]) == [UNIFORM_FILL] * 10 + [ESCALATION] * 246
     assert twice.entries[5].hosts[:240] == once.entries[5].hosts
 
 
 @given(st.data())
-def test_plan_runs_are_maximal_through_escalate_and_csv(data):
+def test_plans_compare_equal_through_escalate_and_csv(data):
     counts = data.draw(st.dictionaries(st.integers(0, 30), st.integers(1, 256), min_size=1, max_size=6))
     occupancy = table_with_counts(counts, META)
     prefixes = st.sampled_from(sorted(counts))
@@ -290,15 +291,26 @@ def test_plan_runs_are_maximal_through_escalate_and_csv(data):
         include_unresponsive_seeds=data.draw(st.booleans()),
     )
     classes = data.draw(st.dictionaries(prefixes, st.sampled_from(SCENARIOS)))
-    plan = escalate(build_plan(occupancy, hrps, seeds, policy), classes, occupancy)
+    plan = build_plan(occupancy, hrps, seeds, policy)
+    read_back = _csv_round_trip(plan)
+    assert read_back.entries == plan.entries
+    grown = escalate(plan, classes, occupancy)
+    assert escalate(read_back, classes, occupancy).entries == grown.entries
+    assert _csv_round_trip(grown).entries == grown.entries
+    for prefix, entry in grown.entries.items():
+        before = plan.entries[prefix].hosts  # a diverse prefix's responsive hosts not yet planned follow, ascending
+        added = bytes(h for h in occupancy.hosts(prefix) if h not in before) if classes.get(prefix) == DIVERSE else b""
+        assert entry.hosts == before + added
+        assert type(entry.provenances) is bytes and len(entry.provenances) == len(entry.hosts)
+        # Codes come in plan order: non_hrp_full alone, or dns_seed, uniform_fill, then escalation.
+        assert list(entry.provenances) == sorted(entry.provenances)
+        assert max(entry.provenances, default=0) < len(PROVENANCES)
+
+
+def _csv_round_trip(plan: TargetPlan) -> TargetPlan:
     out = io.StringIO()
     write_plan_csv(plan, out)
-    entries = read_plan_csv(io.StringIO(out.getvalue())).entries
-    assert entries == plan.entries
-    for entry in entries.values():
-        assert sum(length for _, length in entry.runs) == len(entry.hosts)
-        assert all(length > 0 for _, length in entry.runs)
-        assert all(a != b for (a, _), (b, _) in zip(entry.runs, entry.runs[1:]))
+    return read_plan_csv(io.StringIO(out.getvalue()))
 
 
 def test_escalate_all_cdn_like_is_identity():
@@ -390,7 +402,7 @@ def _evaluated_plans(draw) -> TargetPlan:
     for prefix in draw(st.sets(_EVAL_PREFIXES, max_size=4)):
         hosts = bytes(draw(st.lists(_EVAL_HOSTS, max_size=6, unique=draw(st.integers(0, 5)) > 0)))
         strategy = draw(st.sampled_from([STRATEGY_FULL, STRATEGY_SAMPLED]))
-        entries[prefix] = PlanEntry(prefix, strategy, hosts, ((NON_HRP_FULL, len(hosts)),) if hosts else ())
+        entries[prefix] = PlanEntry(prefix, strategy, hosts, bytes(len(hosts)))
     return TargetPlan(entries)
 
 
@@ -416,12 +428,12 @@ def _metrics_or_error(evaluate, plan, truth):
 @settings(max_examples=400, deadline=None)
 @given(_evaluated_plans().flatmap(lambda plan: st.tuples(st.just(plan), _truths(plan))))
 @example((TargetPlan({}), []))
-@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", ((NON_HRP_FULL, 2),))}), []))
+@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", bytes(2))}), []))
 @example((TargetPlan({}), [_truth(5, SUCCESS, "a")]))
-@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", ((NON_HRP_FULL, 2),))}),
+@example((TargetPlan({0: PlanEntry(0, STRATEGY_FULL, b"\x00\xff", bytes(2))}),
           [_truth(0xFF, SUCCESS, None), _truth(0xFF, SUCCESS, "a"), _truth(0, SUCCESS, "b"),
            _truth(0x100, SUCCESS, "a")]))  # 0.0.0.255's first row has no identifier: "a" is not reached
-@example((TargetPlan({p: PlanEntry(p, STRATEGY_FULL, b"\x00\x07\xff", ((NON_HRP_FULL, 3),))
+@example((TargetPlan({p: PlanEntry(p, STRATEGY_FULL, b"\x00\x07\xff", bytes(3))
                       for p in (0xFFFFFF, 0, 0x0A0000)}),
           [_truth(0, SUCCESS, "a"), _truth(0xFFFFFFFF, SUCCESS, "b"), _truth(0x0A000007)]))  # six uncovered
 def test_evaluate_matches_the_per_address_reference(case):
@@ -445,17 +457,17 @@ def test_seeds_csv_parses_and_merges_duplicates():
         read_dns_seeds(io.StringIO(f"ip,name_count\n1.2.3.4,{1 << 63}\n"))
 
 
-@pytest.mark.parametrize("hosts, runs, message", [
-    (b"\x01\x02", ((DNS_SEED, 1),), "maximal runs"),  # runs cover fewer targets
-    (b"\x01", ((DNS_SEED, 1), (UNIFORM_FILL, 1)), "maximal runs"),  # runs cover more targets
-    (b"\x01\x02", ((DNS_SEED, 1), (DNS_SEED, 1)), "maximal runs"),  # runs not maximal
-    (b"\x01\x02", ((DNS_SEED, 2), (UNIFORM_FILL, 0)), "maximal runs"),  # empty run
-    (b"\x01\x02", ((DNS_SEED, 3), (UNIFORM_FILL, -1)), "maximal runs"),  # negative run
-    ((0x0505_01, 0x0505_02), ((DNS_SEED, 2),), "range"),  # addresses, not host octets
+@pytest.mark.parametrize("hosts, codes, message", [
+    (b"\x01\x02", b"\x01", "1 provenance codes for 2 targets"),  # codes cover fewer targets
+    (b"\x01", b"\x01\x02", "2 provenance codes for 1 targets"),  # codes cover more targets
+    (b"\x01\x02", b"\x01\x04", "below 4, got 4"),  # a code naming no provenance
+    (b"\x01\x02", b"\xff\x00", "below 4, got 255"),
+    (b"\x01\x02", [1, -1], "range"),  # a negative code
+    ((0x0505_01, 0x0505_02), b"\x01\x01", "range"),  # addresses, not host octets
 ])
-def test_plan_entry_rejects_runs_or_targets_the_writers_would_change(hosts, runs, message):
+def test_plan_entry_rejects_codes_or_targets_the_writers_would_change(hosts, codes, message):
     with pytest.raises(ValueError, match=message):
-        PlanEntry(0x0505, STRATEGY_SAMPLED, hosts, runs)
+        PlanEntry(0x0505, STRATEGY_SAMPLED, hosts, codes)
 
 
 def test_plan_csv_roundtrip():

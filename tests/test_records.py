@@ -28,8 +28,6 @@ optional_metas = st.none() | metas
 fractions = st.sampled_from([0.9, 0.95, 1.0, 0.5, 1e-06, 0.0, -0.5, 1.5, 0.1234567, 5e-07]) | st.floats(-0.5, 1.5)
 cutoffs = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, -0.1, 1.1, 1e-05, 0.1000001, 5e-324])
 prefix_lists = st.lists(st.integers(0, 3), max_size=4)
-provenances = st.sampled_from(planner.PROVENANCES)
-runs = st.lists(st.tuples(provenances, st.integers(0, 2)), max_size=3).map(tuple)
 hosts = st.lists(st.sampled_from([0, 1, 2, 255, 256, 257]), max_size=4, unique=True).map(tuple)
 times = st.sampled_from([datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(days=d) for d in range(2)])
 
@@ -45,12 +43,16 @@ def _stats_args(draw) -> tuple:
 
 
 def _plan_entry_args(draw) -> tuple:
-    entry_runs = draw(runs)
-    length = sum(n for _, n in entry_runs)
+    # Provenance codes, now and then one too many or naming no provenance, as bytes, a bytearray or a list.
+    codes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 0, 1, 2, 3, 4, 255]), max_size=3))
+    length = len(codes) - draw(st.sampled_from([0, 0, 0, 1])) if codes else 0
+    codes = draw(st.sampled_from([bytes, bytearray, list]))(codes)
     # Host octets as a tuple, bytes or bytearray, or address ints given by mistake.
     entry_hosts = draw(hosts | st.just(tuple(range(length))) | st.just(tuple(range(256, 256 + length)))
                        | st.sampled_from([bytes, bytearray]).map(lambda form: form(range(length))))
-    return draw(small), draw(st.sampled_from(planner.STRATEGIES)), entry_hosts, entry_runs
+    prefix = draw(small | st.sampled_from([-1, 0xFFFFFF, 1 << 24]))
+    strategy = draw(st.sampled_from([*planner.STRATEGIES, *planner.STRATEGIES, "bogus", "Full"]))
+    return prefix, strategy, entry_hosts, codes
 
 
 # name -> (record class, the strategy of its constructor's positional arguments)
@@ -90,8 +92,8 @@ RECORDS = {
                                                      cutoffs, st.booleans())),
     "PlanEntry": (planner.PlanEntry, st.composite(lambda draw: _plan_entry_args(draw))()),
     "TargetPlan": (planner.TargetPlan, st.tuples(st.dictionaries(
-        small, st.builds(planner.PlanEntry, st.just(0), st.just("full"), st.just((1,)),
-                         st.just((("non_hrp_full", 1),))), max_size=2))),
+        small, st.builds(planner.PlanEntry, st.just(0), st.just("full"), st.just((1,)), st.just(b"\x00")),
+        max_size=2))),
     "PlanMetrics": (planner.PlanMetrics, st.tuples(small, small, reals, reals)),
 }
 
@@ -211,7 +213,7 @@ VALID = {
     "ScanMeta": ("tcp", 443),
     "DnsSeed": (1, 1),
     "SamplePolicy": (),
-    "PlanEntry": (0, "full", b"\x01", (("non_hrp_full", 1),)),
+    "PlanEntry": (0, "full", b"\x01", b"\x00"),
 }
 
 

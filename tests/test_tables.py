@@ -5,7 +5,8 @@ from __future__ import annotations
 import io
 import random
 import string
-from itertools import groupby, islice, repeat
+from collections import Counter
+from itertools import islice, repeat
 from typing import Callable, Iterator
 from unittest import mock
 
@@ -38,6 +39,7 @@ from hrpkit.planner import (
     STRATEGIES,
     PlanEntry,
     TargetPlan,
+    plan_summary,
     read_dns_seeds,
     read_plan_csv,
     write_plan_csv,
@@ -249,8 +251,9 @@ def test_app_result_rejects_an_identifier_its_row_cannot_carry(identifier):
     assert not _reads_back(identifier)
 
 
-def _runs_of(provenances: list[str]) -> tuple[tuple[str, int], ...]:
-    return tuple((provenance, len(list(group))) for provenance, group in groupby(provenances))
+def _codes_of(provenances: list[str]) -> bytes:
+    """One code per provenance: its place in PROVENANCES."""
+    return bytes(PROVENANCES.index(provenance) for provenance in provenances)
 
 
 @st.composite
@@ -260,7 +263,7 @@ def _plans(draw):
         hosts = draw(st.lists(st.integers(0, 255), min_size=1, max_size=10, unique=True))
         provenances = [draw(st.sampled_from(PROVENANCES)) for _ in hosts]
         entries[prefix] = PlanEntry(
-            prefix, draw(st.sampled_from(STRATEGIES)), bytes(hosts), _runs_of(provenances)
+            prefix, draw(st.sampled_from(STRATEGIES)), bytes(hosts), _codes_of(provenances)
         )
     return TargetPlan(entries)
 
@@ -272,6 +275,18 @@ def test_plan_csv_roundtrip(plan, block):
     write_plan_csv(plan, out)
     with mock.patch.object(ingest, "BLOCK_LINES", block):
         assert read_plan_csv(io.StringIO(out.getvalue())).entries == plan.entries
+
+
+@given(_plans())
+def test_plan_summary_counts_the_rows_of_the_written_csv(plan):
+    out = io.StringIO()
+    write_plan_csv(plan, out)
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+    strategy_of = {prefix_text: strategy for _, prefix_text, strategy, _ in rows}
+    summary = plan_summary(plan)
+    assert summary["provenance_targets"] == {p: sum(row[3] == p for row in rows) for p in PROVENANCES}
+    assert summary["strategy_prefixes"] == {s: Counter(strategy_of.values())[s] for s in STRATEGIES}
+    assert summary["targets"] == len(rows) and summary["prefixes"] == len(strategy_of)
 
 
 # --- per-row references, read line by line -------------------------------------
@@ -352,7 +367,7 @@ def _reference_read_plan(lines) -> dict[int, PlanEntry]:
     _reference_table(lines, PLAN_COLUMNS, parse_row)
     return {
         prefix: PlanEntry(
-            prefix, strategy, bytes(h for h, _ in targets), _runs_of([p for _, p in targets])
+            prefix, strategy, bytes(h for h, _ in targets), _codes_of([p for _, p in targets])
         )
         for prefix, (strategy, targets) in rows.items()
     }
