@@ -1,12 +1,11 @@
 """Cross-port, temporal, and vantage-point analysis of classified scans.
 
 All functions are pure over immutable inputs. A "classified scan" is the
-PrefixStats table of one scan, possibly empty (then its meta is None); the
-non-empty scans of a multi-scan input must agree on (protocol, port). A
-stability series takes each scan's label and time from its caller, strictly
-ascending in time at whole seconds. The series reads each scan's
-responsiveness_histogram, and the port profile and persistence count each
-scan's hrp_set.
+PrefixStats table of one scan, possibly empty (then its meta is None). The
+port profile takes one table per (protocol, port); a series takes only what
+it reads of each scan: its responsiveness_histogram for the stability series
+(each scan's label and time come from the caller, strictly ascending at whole
+seconds), its HRP prefixes for persistence and its meta for series_meta.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 from .fmt import fmt_real
 from .ingest import ScanMeta, format_timestamp, to_utc
-from .prefixes import HrpThreshold, PrefixStats, format_slash24, hrp_set, responsiveness_histogram
+from .prefixes import HrpThreshold, PrefixStats, ResponsivenessHistogram, format_slash24, hrp_set
 
 
 class PortProfile(NamedTuple):
@@ -60,15 +59,13 @@ class StabilityPoint(NamedTuple):
 class PersistenceSummary(NamedTuple):
     """How consistently prefixes keep their HRP classification over a series.
 
-    scans_classified maps each prefix that was ever an HRP to the number of
-    scans that classified it so. half_period_count uses an inclusive
-    ceil(total/2) reading of "at least half"; full_period_count requires
-    every scan, and both are reported because "consistently" admits either.
+    half_period_count uses an inclusive ceil(total/2) reading of "at least
+    half"; full_period_count requires every scan, and both are reported
+    because "consistently" admits either.
     """
 
     total_scans: int
     distinct_hrps: int
-    scans_classified: dict[int, int]
     half_period_count: int
     full_period_count: int
     missing_at_most_n: int
@@ -85,16 +82,16 @@ class VantageDiff(NamedTuple):
     divergence: float
 
 
-def port_profile(scans: Sequence[PrefixStats]) -> PortProfileReport:
+def port_profile(scans: Sequence[PrefixStats], names: Sequence[str] = ()) -> PortProfileReport:
     """Profile prefixes across one scan per port.
 
-    A prefix is responsive on a port when visible there (count >= 1) and an
-    HRP on a port when that scan classified it so.
+    A prefix is responsive on a port when visible there (count >= 1) and an HRP on a port when
+    that scan classified it so. Two scans of one port raise ValueError naming both, as series_meta.
     """
-    metas = Counter(scan.meta for scan in scans if scan.meta is not None)
-    duplicates = [(m.protocol, m.port) for m, n in metas.items() if n > 1]
-    if duplicates:
-        raise ValueError(f"duplicate (proto, port) in port profile input: {duplicates}")
+    names, first = _names(names, len(scans)), {}
+    for i, meta in enumerate(scan.meta for scan in scans):
+        if meta is not None and first.setdefault(meta, i) != i:
+            raise ValueError(f"duplicate port/proto {meta.protocol}/{meta.port}: {names[first[meta]]} and {names[i]}")
     responsive = Counter(chain.from_iterable(scan.prefixes for scan in scans))
     hrp = Counter(chain.from_iterable(map(hrp_set, scans)))
     profiles = [PortProfile(prefix, responsive[prefix], hrp.get(prefix, 0)) for prefix in sorted(responsive)]
@@ -109,9 +106,9 @@ def port_profile(scans: Sequence[PrefixStats]) -> PortProfileReport:
 
 
 def stability_series(
-    scans: Sequence[PrefixStats], labels: Sequence[tuple[str, datetime]]
+    histograms: Sequence[ResponsivenessHistogram], labels: Sequence[tuple[str, datetime]]
 ) -> list[StabilityPoint]:
-    """HRP address share per scan, recomputed at both the 0.90 and 0.95 cuts.
+    """HRP address share per scan, recomputed from its histogram at both the 0.90 and 0.95 cuts.
 
     labels gives each scan's (scan_id, timestamp): ids non-empty and without
     commas or line breaks, times normalized to UTC, a naive time taken as
@@ -119,9 +116,8 @@ def stability_series(
     is written at.
     An empty scan is a point with both shares and hrp_count zero.
     """
-    series_meta(scans)
-    if len(labels) != len(scans):
-        raise ValueError(f"{len(labels)} labels for {len(scans)} scans")
+    if len(labels) != len(histograms):
+        raise ValueError(f"{len(labels)} labels for {len(histograms)} scans")
     utc_labels = [(scan_id, to_utc(timestamp)) for scan_id, timestamp in labels]
     if any(not scan_id for scan_id, _ in utc_labels):
         raise ValueError("scan_id must be non-empty")
@@ -137,8 +133,7 @@ def stability_series(
     cut_90 = HrpThreshold(0.90).min_count
     cut_95 = HrpThreshold(0.95).min_count
     points = []
-    for (scan_id, timestamp), scan in zip(utc_labels, scans):
-        histogram = responsiveness_histogram(scan)
+    for (scan_id, timestamp), histogram in zip(utc_labels, histograms):
         total = histogram.total_addresses
         points.append(
             StabilityPoint(
@@ -152,22 +147,19 @@ def stability_series(
     return points
 
 
-def persistence(scans: Sequence[PrefixStats], missing_at_most_n: int = 5) -> PersistenceSummary:
-    """Per-prefix persistence of the stored HRP classification over a series."""
-    if len(scans) < 2:
+def persistence(hrp_sets: Sequence[Iterable[int]], missing_at_most_n: int = 5) -> PersistenceSummary:
+    """Per-prefix persistence of the HRP classification over a series of scans' HRP prefixes."""
+    if len(hrp_sets) < 2:
         raise ValueError("persistence needs at least two scans")
     if missing_at_most_n < 0:
         raise ValueError("missing_at_most_n must be non-negative")
-    series_meta(scans)
-    total = len(scans)
-    classified = Counter(chain.from_iterable(map(hrp_set, scans)))
+    total = len(hrp_sets)
+    classified = Counter(chain.from_iterable(hrp_sets))
     half = ceil(total / 2)
-    scans_classified = dict(sorted(classified.items()))
     missing_ok = sum(1 for n in classified.values() if total - n <= missing_at_most_n)
     return PersistenceSummary(
         total_scans=total,
         distinct_hrps=len(classified),
-        scans_classified=scans_classified,
         half_period_count=sum(1 for n in classified.values() if n >= half),
         full_period_count=sum(1 for n in classified.values() if n == total),
         missing_at_most_n=missing_at_most_n,
@@ -191,18 +183,22 @@ def vantage_diff(a: Iterable[int], b: Iterable[int]) -> VantageDiff:
     )
 
 
-def series_meta(scans: Sequence[PrefixStats], names: Sequence[str] = ()) -> ScanMeta | None:
-    """The meta the non-empty scans share, or None if every scan is empty.
+def _names(names: Sequence[str], count: int) -> Sequence[str]:
+    if names and len(names) != count:  # names are one per scan, or else each scan is named by its position
+        raise ValueError(f"{len(names)} names for {count} scans")
+    return names or [f"scan {i}" for i in range(count)]
+
+
+def series_meta(metas: Sequence[ScanMeta | None], names: Sequence[str] = ()) -> ScanMeta | None:
+    """The meta the non-empty scans share, from one meta per scan (None if empty), or None.
 
     A mismatch raises ValueError naming both scans, by names or else by position;
     so do names that are not one per scan.
     """
-    if not scans:
+    if not metas:
         raise ValueError("no scans supplied")
-    if names and len(names) != len(scans):
-        raise ValueError(f"{len(names)} names for {len(scans)} scans")
     first_name, first = None, None
-    for name, meta in zip(names or [f"scan {i}" for i in range(len(scans))], (scan.meta for scan in scans)):
+    for name, meta in zip(_names(names, len(metas)), metas):
         if first is None:
             first_name, first = name, meta
         elif meta is not None and meta != first:

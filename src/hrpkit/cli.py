@@ -18,6 +18,7 @@ import argparse
 import marshal
 import os
 import sys
+from array import array
 from datetime import datetime, timedelta
 from functools import reduce
 from pathlib import Path
@@ -186,11 +187,10 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     return table, total
 
 
-def _record(obj, drop: Sequence[str] = (), **render: Callable) -> dict:
-    """A record as a report dict: its fields in declaration order except
-    those in drop, each passed through the render function named after it."""
-    doc = {name: value for name, value in (obj._asdict() if isinstance(obj, tuple) else vars(obj)).items()
-           if name not in drop}
+def _record(obj, **render: Callable) -> dict:
+    """A record as a report dict: its fields in declaration order, each passed through the
+    render function named after it."""
+    doc = dict(obj._asdict() if isinstance(obj, tuple) else vars(obj))
     doc.update((name, fn(doc[name])) for name, fn in render.items())
     return doc
 
@@ -256,7 +256,7 @@ def _cmd_portmatrix(args) -> dict:
     from . import analytics, routing
 
     scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
-    report = analytics.port_profile(scans)
+    report = analytics.port_profile(scans, args.stats)
     ports = sorted(scan.meta for scan in scans if scan.meta is not None)
     if args.as_summary is not None:
         rows = routing.as_summary(scans)
@@ -280,10 +280,10 @@ def _cmd_portmatrix(args) -> dict:
 
 
 def _series_labels(args) -> list[tuple[str, datetime]]:
-    scan_ids = args.scan_ids.split(",") if args.scan_ids else [_stem(p) for p in args.stats]
+    scan_ids = args.scan_ids.split(",") if args.scan_ids is not None else [_stem(p) for p in args.stats]
     if len(scan_ids) != len(args.stats):
         raise ValueError(f"--scan-ids names {len(scan_ids)} scans but {len(args.stats)} files given")
-    if args.timestamps:
+    if args.timestamps is not None:
         stamps = [_timestamp(t) for t in args.timestamps.split(",")]
         if len(stamps) != len(args.stats):
             raise ValueError(
@@ -305,17 +305,20 @@ def _timestamp(text: str) -> datetime:
 def _cmd_stability(args) -> dict:
     from . import analytics
 
+    def read(path: str) -> tuple:  # what the series reads of a file; its table is dropped on return
+        scan = _read_table(path, prefixes.read_prefix_stats)
+        return scan.meta, prefixes.responsiveness_histogram(scan), array("I", prefixes.hrp_set(scan))
     labels = _series_labels(args)
-    scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
-    meta = analytics.series_meta(scans, args.stats)
-    points = analytics.stability_series(scans, labels)
-    summary = analytics.persistence(scans, args.persistence_n)
+    metas, histograms, hrp_sets = zip(*map(read, args.stats))
+    meta = analytics.series_meta(metas, args.stats)
+    points = analytics.stability_series(histograms, labels)
+    summary = analytics.persistence(hrp_sets, args.persistence_n)
     _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
     return {
         "proto": meta.protocol if meta else None,
         "port": meta.port if meta else None,
         "series": [_record(p, timestamp=format_timestamp) for p in points],
-        "persistence": _record(summary, drop=("scans_classified",)),
+        "persistence": _record(summary),
     }
 
 
@@ -324,7 +327,7 @@ def _cmd_vantage(args) -> dict:
 
     stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats)
     stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats)
-    meta = analytics.series_meta([stats_a, stats_b], [args.stats_a, args.stats_b])
+    meta = analytics.series_meta([stats_a.meta, stats_b.meta], [args.stats_a, args.stats_b])
     diff = analytics.vantage_diff(prefixes.hrp_set(stats_a), prefixes.hrp_set(stats_b))
     return {
         "proto": meta.protocol if meta else None,

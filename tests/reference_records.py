@@ -235,15 +235,13 @@ class StabilityPoint:
 class PersistenceSummary:
     """How consistently prefixes keep their HRP classification over a series.
 
-    scans_classified maps each prefix that was ever an HRP to the number of
-    scans that classified it so. half_period_count uses an inclusive
-    ceil(total/2) reading of "at least half"; full_period_count requires
-    every scan, and both are reported because "consistently" admits either.
+    half_period_count uses an inclusive ceil(total/2) reading of "at least
+    half"; full_period_count requires every scan, and both are reported
+    because "consistently" admits either.
     """
 
     total_scans: int
     distinct_hrps: int
-    scans_classified: dict[int, int]
     half_period_count: int
     full_period_count: int
     missing_at_most_n: int

@@ -235,12 +235,12 @@ def test_criterion_8_persistence_metrics():
     for week in range(10):
         counts = {2: 256, 1: 256 if week < 7 else 10}
         meta = make_meta()
-        scans.append(classify(table_with_counts(counts, meta)))
+        scans.append(hrp_set(classify(table_with_counts(counts, meta))))
     summary = persistence(scans, missing_at_most_n=5)
-    assert summary.scans_classified == {1: 7, 2: 10}
+    assert (summary.distinct_hrps, summary.full_period_count) == (2, 1)  # HRP in 7 and in 10 scans
     assert summary.half_period_count == 2
     assert summary.missing_at_most_n_share == 1.0
-    _report(8, started, "scans_classified {7, 10}, half_period_count 2, share 1.0")
+    _report(8, started, "distinct_hrps 2, full_period_count 1, half_period_count 2, share 1.0")
 
 
 def test_criterion_9_plan_determinism(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from array import array
 from collections import Counter, defaultdict
 from datetime import datetime, timedelta, timezone
 from math import ceil
@@ -26,13 +27,21 @@ from hrpkit.analytics import (
 )
 from hrpkit.applayer import SUCCESS, UNREACHABLE, hrp_app_report, single_identifier, success_cdf
 from hrpkit.planner import CDN_LIKE, SamplePolicy, classify_sample
-from hrpkit.prefixes import HrpThreshold, ResponsivenessHistogram, classify, responsiveness_histogram
+from hrpkit.prefixes import HrpThreshold, ResponsivenessHistogram, classify, hrp_set, responsiveness_histogram
 
 from conftest import EPOCH, make_meta, results_of, rows, table_with_counts
 
 
 def _scan(counts: dict[int, int], port=443):
     return classify(table_with_counts(counts, make_meta(port=port)))
+
+
+def _histogram(counts: dict[int, int]) -> ResponsivenessHistogram:
+    return responsiveness_histogram(_scan(counts))
+
+
+def _hrps(counts: dict[int, int]) -> frozenset[int]:
+    return hrp_set(_scan(counts))
 
 
 def _weeks(n: int, first: int = 0) -> list[tuple[str, datetime]]:
@@ -71,13 +80,21 @@ def test_port_profile_histogram_planted_single_port_share():
 
 
 def test_port_profile_rejects_duplicate_ports():
-    with pytest.raises(ValueError, match="duplicate"):
-        port_profile([_scan({1: 5}, port=443), _scan({2: 5}, port=443)])
+    tcp80, tcp443, empty = _scan({1: 5}, port=80), _scan({2: 5}, port=443), _scan({})
+    with pytest.raises(ValueError, match="duplicate port/proto tcp/443: b and d"):
+        port_profile([tcp80, tcp443, empty, tcp443], ["a", "b", "c", "d"])
+    with pytest.raises(ValueError, match="tcp/443: scan 1 and scan 3"):
+        port_profile([tcp80, tcp443, empty, tcp443])
+    with pytest.raises(ValueError, match="tcp/80: x and x"):  # one file given twice
+        port_profile([tcp80, tcp80], ["x", "x"])
+    with pytest.raises(ValueError, match="1 names for 2 scans"):
+        port_profile([tcp80, tcp443], ["x"])
+    assert port_profile([empty, empty, tcp80], ["a", "a", "b"]).port_count == 3
 
 
 def test_stability_identical_scans_give_identical_shares():
     counts = {1: 256, 2: 100}
-    points = stability_series([_scan(counts), _scan(counts)], _weeks(2))
+    points = stability_series([_histogram(counts), _histogram(counts)], _weeks(2))
     assert len(points) == 2
     assert points[0].hrp_address_share_90 == points[1].hrp_address_share_90
     assert points[0].hrp_address_share_95 == points[1].hrp_address_share_95
@@ -85,26 +102,28 @@ def test_stability_identical_scans_give_identical_shares():
 
 
 def test_stability_no_hrps_gives_zero_shares():
-    (point,) = stability_series([_scan({1: 10, 2: 30})], _weeks(1))
+    (point,) = stability_series([_histogram({1: 10, 2: 30})], _weeks(1))
     assert point.hrp_address_share_90 == 0.0
     assert point.hrp_address_share_95 == 0.0
     assert point.hrp_count == 0
 
 
 def test_stability_empty_scan_is_a_zero_point():
-    empty = _scan({})
+    empty, week = _scan({}), _scan({1: 256}, port=80)
     assert empty.meta is None  # so it takes no part in port/proto agreement
-    points = stability_series([empty, _scan({1: 256}, port=80), empty], _weeks(3))
+    assert series_meta([empty.meta, week.meta, empty.meta]) == make_meta(80)
+    histograms = [responsiveness_histogram(scan) for scan in (empty, week, empty)]
+    points = stability_series(histograms, _weeks(3))
     assert [(p.hrp_address_share_90, p.hrp_address_share_95, p.hrp_count) for p in points] == [
         (0.0, 0.0, 0), (1.0, 1.0, 1), (0.0, 0.0, 0)]
-    assert persistence([empty, _scan({1: 256}, port=80), empty]).total_scans == 3
+    assert persistence([hrp_set(empty), hrp_set(week), hrp_set(empty)]).total_scans == 3
 
 
 def test_stability_flat_planted_series():
     # Per scan: 3 full /24s (768 addresses) + 256 prefixes of 7 (1792) -> share 0.30.
     counts = {p: 256 for p in range(3)}
     counts.update({100 + p: 7 for p in range(256)})
-    points = stability_series([_scan(counts) for _ in range(10)], _weeks(10))
+    points = stability_series([_histogram(counts) for _ in range(10)], _weeks(10))
     assert [p.hrp_address_share_90 for p in points] == [768 / 2560] * 10
     assert [p.hrp_address_share_95 for p in points] == [768 / 2560] * 10
 
@@ -113,33 +132,33 @@ def test_stability_share95_never_exceeds_share90():
     rng = random.Random(8)
     for week in range(20):
         counts = {p: rng.choice([1, 50, 231, 240, 244, 256]) for p in range(30)}
-        (point,) = stability_series([_scan(counts)], _weeks(1, week))
+        (point,) = stability_series([_histogram(counts)], _weeks(1, week))
         assert point.hrp_address_share_95 <= point.hrp_address_share_90
 
 
 def test_stability_rejects_unordered_timestamps():
-    scans = [_scan({1: 5}), _scan({1: 5})]
+    histograms = [_histogram({1: 5}), _histogram({1: 5})]
     labels = [("late", EPOCH + timedelta(weeks=3)), ("early", EPOCH + timedelta(weeks=1))]
     with pytest.raises(ValueError, match="ascending"):
-        stability_series(scans, labels)
+        stability_series(histograms, labels)
 
 
 def test_stability_rejects_an_empty_scan_id():
     with pytest.raises(ValueError, match="scan_id must be non-empty"):
-        stability_series([_scan({1: 5})], [("", EPOCH)])
+        stability_series([_histogram({1: 5})], [("", EPOCH)])
 
 
 @pytest.mark.parametrize("scan_id", ["w,0", "w\n0", "w\r0", ","])
 def test_stability_rejects_a_scan_id_the_series_csv_cannot_carry(scan_id):
     with pytest.raises(ValueError, match="holds a comma or line break") as info:
-        stability_series([_scan({1: 5})], [(scan_id, EPOCH)])
+        stability_series([_histogram({1: 5})], [(scan_id, EPOCH)])
     assert repr(scan_id) in str(info.value)
 
 
 def test_stability_labels_normalize_to_utc():
     plus_two = timezone(timedelta(hours=2))
     labels = [("a", datetime(2022, 8, 1, 12, 0, tzinfo=plus_two)), ("b", datetime(2022, 8, 1, 11, 0))]
-    points = stability_series([_scan({1: 5}), _scan({1: 5})], labels)
+    points = stability_series([_histogram({1: 5}), _histogram({1: 5})], labels)
     assert [p.timestamp for p in points] == [
         datetime(2022, 8, 1, 10, 0, tzinfo=timezone.utc),
         datetime(2022, 8, 1, 11, 0, tzinfo=timezone.utc),
@@ -154,13 +173,13 @@ def test_stability_labels_normalize_to_utc():
 
 
 def test_stability_rejects_port_mismatch():
-    scans = [_scan({1: 5}, port=443), _scan({1: 5}, port=80)]
+    metas = [make_meta(443), make_meta(80)]
     with pytest.raises(ValueError, match="mismatch"):
-        stability_series(scans, _weeks(2))
+        series_meta(metas)
 
 
 def test_series_meta_names_one_per_scan():
-    tcp443, tcp80 = _scan({1: 5}, port=443), _scan({1: 5}, port=80)
+    tcp443, tcp80 = make_meta(443), make_meta(80)
     assert series_meta([tcp443, tcp443], ["a", "b"]) == make_meta(443)
     with pytest.raises(ValueError, match="1 names for 2 scans"):
         series_meta([tcp443, tcp80], ["x"])
@@ -176,11 +195,10 @@ def test_persistence_counts():
     for week in range(10):
         counts = {2: 256}
         counts[1] = 256 if week < 7 else 10
-        scans.append(_scan(counts))
+        scans.append(_hrps(counts))
     summary = persistence(scans, missing_at_most_n=5)
     assert summary.total_scans == 10
     assert summary.distinct_hrps == 2
-    assert summary.scans_classified == {1: 7, 2: 10}
     assert summary.half_period_count == 2
     assert summary.full_period_count == 1
     assert summary.missing_at_most_n_count == 2
@@ -191,9 +209,8 @@ def test_persistence_excludes_prefixes_missing_too_often():
     scans = []
     for week in range(10):
         counts = {1: 256 if week < 4 else 10, 2: 256}
-        scans.append(_scan(counts))
+        scans.append(_hrps(counts))
     summary = persistence(scans, missing_at_most_n=5)
-    assert summary.scans_classified[1] == 4
     assert summary.missing_at_most_n_count == 1  # prefix 1 misses 6 > 5
     assert summary.half_period_count == 1
     assert summary.missing_at_most_n_share == 0.5
@@ -202,19 +219,16 @@ def test_persistence_excludes_prefixes_missing_too_often():
 def test_persistence_is_order_insensitive():
     rng = random.Random(13)
     memberships = [{1: 256, 2: 256}, {1: 256, 2: 10}, {2: 256, 3: 256}, {1: 256}]
-    baseline = persistence([_scan(m) for m in memberships])
+    baseline = persistence([_hrps(m) for m in memberships])
     for _ in range(5):
         shuffled = memberships[:]
         rng.shuffle(shuffled)
-        again = persistence([_scan(m) for m in shuffled])
-        assert again.scans_classified == baseline.scans_classified
-        assert again.half_period_count == baseline.half_period_count
-        assert again.missing_at_most_n_share == baseline.missing_at_most_n_share
+        assert persistence([_hrps(m) for m in shuffled]) == baseline
 
 
 def test_persistence_needs_two_scans():
     with pytest.raises(ValueError):
-        persistence([_scan({1: 256})])
+        persistence([_hrps({1: 256})])
 
 
 def test_vantage_diff_identical_and_disjoint():
@@ -304,7 +318,6 @@ def _reference_persistence(scans, missing_at_most_n: int) -> PersistenceSummary:
     return PersistenceSummary(
         total_scans=total,
         distinct_hrps=len(classified),
-        scans_classified=dict(sorted(classified.items())),
         half_period_count=sum(1 for n in classified.values() if n >= half),
         full_period_count=sum(1 for n in classified.values() if n == total),
         missing_at_most_n=missing_at_most_n,
@@ -378,8 +391,10 @@ def test_measures_match_their_per_row_references(scans, missing_at_most_n, succe
                for port, (counts, fraction) in enumerate(scans)]
     labels = _weeks(len(series))
     assert port_profile(by_port) == _reference_port_profile(by_port)
-    assert stability_series(series, labels) == _reference_stability_series(series, labels)
-    assert persistence(series, missing_at_most_n) == _reference_persistence(series, missing_at_most_n)
+    histograms = [responsiveness_histogram(scan) for scan in series]
+    assert stability_series(histograms, labels) == _reference_stability_series(series, labels)
+    hrp_sets = [array("I", hrp_set(scan)) for scan in series]  # the form the stability command keeps
+    assert persistence(hrp_sets, missing_at_most_n) == _reference_persistence(series, missing_at_most_n)
     for scan in series:
         assert responsiveness_histogram(scan) == _reference_histogram(scan)
     cdf = success_cdf([SimpleNamespace(success_count=c) for c in success_counts])

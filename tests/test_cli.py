@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from hrpkit import prefixes
 from hrpkit.cli import main
 from hrpkit.ingest import format_ipv4
 
@@ -274,6 +276,40 @@ def test_stability_port_mismatch_across_an_empty_week_names_both_files(tmp_path,
              _detect(tmp_path, "m2", {1: 10}, port=80)]
     assert run("stability", *weeks) == 2
     assert f"port/proto mismatch: tcp/443 ({weeks[0]}) vs tcp/80 ({weeks[2]})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--scan-ids", "--timestamps"])
+def test_stability_rejects_an_empty_label_flag(tmp_path, capsys, flag):
+    weeks = [_detect(tmp_path, f"w{i}", {1: 10}) for i in range(2)]
+    assert run("stability", flag, "", "--output", tmp_path / "s.json", *weeks) == 2
+    assert f"hrpkit stability: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_stability_keeps_no_table_once_it_is_read(tmp_path, monkeypatch):
+    weeks = [_detect(tmp_path, f"w{i}", {1: 256, 2 + i: 100}) for i in range(5)]
+    read, tables, alive = prefixes.read_prefix_stats, [], []
+
+    def read_and_track(lines):  # counts the tables read earlier that are still alive
+        alive.append(sum(table() is not None for table in tables))
+        stats = read(lines)
+        tables.append(weakref.ref(stats))
+        return stats
+
+    monkeypatch.setattr(prefixes, "read_prefix_stats", read_and_track)
+    report = tmp_path / "s.json"
+    assert run("stability", "--output", report, *weeks) == 0
+    assert len(alive) == 5 and max(alive) <= 1
+    assert json.loads(report.read_text())["persistence"]["distinct_hrps"] == 1
+
+
+def test_portmatrix_names_both_files_of_a_port(tmp_path, capsys):
+    stats_80 = _detect(tmp_path, "p80", {1: 256}, port=80)
+    first, second = _detect(tmp_path, "a443", {1: 256}), _detect(tmp_path, "b443", {2: 256})
+    assert run("portmatrix", "--output", tmp_path / "m.json", first, stats_80, second) == 2
+    assert f"duplicate port/proto tcp/443: {first} and {second}" in capsys.readouterr().err
+    assert run("portmatrix", "--output", tmp_path / "m.json", stats_80, stats_80) == 2
+    assert f"duplicate port/proto tcp/80: {stats_80} and {stats_80}" in capsys.readouterr().err
 
 
 def test_portmatrix_counts_an_empty_file_without_its_port(tmp_path):

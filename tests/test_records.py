@@ -75,7 +75,7 @@ RECORDS = {
     "StabilityPoint": (analytics.StabilityPoint, st.tuples(st.sampled_from(["w1", "w2"]), times, reals, reals,
                                                            small)),
     "PersistenceSummary": (analytics.PersistenceSummary, st.tuples(
-        small, small, st.dictionaries(small, small, max_size=2), small, small, small, small, reals)),
+        small, small, small, small, small, small, reals)),
     "VantageDiff": (analytics.VantageDiff, st.tuples(*[st.frozensets(small, max_size=2)] * 3, reals)),
     "AppResults": (applayer.AppResults, st.tuples(
         optional_metas, st.lists(small, max_size=3).map(lambda t: array("I", t)),
@@ -125,9 +125,9 @@ def _hash(record):
         return TypeError
 
 
-def _reference_record(obj, drop=(), **render) -> dict:
+def _reference_record(obj, **render) -> dict:
     """cli._record as it read the fields of a dataclass."""
-    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in drop}
+    doc = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     doc.update((name, fn(doc[name])) for name, fn in render.items())
     return doc
 
@@ -197,7 +197,6 @@ def test_a_record_behaves_as_its_reference(name, data):
     if name in RENDERED:
         field = data.draw(st.sampled_from(names))
         assert _record(a) == _reference_record(ref_a)
-        assert _record(a, drop=(field,)) == _reference_record(ref_a, drop=(field,))
         assert _record(a, **{field: repr}) == _reference_record(ref_a, **{field: repr})
 
 
