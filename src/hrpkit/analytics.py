@@ -11,14 +11,16 @@ seconds), its HRP prefixes for persistence and its meta for series_meta.
 from __future__ import annotations
 
 from collections import Counter
-from datetime import datetime
 from itertools import chain
 from math import ceil
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .fmt import fmt_real
 from .ingest import ScanMeta, format_timestamp, to_utc
 from .prefixes import HrpThreshold, PrefixStats, ResponsivenessHistogram, format_slash24, hrp_set
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 
 class PortProfile(NamedTuple):

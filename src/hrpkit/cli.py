@@ -15,20 +15,19 @@ command's start-up compiles no module it does not use.
 from __future__ import annotations
 
 import argparse
+import gc
 import marshal
 import os
 import sys
 from array import array
-from datetime import datetime, timedelta
+from errno import EBADF
 from functools import reduce
-from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 from . import prefixes
 from .fmt import write_json_report
 from .ingest import (
     CSV_SADDR,
-    EPOCH,
     LENIENT,
     PLAIN,
     STRICT,
@@ -42,6 +41,9 @@ from .ingest import (
     parse_uint,
 )
 from .prefixes import HrpThreshold, format_slash24
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,21 +77,24 @@ def _open_in(path: str) -> IO[str]:
     return open(0 if stdin else path, "r", encoding="utf-8-sig", errors="replace", closefd=not stdin)
 
 
-def _write_to(path: str | None, write: Callable[[IO[str]], None], default=None) -> None:
-    if path is None:
-        if default is None:
-            return
-        write(default)
-        return
-    if path == "-":
-        write(sys.stdout)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as out:
-        write(out)
+def _write_to(path: str | None, write: Callable[[IO[str]], None], default: str | None = None) -> None:
+    """``write`` to the file at path, to stdout for '-', or with no path to the standard stream that
+    default names, if any; a stream is flushed, so that one that cannot take the output fails here."""
+    if path not in (None, "-"):
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            write(out)
+    elif name := "stdout" if path else default:
+        if (stream := getattr(sys, name)) is None:  # closed when the process started
+            raise OSError(EBADF, os.strerror(EBADF), f"<{name}>")
+        write(stream)
+        stream.flush()
 
 
 def _stem(path: str) -> str:
-    return "stdin" if path == "-" else Path(path).stem
+    """The file name without its last suffix, as ``pathlib.PurePath.stem`` gives it."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return "stdin" if path == "-" else name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def _read_table(path: str, reader: Callable, *args):
@@ -205,12 +210,8 @@ def _check_results_port(results, args, name: str) -> None:
 
 
 def _write_stats(stats, args) -> None:
-    writer = (
-        prefixes.write_prefix_stats_jsonl
-        if args.output_format == "jsonl"
-        else prefixes.write_prefix_stats_csv
-    )
-    _write_to(args.output, lambda out: writer(stats, out), default=sys.stdout)
+    writer = prefixes.write_prefix_stats_jsonl if args.output_format == "jsonl" else prefixes.write_prefix_stats_csv
+    _write_to(args.output, lambda out: writer(stats, out), default="stdout")
 
 
 # --- subcommands -----------------------------------------------------------
@@ -289,9 +290,9 @@ def _series_labels(args) -> list[tuple[str, datetime]]:
             raise ValueError(
                 f"--timestamps names {len(stamps)} scans but {len(args.stats)} files given"
             )
-    else:
-        # Argument order is the series order when no explicit timestamps come in.
-        stamps = [EPOCH + timedelta(days=i) for i in range(len(args.stats))]
+    else:  # argument order is the series order: a day apart from the epoch
+        from datetime import datetime, timezone
+        stamps = [datetime.fromtimestamp(86400 * i, timezone.utc) for i in range(len(args.stats))]
     return list(zip(scan_ids, stamps))
 
 
@@ -390,7 +391,7 @@ def _cmd_plan(args) -> dict:
         k=args.k, rng_seed=args.rng_seed, include_unresponsive_seeds=not args.no_unresponsive_seeds
     )
     plan = planner.build_plan(occupancy, hrps, seeds, policy)
-    _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default=sys.stdout)
+    _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default="stdout")
     _write_to(args.targets_out, lambda out: planner.write_plan_targets(plan, out))
     return {
         "proto": args.proto,
@@ -430,7 +431,7 @@ def _cmd_escalate(args) -> dict:
         for prefix, rows in sorted(rows_by_prefix.items())
     }
     escalated = planner.escalate(plan, classes, occupancy)
-    _write_to(args.output, lambda out: planner.write_plan_csv(escalated, out), default=sys.stdout)
+    _write_to(args.output, lambda out: planner.write_plan_csv(escalated, out), default="stdout")
     class_counts = {name: 0 for name in planner.SCENARIOS}
     for scenario in classes.values():
         class_counts[scenario] += 1
@@ -576,7 +577,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         report = args.func(args)
-        path, default = (args.summary, sys.stderr) if "summary" in args else (args.output, sys.stdout)
+        path, default = (args.summary, "stderr") if "summary" in args else (args.output, "stdout")
         _write_to(path, lambda out: write_json_report(report, out), default)
         return EXIT_OK
     except _ERRORS as exc:  # RouteParseError and PlanEvaluationError included
@@ -584,5 +585,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return (EXIT_DATA, EXIT_USAGE, EXIT_IO)[_kind(exc)]
 
 
+def run() -> None:
+    """The process entry, for ``hrpkit`` and ``python -m hrpkit.cli``; ``main`` is the in-process one."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # main has reported it; what stdout holds goes nowhere, not to the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()  # the collections at interpreter exit skip frozen objects: here, every object
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,8 +8,12 @@ their documented field order.
 
 from __future__ import annotations
 
-import json
 from typing import Any
+
+try:  # the quoting json.dumps gives a str, without importing json
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # no C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 
 def fmt_real(value: float) -> str:
@@ -34,7 +38,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, float):
         return fmt_real(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -44,7 +48,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {render_json(value, indent + 1)}"
+            f"{pad}  {_quote(str(key))}: {render_json(value, indent + 1)}"
             for key, value in obj.items()
         )
         return f"{{\n{items}\n{pad}}}"

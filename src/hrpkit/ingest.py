@@ -31,10 +31,12 @@ import sys
 from _socket import AF_INET, inet_pton  # not socket, whose import pulls in selectors
 from array import array
 from collections import namedtuple
-from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 PLAIN = "plain"
 CSV_SADDR = "csv_saddr"
@@ -47,8 +49,6 @@ POLICIES = (STRICT, LENIENT)
 SADDR_COLUMN = "saddr"
 
 _PROTOCOLS = ("tcp", "udp")
-
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)  # the first time of a scan series given none
 
 _T = TypeVar("_T")
 
@@ -449,8 +449,10 @@ def _plain_columns(block: list[str], width: int) -> list[list[str]] | None:
     return [fields[i::width] for i in range(width)]
 
 
+# The timestamp helpers import datetime when they run: only a series of scans has times.
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO 8601 timestamp; a trailing Z and naive forms mean UTC."""
+    from datetime import datetime
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     return to_utc(datetime.fromisoformat(text))
@@ -458,9 +460,11 @@ def parse_timestamp(text: str) -> datetime:
 
 def to_utc(value: datetime) -> datetime:
     """The same instant in UTC; a naive datetime is taken to be UTC."""
+    from datetime import timezone
     return value.replace(tzinfo=timezone.utc) if value.tzinfo is None else value.astimezone(timezone.utc)
 
 
 def format_timestamp(value: datetime) -> str:
     """Fixed ``YYYY-MM-DDTHH:MM:SSZ`` rendering for report output."""
+    from datetime import timezone
     return value.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

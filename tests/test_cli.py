@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hrpkit import prefixes
-from hrpkit.cli import main
+from hrpkit.cli import _stem, main
 from hrpkit.ingest import format_ipv4
 
 
@@ -196,6 +200,17 @@ def test_stability_rejects_port_mismatch(tmp_path, capsys):
     assert run("stability", week0, week1) == 2
     err = capsys.readouterr().err
     assert "443" in err and "80" in err
+
+
+@given(st.lists(st.text(st.sampled_from("a.é, "), min_size=1).filter(lambda name: name not in (".", "..")),
+                min_size=1, max_size=3), st.sampled_from(["", "/", "./", "../"]))
+@example(["w1."], "")
+@example(["..a"], "./")
+@example(["d.x", "week.1.csv"], "/")
+def test_a_default_scan_id_is_the_files_pathlib_stem(names, start):
+    path = start + "/".join(names)
+    assert _stem(path) == Path(path).stem
+    assert _stem("-") == "stdin"
 
 
 def test_stability_rejects_a_file_stem_with_a_comma_as_scan_id(tmp_path, capsys):
@@ -472,6 +487,48 @@ def test_a_table_without_a_header_row_exits_2(tmp_path, capsys, text, line):
 
 def test_missing_subcommand_is_usage_error():
     assert run() == 2
+
+
+def _detect_to_stdout(tmp_path, *shell: str, **streams) -> subprocess.CompletedProcess:
+    """``hrpkit detect`` in a child whose stdout is buffered, as it is by default, with its table
+    to stdout: run by ``sh -c 'exec "$@" SHELL'`` when shell redirections are given."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(prefixes.__file__).parents[1])
+    scan = write_scan(tmp_path / "scan.txt", {5: 3})
+    argv = [sys.executable, "-m", "hrpkit.cli", "detect", "--port", "443", "--summary", str(tmp_path / "s.json"), str(scan)]
+    if shell:
+        argv = ["sh", "-c", f'exec "$@" {" ".join(shell)}', "sh", *argv]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, check=False, **streams)
+
+
+def _assert_one_io_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("hrpkit detect: [Errno ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_report_that_does_not_fit_on_stdout_exits_4(tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _detect_to_stdout(tmp_path, stdout=full)
+    _assert_one_io_error(proc)
+    assert "No space left on device" in proc.stderr
+
+
+def test_a_report_to_a_stdout_pipe_without_a_reader_exits_4(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _detect_to_stdout(tmp_path, stdout=write_end)
+    finally:
+        os.close(write_end)
+    _assert_one_io_error(proc)
+    assert "Broken pipe" in proc.stderr
+
+
+def test_a_report_to_a_closed_stdout_exits_4(tmp_path):
+    proc = _detect_to_stdout(tmp_path, ">&-", stdout=subprocess.DEVNULL)
+    _assert_one_io_error(proc)
+    assert "<stdout>" in proc.stderr
 
 
 def _sample_results(plan_path, status_of, extra_rows=()):

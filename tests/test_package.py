@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import subprocess
@@ -116,11 +117,11 @@ print(code, *sorted(sys.modules))
 """
 
 
-def _run_and_list(folder: Path, command: str) -> set[str]:
-    """Run the command in a fresh interpreter, which must exit 0: every module it loaded."""
+def _run_and_list(folder: Path, command: str, *flags: str) -> set[str]:
+    """Run the command in a fresh interpreter with these flags, which must exit 0: every module it loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(hrpkit.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_AND_LIST, command, *COMMANDS[command][0]],
+        [sys.executable, *flags, "-c", RUN_AND_LIST, command, *COMMANDS[command][0]],
         cwd=folder, env=env, capture_output=True, text=True, check=False,
     )
     code, *modules = proc.stdout.splitlines()[-1].split()
@@ -162,3 +163,39 @@ def test_a_subcommand_loads_only_the_modules_it_runs(inputs, command):
 def test_a_subcommand_without_sampling_rates_loads_neither_fractions_nor_decimal(inputs, command):
     modules = _run_and_list(inputs, command)
     assert not modules & {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+
+# -S: no site hook, such as a .pth file that loads pathlib, hides what the command loads itself.
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_subcommand_loads_no_json_or_pathlib_and_only_stability_loads_datetime(inputs, command):
+    modules = _run_and_list(inputs, command, "-S")
+    assert not modules & {"json", "pathlib"}
+    if command != "stability":
+        assert not modules & {"datetime", "_datetime"}
+
+
+# --- the process entry ----------------------------------------------------------------
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(inputs, tmp_path):
+    argv = ["detect", "--port", "443", "--output", str(tmp_path / "out"), "--summary", str(tmp_path / "sum")]
+    assert main([*argv, str(inputs / "scan")]) == 0
+    assert main([*argv, str(tmp_path / "missing")]) == 4
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--port", "443", "--output", "out", "--summary", "sum", "scan"], 0),
+    (["--port", "x", "scan"], 2),
+    (["--port", "443", "--policy", "strict", "--output", "out", "--summary", "sum", "bad"], 3),
+    (["--port", "443", "--output", "out", "--summary", "sum", "missing"], 4),
+])
+def test_the_process_entry_exits_with_mains_code(inputs, tmp_path, monkeypatch, argv, code):
+    (tmp_path / "scan").write_bytes((inputs / "scan").read_bytes())
+    (tmp_path / "bad").write_text("0.0.5.1\nbad\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hrpkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hrpkit.cli", "detect", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == code, proc.stderr
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect", *argv]) == code
