@@ -123,9 +123,14 @@ def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, Inge
     return reduce(prefixes.merge, tables), total
 
 
-# Workers' shards of at most this many bytes in all are read here: a fork would cost more. One
-# worker's two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
+# An input of at most this many bytes in all is read here: a fork would cost more. One worker's
+# two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
 _FORK_MIN_BYTES = 1 << 16
+
+
+def _small(paths: Sequence[str]) -> bool:
+    """Whether the files are regular and too small in all to pay for a fork; a pipe's size is unknown."""
+    return all(map(os.path.isfile, paths)) and sum(map(os.path.getsize, paths)) <= _FORK_MIN_BYTES
 
 
 def _usable_cpus() -> int:
@@ -138,6 +143,51 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _fork(work: Callable, *args, index: int = 1) -> Callable[..., object]:
+    """``work(*args)`` in the index-th forked worker. ``wait()`` reaps it and gives its marshalled
+    value, raises its error (the same type with the same text), or runs ``work(*args)`` here if it
+    exits without a reply; ``wait(kill=True)`` kills and reaps it. Once reaped, ``wait`` gives None."""
+    read_end, write_end = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            try:  # the scheduler keeps a new child on its parent's CPU: move to the index-th next one
+                cpus = sorted(os.sched_getaffinity(0))  # the real mask, which tests do not patch
+                os.sched_setaffinity(0, [cpus[index % len(cpus)]])
+            except OSError:  # best effort; the parent's own mask never changes
+                pass
+            try:  # the reply: (None, the value), or (the error's kind, its text)
+                reply = None, work(*args)
+            except _ERRORS as exc:
+                reply = _kind(exc), str(exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(reply))
+            os._exit(0)
+        finally:  # whatever else is raised, the worker exits without a reply and never returns
+            os._exit(1)
+    os.close(write_end)
+    pipe = open(read_end, "rb")
+
+    def wait(kill: bool = False):
+        if pipe.closed:
+            return None
+        reply = b""
+        try:
+            reply = b"" if kill else pipe.read()
+        finally:
+            pipe.close()
+            if not reply:
+                os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
+            status = os.waitpid(pid, 0)[1]
+        if kill or status:  # no whole reply: the input is read here, which raises its error if it has one
+            return None if kill else work(*args)
+        kind, value = marshal.loads(reply)
+        if kind is not None:  # built without __init__, which for IngestError wants a line number
+            raise _ERRORS[kind].__new__(_ERRORS[kind], value)
+        return value
+
+    return wait
+
+
 def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
     groups, one per usable CPU, the first read here and each other one by a forked worker (all
@@ -145,51 +195,50 @@ def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     loop's, but for an I/O error if a worker dies without a whole reply and one of its shards is not
     a regular file, such as a pipe. Else its group is read here, and so are all groups if the
     workers' shards are too small to pay for their forks."""
-    paths = args.scan
+    paths, parent, waits = args.scan, os.getpid(), []
     n = 1 if "-" in paths else min(len(paths), _usable_cpus())
     groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
-    worker_paths = paths[len(groups[0]):]  # only regular files count as small: a pipe's size is unknown
-    if all(map(os.path.isfile, worker_paths)) and sum(map(os.path.getsize, worker_paths)) <= _FORK_MIN_BYTES:
+    if _small(paths[len(groups[0]):]):
         groups = [paths]
-    workers, replies, statuses = [], [], []  # (pid, pipe) per group after the first
-    try:
-        for group in groups[1:]:
-            read_end, write_end = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    try:  # the reply: (bitmaps, counters), or (the error's kind, its text)
-                        found, stats = _read_shards(group, args)
-                        reply = found.bitmaps, vars(stats)
-                    except _ERRORS as exc:
-                        reply = _kind(exc), str(exc)
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(marshal.dumps(reply))
-                    os._exit(0)
-                finally:  # whatever else is raised, the worker exits without a reply and never returns
-                    os._exit(1)
-            os.close(write_end)
-            workers.append((pid, open(read_end, "rb")))
-        table, total = _read_shards(groups[0], args)
-        replies = [pipe.read() for _, pipe in workers]
-    finally:
-        for pid, pipe in workers:  # reap every worker, killed first unless it has replied
-            pipe.close()
-            if not replies:
-                os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
-            statuses.append(os.waitpid(pid, 0)[1])
-    for reply, status, group in zip(replies, statuses, groups[1:]):
-        if status and not all(map(os.path.isfile, group)):  # a pipe the worker drained cannot be read again
+
+    def read(group: Sequence[str]) -> tuple:
+        if os.getpid() == parent and not all(map(os.path.isfile, group)):  # a pipe the worker drained
             raise OSError(f"the worker reading {', '.join(group)} exited without a reply, and a pipe is read once")
-        if status:  # no reply: the group is read here, which raises its error if it has one
-            found, stats = _read_shards(group, args)
-        else:
-            bitmaps, counts = marshal.loads(reply)
-            if isinstance(bitmaps, int):  # built without __init__, which for IngestError wants a line number
-                raise _ERRORS[bitmaps].__new__(_ERRORS[bitmaps], counts)
-            found, stats = prefixes.PrefixTable(table.meta, bitmaps), IngestStats(**counts)
-        table = prefixes.merge(table, found)
-        total.merge(stats)
+        found, stats = _read_shards(group, args)
+        return found.bitmaps, vars(stats)
+
+    try:
+        for i, group in enumerate(groups[1:], 1):
+            waits.append(_fork(read, group, index=i))
+        table, total = _read_shards(groups[0], args)
+        for wait in waits:
+            bitmaps, counts = wait()
+            prefixes.merge(table, prefixes.PrefixTable(table.meta, bitmaps))
+            total.merge(IngestStats(**counts))
+    finally:  # reap every worker, killed first unless it has replied
+        for wait in waits:
+            wait(kill=True)
     return table, total
+
+
+def _beside(paths: Sequence[str], there: Callable, here: Callable, there_first: bool = True,
+            pack: Callable = lambda value: value, unpack: Callable = lambda reply: reply) -> tuple:
+    """``(there(), here())``, with the error the serial order raises first: there's, or here's if
+    not there_first. With another usable CPU and one regular input file for there, larger than
+    _FORK_MIN_BYTES, a forked worker replies ``pack(there())`` for ``unpack`` while here runs. Shards
+    stay with _load_occupancy, whose own workers read them side by side."""
+    if _usable_cpus() < 2 or paths[1:] or "-" in paths or not os.path.isfile(paths[0]) or _small(paths):
+        return (there(), here()) if there_first else (here(), there())[::-1]  # each pair is run left to right
+    wait = _fork(lambda: pack(there()))
+    try:
+        second = here()
+        value = wait()
+    except _ERRORS:
+        wait(kill=not there_first)  # there's error, if it has one and comes first, is the one raised
+        raise
+    finally:
+        wait(kill=True)  # after an interrupt; once the worker is reaped, this does nothing
+    return unpack(value), second
 
 
 def _record(obj, **render: Callable) -> dict:
@@ -200,13 +249,18 @@ def _record(obj, **render: Callable) -> dict:
     return doc
 
 
-def _check_results_port(results, args, name: str) -> None:
+def _read_results(args):
+    """The results file, whose port and protocol, if it names them, must be the flags'."""
+    from .applayer import read_app_results
+
+    results = _read_table(args.results, read_app_results)
     meta = results.meta
     if meta is not None and meta != ScanMeta(args.proto, args.port):
         raise ValueError(
-            f"port/proto mismatch: {meta.protocol}/{meta.port} ({name}) vs "
+            f"port/proto mismatch: {meta.protocol}/{meta.port} ({args.results}) vs "
             f"{args.proto}/{args.port} (flags)"
         )
+    return results
 
 
 def _write_stats(stats, args) -> None:
@@ -347,11 +401,10 @@ def _cmd_vantage(args) -> dict:
 def _cmd_applayer(args) -> dict:
     from . import applayer
 
-    occupancy, _ = _load_occupancy(args)
+    bitmaps, results = _beside(args.scan, lambda: _load_occupancy(args)[0].bitmaps, lambda: _read_results(args))
+    occupancy = prefixes.PrefixTable(ScanMeta(args.proto, args.port), bitmaps)
     stats = prefixes.classify(occupancy, args.threshold)
     hrps = prefixes.hrp_set(stats)
-    results = _read_table(args.results, applayer.read_app_results)
-    _check_results_port(results, args, args.results)
     report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
     cdf = applayer.success_cdf(report_set.reports)
     steps = sorted({r.success_count for r in report_set.reports})
@@ -406,12 +459,12 @@ def _cmd_plan(args) -> dict:
 
 
 def _cmd_escalate(args) -> dict:
-    from . import applayer, planner
+    from . import planner
 
-    plan = _read_table(args.plan, planner.read_plan_csv)
-    results = _read_table(args.results, applayer.read_app_results)
-    _check_results_port(results, args, args.results)
-    occupancy, _ = _load_occupancy(args)
+    bitmaps, (plan, results) = _beside(  # the scan is read last in the serial order
+        args.scan, lambda: _load_occupancy(args)[0].bitmaps,
+        lambda: (_read_table(args.plan, planner.read_plan_csv), _read_results(args)), False)
+    occupancy = prefixes.PrefixTable(ScanMeta(args.proto, args.port), bitmaps)
     policy = planner.SamplePolicy(
         proxy_max_success=args.proxy_max_success, cdn_min_success=args.cdn_min_success
     )
@@ -447,8 +500,11 @@ def _cmd_escalate(args) -> dict:
 def _cmd_evaluate(args) -> dict:
     from . import applayer, planner
 
-    plan = _read_table(args.plan, planner.read_plan_csv)
-    truth = _read_table(args.truth, applayer.read_app_results)
+    # The plan is read in the worker, whose reply holds each entry's fields; its checks run here.
+    plan, truth = _beside([args.plan], lambda: _read_table(args.plan, planner.read_plan_csv),
+                          lambda: _read_table(args.truth, applayer.read_app_results), True,
+                          lambda plan: [tuple(entry) for entry in plan.entries.values()],
+                          lambda fields: planner.TargetPlan({f[0]: planner.PlanEntry(*f) for f in fields}))
     metrics = planner.evaluate_plan(plan, truth)
     return _record(metrics)
 
@@ -581,18 +637,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_to(path, lambda out: write_json_report(report, out), default)
         return EXIT_OK
     except _ERRORS as exc:  # RouteParseError and PlanEvaluationError included
-        print(f"hrpkit {args.command}: {exc}", file=sys.stderr)
+        try:  # a line that stderr cannot take is lost, but not the exit code
+            _write_to(None, lambda err: err.write(f"hrpkit {args.command}: {exc}\n"), "stderr")
+        except OSError:
+            pass
         return (EXIT_DATA, EXIT_USAGE, EXIT_IO)[_kind(exc)]
 
 
 def run() -> None:
     """The process entry, for ``hrpkit`` and ``python -m hrpkit.cli``; ``main`` is the in-process one."""
     code = main()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:  # main has reported it; what stdout holds goes nowhere, not to the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # main has met it; what the stream holds goes nowhere, not to the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     gc.freeze()  # the collections at interpreter exit skip frozen objects: here, every object
     sys.exit(code)
 

@@ -177,14 +177,14 @@ def aggregate(addresses: Iterable[int], meta: ScanMeta) -> PrefixTable:
 
 
 def merge(a: PrefixTable, b: PrefixTable) -> PrefixTable:
-    """Combine two shards of the same scan by per-prefix bitwise OR."""
+    """Fold shard b of a scan into shard a, in place, by per-prefix bitwise OR; a is returned."""
     if a.meta != b.meta:
         raise ValueError(f"cannot merge tables with different scan meta: {a.meta} vs {b.meta}")
-    merged = dict(a.bitmaps)
+    merged = a.bitmaps
     get = merged.get
     for prefix, bits in b.bitmaps.items():
         merged[prefix] = get(prefix, 0) | bits
-    return PrefixTable(a.meta, merged)
+    return a
 
 
 def classify(table: PrefixTable, threshold: HrpThreshold = DEFAULT_THRESHOLD) -> PrefixStats:

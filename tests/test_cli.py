@@ -531,6 +531,34 @@ def test_a_report_to_a_closed_stdout_exits_4(tmp_path):
     assert "<stdout>" in proc.stderr
 
 
+def _detect_with_stderr(tmp_path, redirect: str, *args: str) -> subprocess.CompletedProcess:
+    """``hrpkit detect`` in a child whose stderr is buffered, as it is by default, redirected by
+    ``sh -c 'exec "$@" REDIRECT'``, with its table to a file."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(prefixes.__file__).parents[1])
+    argv = [sys.executable, "-m", "hrpkit.cli", "detect", "--port", "443", "--output", str(tmp_path / "o.csv"), *args]
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv], env=env, stdout=subprocess.PIPE,
+                          text=True, check=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
+def test_a_summary_that_stderr_cannot_take_exits_4(tmp_path, redirect):
+    proc = _detect_with_stderr(tmp_path, redirect, str(write_scan(tmp_path / "scan.txt", {5: 3})))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert (tmp_path / "o.csv").read_text().count("\n") == 2  # the table was written before the summary
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"])
+def test_an_error_line_that_stderr_cannot_take_exits_with_the_errors_code(tmp_path, redirect):
+    proc = _detect_with_stderr(tmp_path, redirect, "--summary", str(tmp_path / "s.json"), str(tmp_path / "missing.txt"))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    proc = _detect_with_stderr(tmp_path, redirect, "--policy", "strict", "--summary", str(tmp_path / "s.json"),
+                               str(write_scan(tmp_path / "scan.txt", {5: 3}, ["junk"])))
+    assert (proc.returncode, proc.stdout) == (3, "")
+
+
 def _sample_results(plan_path, status_of, extra_rows=()):
     """A results CSV over the plan's sampled targets, status chosen per address text."""
     rows = ["ip,port,proto,status,identifier"]

@@ -166,11 +166,22 @@ def test_merge_algebra_and_sharding():
             shards[rng.randrange(3)].append(addr)
         parts = [aggregate(shard, meta) for shard in shards]
         single = aggregate(addresses, meta)
-        assert reduce(merge, parts).bitmaps == single.bitmaps
-        a, b = parts[0], parts[1]
-        assert merge(a, b).bitmaps == merge(b, a).bitmaps
-        assert merge(merge(a, b), parts[2]).bitmaps == merge(a, merge(b, parts[2])).bitmaps
-        assert merge(a, a).bitmaps == a.bitmaps
+        def copier(part):  # merge folds into its first table: each use takes a fresh copy
+            return lambda: PrefixTable(meta, dict(part.bitmaps))
+
+        a, b, c = map(copier, parts)
+        assert reduce(merge, [a(), b(), c()]).bitmaps == single.bitmaps
+        assert merge(a(), b()).bitmaps == merge(b(), a()).bitmaps
+        assert merge(merge(a(), b()), c()).bitmaps == merge(a(), merge(b(), c())).bitmaps
+        assert merge(a(), a()).bitmaps == parts[0].bitmaps
+
+
+def test_merge_folds_into_its_first_table():
+    meta = make_meta()
+    a, b = table_with_counts({1: 5}, meta), table_with_counts({1: 3, 2: 7}, meta)
+    b_before = dict(b.bitmaps)
+    assert merge(a, b) is a
+    assert a.bitmaps == {1: b.bitmaps[1] | (1 << 5) - 1, 2: b.bitmaps[2]} and b.bitmaps == b_before
 
 
 def test_distinct_address_count_matches_naive_oracle():
