@@ -7,43 +7,33 @@ its tables and returns its JSON report, which ``main`` writes to
 decimals, and a trailing newline. Exit codes: 0 success, 2 usage or
 schema error, 3 strict-policy data failure, 4 I/O failure.
 
-Only ``ingest``, ``prefixes`` and ``fmt`` are imported with this module;
-each subcommand imports the other modules it runs when it runs, so a
-command's start-up compiles no module it does not use.
+This module holds the analysis commands and imports only ``ingest``, ``prefixes`` and ``fmt``;
+the commands that read a scan or a plan are in ``scans``, imported when one runs. Each command
+imports the other modules it runs when it runs, and ``main`` builds the parser of the named
+command alone, so a command's start-up compiles no module it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import marshal
 import os
 import sys
 from array import array
 from errno import EBADF
-from functools import reduce
 from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 from . import prefixes
 from .fmt import write_json_report
-from .ingest import (
-    CSV_SADDR,
-    LENIENT,
-    PLAIN,
-    STRICT,
-    IngestError,
-    IngestStats,
-    ScanMeta,
-    format_timestamp,
-    open_scan_source,
-    parse_decimal,
-    parse_timestamp,
-    parse_uint,
-)
+from .ingest import (CSV_SADDR, LENIENT, PLAIN, STRICT, IngestError, format_timestamp, open_scan_source,  # noqa: F401
+                     parse_decimal, parse_timestamp, parse_uint)  # scans looks up open_scan_source here
 from .prefixes import HrpThreshold, format_slash24
 
 if TYPE_CHECKING:
     from datetime import datetime
+
+# Under ``python -m hrpkit.cli`` this is __main__; also named hrpkit.cli, scans imports it, not a new copy.
+sys.modules.setdefault(__spec__.name, sys.modules[__name__])
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,140 +97,6 @@ def _read_table(path: str, reader: Callable, *args):
             raise
 
 
-def _aggregate_scan(source, args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    addresses, stats = open_scan_source(source, args.format, args.policy)
-    return prefixes.aggregate(addresses, ScanMeta(args.proto, args.port)), stats
-
-
-def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    """Aggregate scan shards one after another, merged in order: the serial loop."""
-    total = IngestStats()
-    tables = []
-    for path in paths:
-        table, stats = _read_table(path, _aggregate_scan, args)
-        tables.append(table)
-        total.merge(stats)
-    return reduce(prefixes.merge, tables), total
-
-
-# An input of at most this many bytes in all is read here: a fork would cost more. One worker's
-# two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
-_FORK_MIN_BYTES = 1 << 16
-
-
-def _small(paths: Sequence[str]) -> bool:
-    """Whether the files are regular and too small in all to pay for a fork; a pipe's size is unknown."""
-    return all(map(os.path.isfile, paths)) and sum(map(os.path.getsize, paths)) <= _FORK_MIN_BYTES
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork or runs other threads (a
-    forked copy of a process with threads can deadlock)."""
-    threading = sys.modules.get("threading")
-    threaded = threading is not None and threading.active_count() > 1
-    if threaded or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork(work: Callable, *args, index: int = 1) -> Callable[..., object]:
-    """``work(*args)`` in the index-th forked worker. ``wait()`` reaps it and gives its marshalled
-    value, raises its error (the same type with the same text), or runs ``work(*args)`` here if it
-    exits without a reply; ``wait(kill=True)`` kills and reaps it. Once reaped, ``wait`` gives None."""
-    read_end, write_end = os.pipe()
-    if (pid := os.fork()) == 0:
-        try:
-            try:  # the scheduler keeps a new child on its parent's CPU: move to the index-th next one
-                cpus = sorted(os.sched_getaffinity(0))  # the real mask, which tests do not patch
-                os.sched_setaffinity(0, [cpus[index % len(cpus)]])
-            except OSError:  # best effort; the parent's own mask never changes
-                pass
-            try:  # the reply: (None, the value), or (the error's kind, its text)
-                reply = None, work(*args)
-            except _ERRORS as exc:
-                reply = _kind(exc), str(exc)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(reply))
-            os._exit(0)
-        finally:  # whatever else is raised, the worker exits without a reply and never returns
-            os._exit(1)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-
-    def wait(kill: bool = False):
-        if pipe.closed:
-            return None
-        reply = b""
-        try:
-            reply = b"" if kill else pipe.read()
-        finally:
-            pipe.close()
-            if not reply:
-                os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
-            status = os.waitpid(pid, 0)[1]
-        if kill or status:  # no whole reply: the input is read here, which raises its error if it has one
-            return None if kill else work(*args)
-        kind, value = marshal.loads(reply)
-        if kind is not None:  # built without __init__, which for IngestError wants a line number
-            raise _ERRORS[kind].__new__(_ERRORS[kind], value)
-        return value
-
-    return wait
-
-
-def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
-    groups, one per usable CPU, the first read here and each other one by a forked worker (all
-    here if one is stdin). The result and the error (the first failing shard's) are the serial
-    loop's, but for an I/O error if a worker dies without a whole reply and one of its shards is not
-    a regular file, such as a pipe. Else its group is read here, and so are all groups if the
-    workers' shards are too small to pay for their forks."""
-    paths, parent, waits = args.scan, os.getpid(), []
-    n = 1 if "-" in paths else min(len(paths), _usable_cpus())
-    groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
-    if _small(paths[len(groups[0]):]):
-        groups = [paths]
-
-    def read(group: Sequence[str]) -> tuple:
-        if os.getpid() == parent and not all(map(os.path.isfile, group)):  # a pipe the worker drained
-            raise OSError(f"the worker reading {', '.join(group)} exited without a reply, and a pipe is read once")
-        found, stats = _read_shards(group, args)
-        return found.bitmaps, vars(stats)
-
-    try:
-        for i, group in enumerate(groups[1:], 1):
-            waits.append(_fork(read, group, index=i))
-        table, total = _read_shards(groups[0], args)
-        for wait in waits:
-            bitmaps, counts = wait()
-            prefixes.merge(table, prefixes.PrefixTable(table.meta, bitmaps))
-            total.merge(IngestStats(**counts))
-    finally:  # reap every worker, killed first unless it has replied
-        for wait in waits:
-            wait(kill=True)
-    return table, total
-
-
-def _beside(paths: Sequence[str], there: Callable, here: Callable, there_first: bool = True,
-            pack: Callable = lambda value: value, unpack: Callable = lambda reply: reply) -> tuple:
-    """``(there(), here())``, with the error the serial order raises first: there's, or here's if
-    not there_first. With another usable CPU and one regular input file for there, larger than
-    _FORK_MIN_BYTES, a forked worker replies ``pack(there())`` for ``unpack`` while here runs. Shards
-    stay with _load_occupancy, whose own workers read them side by side."""
-    if _usable_cpus() < 2 or paths[1:] or "-" in paths or not os.path.isfile(paths[0]) or _small(paths):
-        return (there(), here()) if there_first else (here(), there())[::-1]  # each pair is run left to right
-    wait = _fork(lambda: pack(there()))
-    try:
-        second = here()
-        value = wait()
-    except _ERRORS:
-        wait(kill=not there_first)  # there's error, if it has one and comes first, is the one raised
-        raise
-    finally:
-        wait(kill=True)  # after an interrupt; once the worker is reaped, this does nothing
-    return unpack(value), second
-
-
 def _record(obj, **render: Callable) -> dict:
     """A record as a report dict: its fields in declaration order, each passed through the
     render function named after it."""
@@ -249,40 +105,12 @@ def _record(obj, **render: Callable) -> dict:
     return doc
 
 
-def _read_results(args):
-    """The results file, whose port and protocol, if it names them, must be the flags'."""
-    from .applayer import read_app_results
-
-    results = _read_table(args.results, read_app_results)
-    meta = results.meta
-    if meta is not None and meta != ScanMeta(args.proto, args.port):
-        raise ValueError(
-            f"port/proto mismatch: {meta.protocol}/{meta.port} ({args.results}) vs "
-            f"{args.proto}/{args.port} (flags)"
-        )
-    return results
-
-
 def _write_stats(stats, args) -> None:
     writer = prefixes.write_prefix_stats_jsonl if args.output_format == "jsonl" else prefixes.write_prefix_stats_csv
     _write_to(args.output, lambda out: writer(stats, out), default="stdout")
 
 
 # --- subcommands -----------------------------------------------------------
-
-
-def _cmd_detect(args) -> dict:
-    table, ingest_stats = _load_occupancy(args)
-    stats = prefixes.classify(table, args.threshold)
-    _write_stats(stats, args)
-    return {
-        "files": len(args.scan),
-        **_record(ingest_stats),
-        "distinct_addresses": table.total_addresses(),
-        "prefixes": len(table),
-        "hrp_prefixes": len(prefixes.hrp_set(stats)),
-        "hrp_address_share": prefixes.hrp_address_share(stats),
-    }
 
 
 def _cmd_enrich(args) -> dict:
@@ -324,13 +152,8 @@ def _cmd_portmatrix(args) -> dict:
         "port_count": report.port_count,
         "prefixes": len(report.profiles),
         "hrp_prefixes": sum(1 for p in report.profiles if p.ports_hrp),
-        "responsive_histogram": [
-            {"ports": bucket, "prefixes": count}
-            for bucket, count in report.responsive_histogram.items()
-        ],
-        "hrp_histogram": [
-            {"ports": bucket, "prefixes": count} for bucket, count in report.hrp_histogram.items()
-        ],
+        "responsive_histogram": [{"ports": n, "prefixes": count} for n, count in report.responsive_histogram.items()],
+        "hrp_histogram": [{"ports": n, "prefixes": count} for n, count in report.hrp_histogram.items()],
     }
 
 
@@ -398,247 +221,136 @@ def _cmd_vantage(args) -> dict:
     }
 
 
-def _cmd_applayer(args) -> dict:
-    from . import applayer
-
-    bitmaps, results = _beside(args.scan, lambda: _load_occupancy(args)[0].bitmaps, lambda: _read_results(args))
-    occupancy = prefixes.PrefixTable(ScanMeta(args.proto, args.port), bitmaps)
-    stats = prefixes.classify(occupancy, args.threshold)
-    hrps = prefixes.hrp_set(stats)
-    report_set = applayer.hrp_app_report(results, hrps, occupancy, args.exclude_app_errors)
-    cdf = applayer.success_cdf(report_set.reports)
-    steps = sorted({r.success_count for r in report_set.reports})
-    return {
-        "proto": args.proto,
-        "port": args.port,
-        "threshold_fraction": args.threshold.fraction,
-        "exclude_app_errors": args.exclude_app_errors,
-        "hrp_count": len(hrps),
-        "anomalies": report_set.anomaly_count,
-        "duplicate_results": report_set.duplicate_count,
-        "reports": [_record(r, prefix=format_slash24) for r in report_set.reports],
-        "address_comparison": _record(report_set.comparison),
-        "success_cdf": {
-            "total_reports": cdf.total_reports,
-            "steps": [
-                {"success_count": c, "cumulative_share": cdf.at(c)} for c in steps
-            ],
-        },
-    }
-
-
-def _cmd_plan(args) -> dict:
-    from . import planner
-
-    if args.seeds is None and len(args.scan) == 2:  # the older form: one scan, then the seeds file
-        args.scan, args.seeds = args.scan[:1], args.scan[1]
-    elif args.seeds is None and len(args.scan) > 2:
-        raise ValueError(f"{len(args.scan)} scan files but no --seeds; name the seeds file with --seeds")
-    elif args.seeds is not None and os.path.realpath(args.seeds) in map(os.path.realpath, args.scan):
-        raise ValueError(f"{args.seeds} is given both as --seeds and as a scan file")
-    occupancy, _ = _load_occupancy(args)
-    stats = prefixes.classify(occupancy, args.threshold)
-    hrps = prefixes.hrp_set(stats)
-    seeds = [] if args.seeds is None else _read_table(args.seeds, planner.read_dns_seeds)
-    policy = planner.SamplePolicy(
-        k=args.k, rng_seed=args.rng_seed, include_unresponsive_seeds=not args.no_unresponsive_seeds
-    )
-    plan = planner.build_plan(occupancy, hrps, seeds, policy)
-    _write_to(args.output, lambda out: planner.write_plan_csv(plan, out), default="stdout")
-    _write_to(args.targets_out, lambda out: planner.write_plan_targets(plan, out))
-    return {
-        "proto": args.proto,
-        "port": args.port,
-        "threshold_fraction": args.threshold.fraction,
-        "k": policy.k,
-        "rng_seed": policy.rng_seed,
-        "hrp_prefixes": len(hrps),
-        "dns_seeds": len(seeds),
-        **planner.plan_summary(plan),
-    }
-
-
-def _cmd_escalate(args) -> dict:
-    from . import planner
-
-    bitmaps, (plan, results) = _beside(  # the scan is read last in the serial order
-        args.scan, lambda: _load_occupancy(args)[0].bitmaps,
-        lambda: (_read_table(args.plan, planner.read_plan_csv), _read_results(args)), False)
-    occupancy = prefixes.PrefixTable(ScanMeta(args.proto, args.port), bitmaps)
-    policy = planner.SamplePolicy(
-        proxy_max_success=args.proxy_max_success, cdn_min_success=args.cdn_min_success
-    )
-    rows_by_prefix: dict[int, list[int]] = {}
-    seen_of: dict[int, int] = {}  # prefix -> bitmap of the hosts with a row so far
-    off_plan = 0
-    for row, target in enumerate(results.targets):
-        prefix, host = target >> 8, target & 0xFF
-        entry = plan.entries.get(prefix)
-        if not (entry and entry.strategy == planner.STRATEGY_SAMPLED and host in entry.hosts):
-            off_plan += 1  # outside every sampled prefix, or never planned there
-        elif not seen_of.get(prefix, 0) >> host & 1:  # the first row per target counts, as in applayer
-            seen_of[prefix] = seen_of.get(prefix, 0) | 1 << host
-            rows_by_prefix.setdefault(prefix, []).append(row)
-    classes = {
-        prefix: planner.classify_sample(results.select(rows), policy)
-        for prefix, rows in sorted(rows_by_prefix.items())
-    }
-    escalated = planner.escalate(plan, classes, occupancy)
-    _write_to(args.output, lambda out: planner.write_plan_csv(escalated, out), default="stdout")
-    class_counts = {name: 0 for name in planner.SCENARIOS}
-    for scenario in classes.values():
-        class_counts[scenario] += 1
-    return {
-        "classified_prefixes": len(classes),
-        "scenario_counts": class_counts,
-        "off_plan_results": off_plan,
-        "added_targets": escalated.total_targets() - plan.total_targets(),
-        **planner.plan_summary(escalated),
-    }
-
-
-def _cmd_evaluate(args) -> dict:
-    from . import applayer, planner
-
-    # The plan is read in the worker, whose reply holds each entry's fields; its checks run here.
-    plan, truth = _beside([args.plan], lambda: _read_table(args.plan, planner.read_plan_csv),
-                          lambda: _read_table(args.truth, applayer.read_app_results), True,
-                          lambda plan: [tuple(entry) for entry in plan.entries.values()],
-                          lambda fields: planner.TargetPlan({f[0]: planner.PlanEntry(*f) for f in fields}))
-    metrics = planner.evaluate_plan(plan, truth)
-    return _record(metrics)
-
-
 # --- parser ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+# The options that several commands share: flag -> add_argument keywords.
+_SHARED = {
+    "--port": dict(type=_flag(parse_uint, 0, 65535, "value"), required=True, help="scanned port"),
+    "--proto": dict(choices=("tcp", "udp"), default="tcp", help="scan protocol"),
+    "--format": dict(choices=(PLAIN, CSV_SADDR), default=PLAIN, help="scan file layout"),
+    "--policy": dict(choices=(STRICT, LENIENT), default=LENIENT,
+                     help="invalid input lines: abort (strict) or count and skip"),
+    "--threshold": dict(type=_flag(lambda text: HrpThreshold(parse_decimal(text, "value"))),
+                        default=prefixes.DEFAULT_THRESHOLD, help="responsive fraction of 256 that makes a /24 an HRP"),
+    "--output": dict(default=None, help="output path ('-' for stdout, the default)"),
+    "--summary": dict(default=None, help="write the run summary JSON here instead of stderr"),
+    "--output-format": dict(choices=("csv", "jsonl"), default="csv", help="prefix stats output form"),
+}
+
+# command -> (its help line, the shared options it takes, its own arguments: name -> keywords), the
+# arguments in the order of its help. Its body is _cmd_<command>, here or in scans.
+_COMMANDS = {
+    "detect": ("aggregate a scan into /24 stats and flag HRPs",
+               "--port --proto --format --policy --threshold --output --summary --output-format",
+               {"scan": dict(nargs="+", help="scan result file(s); shards of one scan")}),
+    "enrich": ("attach origin AS and covering route to prefix stats", "--output --summary --output-format", {
+        "--policy": dict(choices=(STRICT, LENIENT), default=LENIENT,
+                         help="route snapshot problems: abort (strict) or count and continue"),
+        "stats": dict(help="prefix stats CSV from detect"),
+        "routes": dict(help="route snapshot CSV: prefix/length,asn"),
+    }),
+    "portmatrix": ("cross-port responsiveness profile of prefixes", "--output", {
+        "--histogram-csv": dict(default=None, help="also write the bucket histogram as CSV"),
+        "--profiles-csv": dict(default=None, help="also write per-prefix profiles as CSV"),
+        "--as-summary": dict(default=None, help="also write the per-AS rollup JSON (needs enriched stats)"),
+        "stats": dict(nargs="+", help="one classified stats CSV per port"),
+    }),
+    "stability": ("HRP share over an ordered series of scans, plus persistence", "--output", {
+        "--persistence-n": dict(type=_flag(parse_uint, 0, (1 << 63) - 1, "value"), default=5,
+                                help="max missed scans for the missing-at-most-n share"),
+        "--scan-ids": dict(default=None, help="comma-separated scan ids (default: file stems)"),
+        "--timestamps": dict(default=None, help="comma-separated ISO timestamps (default: argument order)"),
+        "--series-csv": dict(default=None, help="also write the series as CSV"),
+        "stats": dict(nargs="+", help="two or more classified stats CSVs, oldest first"),
+    }),
+    "vantage": ("diff the HRP sets of two vantage points", "--output", {
+        "stats_a": dict(help="classified stats CSV from vantage A"),
+        "stats_b": dict(help="classified stats CSV from vantage B"),
+    }),
+    "applayer": ("join application-layer results with HRP classifications",
+                 "--port --proto --format --policy --threshold --output", {
+        "--exclude-app-errors": dict(action="store_true",
+                                     help="disregard app_error targets instead of counting them as failures"),
+        "results": dict(help="application results CSV: ip,port,proto,status,identifier"),
+        "scan": dict(nargs="+", help="the port scan the results were targeted from"),
+    }),
+    "plan": ("build an HRP-aware application-layer target plan",
+             "--port --proto --format --policy --threshold --output --summary", {
+        "--k": dict(type=_flag(parse_uint, 1, 256, "value"), default=10, help="targets per HRP before escalation"),
+        "--rng-seed": dict(type=_flag(parse_uint, 0, (1 << 64) - 1, "value"), default=0,
+                           help="sampling seed (fixed generator)"),
+        "--no-unresponsive-seeds": dict(action="store_true", help="drop DNS seeds the port scan did not see"),
+        "--targets-out": dict(default=None, help="also write targets one per line"),
+        "--seeds": dict(default=None, help="DNS seeds CSV: ip,name_count"),
+        "scan": dict(nargs="+", help="port scan result file(s), shards of one scan; "
+                     "without --seeds, the second of two files is the seeds file"),
+    }),
+    "escalate": ("classify sampled outcomes and escalate diverse HRPs to full scans",
+                 "--port --proto --format --policy --output --summary", {
+        "--proxy-max-success": dict(type=_flag(parse_decimal, "value"), default=0.10,
+                                    help="sampled success rate at or below this is a proxy"),
+        "--cdn-min-success": dict(type=_flag(parse_decimal, "value"), default=0.90,
+                                  help="sampled success rate at or above this with one identifier is cdn_like"),
+        "plan": dict(help="plan CSV produced by plan"),
+        "results": dict(help="application results CSV for the sampled targets"),
+        "scan": dict(nargs="+", help="port scan result file(s) backing the plan; shards of one scan"),
+    }),
+    "evaluate": ("score a plan against full-scan ground truth", "--output", {
+        "plan": dict(help="plan CSV"),
+        "truth": dict(help="application results CSV covering every responsive address"),
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        """By default to stdout, flushed: help that it cannot take raises OSError, as a report does."""
+        if file is not None:
+            return super().print_help(file)
+        _write_to("-", lambda out: out.write(self.format_help()))
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with a command named, of that one alone: for an argv that
+    starts with the command, both give the same help, errors, exit code and namespace."""
+    parser = _Parser(
         prog="hrpkit",
         description="Detect and analyze highly responsive /24 prefixes in port-scan output.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    meta = argparse.ArgumentParser(add_help=False)
-    meta.add_argument("--port", type=_flag(parse_uint, 0, 65535, "value"), required=True, help="scanned port")
-    meta.add_argument("--proto", choices=("tcp", "udp"), default="tcp", help="scan protocol")
-
-    scan_input = argparse.ArgumentParser(add_help=False)
-    scan_input.add_argument("--format", choices=(PLAIN, CSV_SADDR), default=PLAIN,
-                            help="scan file layout")
-    scan_input.add_argument("--policy", choices=(STRICT, LENIENT), default=LENIENT,
-                            help="invalid input lines: abort (strict) or count and skip")
-
-    thresh = argparse.ArgumentParser(add_help=False)
-    thresh.add_argument("--threshold", type=_flag(lambda text: HrpThreshold(parse_decimal(text, "value"))),
-                        default=prefixes.DEFAULT_THRESHOLD,
-                        help="responsive fraction of 256 that makes a /24 an HRP")
-
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--output", default=None, help="output path ('-' for stdout, the default)")
-
-    summary_opt = argparse.ArgumentParser(add_help=False)
-    summary_opt.add_argument("--summary", default=None,
-                             help="write the run summary JSON here instead of stderr")
-
-    stats_format = argparse.ArgumentParser(add_help=False)
-    stats_format.add_argument("--output-format", choices=("csv", "jsonl"), default="csv",
-                              help="prefix stats output form")
-
-    p = sub.add_parser("detect", parents=[meta, scan_input, thresh, output, summary_opt, stats_format],
-                       help="aggregate a scan into /24 stats and flag HRPs")
-    p.add_argument("scan", nargs="+", help="scan result file(s); shards of one scan")
-    p.set_defaults(func=_cmd_detect)
-
-    p = sub.add_parser("enrich", parents=[output, summary_opt, stats_format],
-                       help="attach origin AS and covering route to prefix stats")
-    p.add_argument("--policy", choices=(STRICT, LENIENT), default=LENIENT,
-                   help="route snapshot problems: abort (strict) or count and continue")
-    p.add_argument("stats", help="prefix stats CSV from detect")
-    p.add_argument("routes", help="route snapshot CSV: prefix/length,asn")
-    p.set_defaults(func=_cmd_enrich)
-
-    p = sub.add_parser("portmatrix", parents=[output],
-                       help="cross-port responsiveness profile of prefixes")
-    p.add_argument("--histogram-csv", default=None, help="also write the bucket histogram as CSV")
-    p.add_argument("--profiles-csv", default=None, help="also write per-prefix profiles as CSV")
-    p.add_argument("--as-summary", default=None,
-                   help="also write the per-AS rollup JSON (needs enriched stats)")
-    p.add_argument("stats", nargs="+", help="one classified stats CSV per port")
-    p.set_defaults(func=_cmd_portmatrix)
-
-    p = sub.add_parser("stability", parents=[output],
-                       help="HRP share over an ordered series of scans, plus persistence")
-    p.add_argument("--persistence-n", type=_flag(parse_uint, 0, (1 << 63) - 1, "value"), default=5,
-                   help="max missed scans for the missing-at-most-n share")
-    p.add_argument("--scan-ids", default=None, help="comma-separated scan ids (default: file stems)")
-    p.add_argument("--timestamps", default=None,
-                   help="comma-separated ISO timestamps (default: argument order)")
-    p.add_argument("--series-csv", default=None, help="also write the series as CSV")
-    p.add_argument("stats", nargs="+", help="two or more classified stats CSVs, oldest first")
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("vantage", parents=[output],
-                       help="diff the HRP sets of two vantage points")
-    p.add_argument("stats_a", help="classified stats CSV from vantage A")
-    p.add_argument("stats_b", help="classified stats CSV from vantage B")
-    p.set_defaults(func=_cmd_vantage)
-
-    p = sub.add_parser("applayer", parents=[meta, scan_input, thresh, output],
-                       help="join application-layer results with HRP classifications")
-    p.add_argument("--exclude-app-errors", action="store_true",
-                   help="disregard app_error targets instead of counting them as failures")
-    p.add_argument("results", help="application results CSV: ip,port,proto,status,identifier")
-    p.add_argument("scan", nargs="+", help="the port scan the results were targeted from")
-    p.set_defaults(func=_cmd_applayer)
-
-    p = sub.add_parser("plan", parents=[meta, scan_input, thresh, output, summary_opt],
-                       help="build an HRP-aware application-layer target plan")
-    p.add_argument("--k", type=_flag(parse_uint, 1, 256, "value"), default=10, help="targets per HRP before escalation")
-    p.add_argument("--rng-seed", type=_flag(parse_uint, 0, (1 << 64) - 1, "value"), default=0,
-                   help="sampling seed (fixed generator)")
-    p.add_argument("--no-unresponsive-seeds", action="store_true",
-                   help="drop DNS seeds the port scan did not see")
-    p.add_argument("--targets-out", default=None, help="also write targets one per line")
-    p.add_argument("--seeds", default=None, help="DNS seeds CSV: ip,name_count")
-    p.add_argument("scan", nargs="+", help="port scan result file(s), shards of one scan; "
-                   "without --seeds, the second of two files is the seeds file")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("escalate", parents=[meta, scan_input, output, summary_opt],
-                       help="classify sampled outcomes and escalate diverse HRPs to full scans")
-    p.add_argument("--proxy-max-success", type=_flag(parse_decimal, "value"), default=0.10,
-                   help="sampled success rate at or below this is a proxy")
-    p.add_argument("--cdn-min-success", type=_flag(parse_decimal, "value"), default=0.90,
-                   help="sampled success rate at or above this with one identifier is cdn_like")
-    p.add_argument("plan", help="plan CSV produced by plan")
-    p.add_argument("results", help="application results CSV for the sampled targets")
-    p.add_argument("scan", nargs="+", help="port scan result file(s) backing the plan; shards of one scan")
-    p.set_defaults(func=_cmd_escalate)
-
-    p = sub.add_parser("evaluate", parents=[output],
-                       help="score a plan against full-scan ground truth")
-    p.add_argument("plan", help="plan CSV")
-    p.add_argument("truth", help="application results CSV covering every responsive address")
-    p.set_defaults(func=_cmd_evaluate)
-
+    # A usage line names every command, though one alone is added.
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_COMMANDS) + "}" if command else None)
+    for name in [command] if command else _COMMANDS:
+        help_line, shared, own = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag in shared.split():
+            p.add_argument(flag, **_SHARED[flag])
+        for flag, options in own.items():
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None  # else the full parser reports it
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        report = args.func(args)
+        try:
+            args = build_parser(command).parse_args(argv)
+        except SystemExit as exc:  # after -h, or a usage error written to stderr
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        command = args.command
+        if (body := globals().get(f"_cmd_{command}")) is None:
+            from . import scans
+            body = getattr(scans, f"_cmd_{command}")
+        report = body(args)
         path, default = (args.summary, "stderr") if "summary" in args else (args.output, "stdout")
         _write_to(path, lambda out: write_json_report(report, out), default)
         return EXIT_OK
     except _ERRORS as exc:  # RouteParseError and PlanEvaluationError included
+        name = f"hrpkit {command}" if command else "hrpkit"
         try:  # a line that stderr cannot take is lost, but not the exit code
-            _write_to(None, lambda err: err.write(f"hrpkit {args.command}: {exc}\n"), "stderr")
+            _write_to(None, lambda err: err.write(f"{name}: {exc}\n"), "stderr")
         except OSError:
             pass
         return (EXIT_DATA, EXIT_USAGE, EXIT_IO)[_kind(exc)]

@@ -531,6 +531,53 @@ def test_a_report_to_a_closed_stdout_exits_4(tmp_path):
     assert "<stdout>" in proc.stderr
 
 
+def _help(argv: list[str], unbuffered: bool, *shell: str, **streams) -> subprocess.CompletedProcess:
+    """``hrpkit`` with argv, which asks for help, in a child whose stdout is buffered, as it is by
+    default, or not: run by ``sh -c 'exec "$@" SHELL'`` when shell redirections are given."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(prefixes.__file__).parents[1]), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    argv = [sys.executable, "-m", "hrpkit.cli", *argv]
+    if shell:
+        argv = ["sh", "-c", f'exec "$@" {" ".join(shell)}', "sh", *argv]
+    return subprocess.run(argv, env=env, stderr=subprocess.PIPE, text=True, check=False, **streams)
+
+
+_HELP = [(["-h"], "hrpkit"), (["enrich", "-h"], "hrpkit enrich"), (["detect", "--help"], "hrpkit detect")]
+
+
+# argparse drops a help text that stdout cannot take, and its process exited 0 all the same.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv, prog", _HELP)
+def test_help_that_does_not_fit_on_stdout_exits_4(argv, prog, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _help(argv, unbuffered, stdout=full)
+    assert (proc.returncode, proc.stderr) == (4, f"{prog}: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("argv, prog", _HELP)
+def test_help_to_a_closed_stdout_or_a_pipe_without_a_reader_exits_4(argv, prog):
+    proc = _help(argv, False, ">&-", stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (4, f"{prog}: [Errno 9] Bad file descriptor: '<stdout>'\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _help(argv, False, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (4, f"{prog}: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv, prog", _HELP)
+def test_help_that_stdout_takes_exits_0(argv, prog, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to, here and in the child
+    proc = _help(argv, False, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"usage: {prog} [-h]")
+    assert run(*argv) == 0
+    assert capsys.readouterr() == (proc.stdout, "")
+
+
 def _detect_with_stderr(tmp_path, redirect: str, *args: str) -> subprocess.CompletedProcess:
     """``hrpkit detect`` in a child whose stderr is buffered, as it is by default, redirected by
     ``sh -c 'exec "$@" REDIRECT'``, with its table to a file."""

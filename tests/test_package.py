@@ -95,18 +95,19 @@ def test_plan_evaluation_error_is_a_value_error(tmp_path, capsys):
 # Loaded by every subcommand: the package, the CLI and what it imports at its top.
 CORE = {"hrpkit", "hrpkit.cli", "hrpkit.fmt", "hrpkit.ingest", "hrpkit.prefixes"}
 
-# command -> (argv over the files of `inputs`, the modules it loads besides CORE)
+# command -> (argv over the files of `inputs`, the modules it loads besides CORE). The commands that
+# read a scan or a plan load scans; enrich, portmatrix, stability and vantage must not.
 COMMANDS = {
-    "detect": (["--port", "443", "--output", "out", "--summary", "sum", "scan"], set()),
+    "detect": (["--port", "443", "--output", "out", "--summary", "sum", "scan"], {"scans"}),
     "enrich": (["--output", "out", "--summary", "sum", "stats", "routes"], {"routing"}),
     "portmatrix": (["--output", "out", "stats", "stats80"], {"analytics", "routing"}),
     "stability": (["--output", "out", "stats", "stats2"], {"analytics"}),
     "vantage": (["--output", "out", "stats", "stats2"], {"analytics"}),
-    "applayer": (["--port", "443", "--output", "out", "results", "scan"], {"applayer"}),
-    "plan": (["--port", "443", "--output", "out", "--summary", "sum", "scan"], {"planner", "applayer"}),
+    "applayer": (["--port", "443", "--output", "out", "results", "scan"], {"scans", "applayer"}),
+    "plan": (["--port", "443", "--output", "out", "--summary", "sum", "scan"], {"scans", "planner", "applayer"}),
     "escalate": (["--port", "443", "--output", "out", "--summary", "sum", "plan", "results", "scan"],
-                 {"planner", "applayer"}),
-    "evaluate": (["--output", "out", "plan", "results"], {"planner", "applayer"}),
+                 {"scans", "planner", "applayer"}),
+    "evaluate": (["--output", "out", "plan", "results"], {"scans", "planner", "applayer"}),
 }
 
 RUN_AND_LIST = """\
@@ -172,6 +173,19 @@ def test_a_subcommand_loads_no_json_or_pathlib_and_only_stability_loads_datetime
     assert not modules & {"json", "pathlib"}
     if command != "stability":
         assert not modules & {"datetime", "_datetime"}
+
+
+# -X importtime lists every module imported. Under ``python -m hrpkit.cli`` the CLI runs as __main__ and
+# is imported by no name; scans, importing it, finds it registered under its own, so it is compiled once.
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_process_entry_compiles_the_cli_once(inputs, command):
+    env = {**os.environ, "PYTHONPATH": str(Path(hrpkit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hrpkit.cli", command, *COMMANDS[command][0]],
+                          cwd=inputs, env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "hrpkit" in imported and "hrpkit.cli" not in imported
+    assert ("hrpkit.scans" in imported) == ("scans" in COMMANDS[command][1])
 
 
 # --- the process entry ----------------------------------------------------------------

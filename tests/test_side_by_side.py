@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from hrpkit import cli
+from hrpkit import cli, scans
 from hrpkit.cli import main
 from hrpkit.ingest import format_ipv4
 
@@ -35,8 +35,8 @@ def _run(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int = 0):
     out = folder / f"out-{next(_RUNS)}"
     out.mkdir()
     err = io.StringIO()
-    with mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(cli, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
+    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
         code = main([arg.replace("OUT", str(out)) for arg in argv])
     _no_worker_left()
     return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -162,7 +162,7 @@ def test_a_missing_input_for_the_worker_is_read_here(tmp_path, cycle, command, m
 def test_a_worker_that_dies_without_a_reply_has_its_input_read_here(tmp_path, cycle, command):
     serial = _run(tmp_path, _argv(command, cycle), 1)
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
-    with mock.patch.object(cli, "marshal", broken):  # only a worker calls dumps
+    with mock.patch.object(scans, "marshal", broken):  # only a worker calls dumps
         assert _forks(tmp_path, _argv(command, cycle)) == (serial, 1)
     assert broken.dumps.call_count == 0
 
@@ -194,9 +194,9 @@ def test_a_stdin_input_for_the_worker_is_read_here_without_a_fork(tmp_path, cycl
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_inputs_too_small_to_pay_for_a_fork_are_read_here(tmp_path, cycle, command):
     worker_input = cycle["plan" if command == "evaluate" else "scan"]
-    assert 0 < os.path.getsize(worker_input) <= cli._FORK_MIN_BYTES
+    assert 0 < os.path.getsize(worker_input) <= scans._FORK_MIN_BYTES
     serial = _run(tmp_path, _argv(command, cycle), 1)
-    assert _forks(tmp_path, _argv(command, cycle), fork_min_bytes=cli._FORK_MIN_BYTES) == (serial, 0)
+    assert _forks(tmp_path, _argv(command, cycle), fork_min_bytes=scans._FORK_MIN_BYTES) == (serial, 0)
 
 
 def test_a_scan_that_is_not_a_regular_file_is_read_here(tmp_path, cycle):
@@ -310,8 +310,8 @@ def test_an_interrupt_here_kills_and_reaps_the_worker(tmp_path, cycle, command):
 
     # The worker reads the scan through _load_occupancy, or evaluate's plan through _read_table;
     # here the results or the truth file are read through _read_results or _read_table.
-    patches = [mock.patch.object(cli, "_load_occupancy", slow_in_the_worker),
-               mock.patch.object(cli, "_read_results", slow_in_the_worker),
+    patches = [mock.patch.object(scans, "_load_occupancy", slow_in_the_worker),
+               mock.patch.object(scans, "_read_results", slow_in_the_worker),
                mock.patch.object(cli, "_read_table", slow_in_the_worker)]
     started = time.monotonic()
     with contextlib.ExitStack() as stack, pytest.raises(KeyboardInterrupt):
@@ -321,3 +321,32 @@ def test_an_interrupt_here_kills_and_reaps_the_worker(tmp_path, cycle, command):
     _no_worker_left()
     assert time.monotonic() - started < 10
     assert os.sched_getaffinity(0) == mask
+
+
+def test_a_tracer_that_swaps_the_clis_scan_reader_and_report_writer_sees_every_call(tmp_path, cycle):
+    # The benchmark's tracer swaps these two on hrpkit.cli, where scans looks them up at each call.
+    # On one usable CPU no worker reads an input, so every read is made in this process.
+    shards = [str(tmp_path / f"shard-{i}.txt") for i in range(3)]
+    for i, shard in enumerate(shards):
+        Path(shard).write_text(f"10.0.{i}.1\n", encoding="utf-8")
+    calls = []
+    real_open, real_write = cli.open_scan_source, cli.write_json_report
+
+    def open_scan_source(source, fmt, policy):
+        calls.append(source.name)
+        return real_open(source, fmt, policy)
+
+    def write_json_report(obj, out):
+        calls.append("report")
+        real_write(obj, out)
+
+    plan = ["plan", "--port", "443", "--output", "OUT/plan.csv", "--summary", "OUT/plan.json", cycle["scan"]]
+    detect = ["detect", "--port", "443", "--output", "OUT/stats.csv", "--summary", "OUT/detect.json", *shards]
+    with mock.patch.object(cli, "open_scan_source", open_scan_source), \
+            mock.patch.object(cli, "write_json_report", write_json_report):
+        for argv, scans_read in [(detect, shards), (plan, [cycle["scan"]]),
+                                 (_argv("applayer", cycle), [cycle["scan"]]), (_argv("escalate", cycle), [cycle["scan"]])]:
+            calls.clear()
+            code, err, _ = _run(tmp_path, argv, 1)
+            assert (code, err) == (0, "")
+            assert calls == [*scans_read, "report"], argv[0]
