@@ -144,14 +144,7 @@ class PrefixTable(Record):
 
     def addresses(self, prefix: int) -> list[int]:
         """Member addresses of one prefix, ascending."""
-        bits = self.bitmaps.get(prefix, 0)
-        base = prefix << 8
-        members = []
-        while bits:
-            low = bits & -bits
-            members.append(base | (low.bit_length() - 1))
-            bits ^= low
-        return members
+        return [prefix << 8 | host for host in self.hosts(prefix)]
 
     def hosts(self, prefix: int) -> bytes:
         """Host octets of one prefix's members, ascending."""

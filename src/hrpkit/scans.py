@@ -10,7 +10,6 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from functools import reduce
 from typing import Callable, Sequence
 
 from . import cli, prefixes
@@ -23,14 +22,14 @@ def _aggregate_scan(source, args) -> tuple[prefixes.PrefixTable, IngestStats]:
 
 
 def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, IngestStats]:
-    """Aggregate scan shards one after another, merged in order: the serial loop."""
-    total = IngestStats()
-    tables = []
-    for path in paths:
-        table, stats = cli._read_table(path, _aggregate_scan, args)
-        tables.append(table)
+    """Aggregate scan shards one after another, the serial loop: each shard's table is merged into
+    the first one as soon as it is read, so at most two tables are held at once."""
+    table, total = cli._read_table(paths[0], _aggregate_scan, args)
+    for path in paths[1:]:
+        shard, stats = cli._read_table(path, _aggregate_scan, args)
+        prefixes.merge(table, shard)
         total.merge(stats)
-    return reduce(prefixes.merge, tables), total
+    return table, total
 
 
 # An input of at most this many bytes in all is read here: a fork would cost more. One worker's

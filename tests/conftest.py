@@ -1,13 +1,19 @@
-"""Shared builders for scan fixtures."""
+"""Shared builders for scan fixtures, the plan cycle's input files, and a check that no forked
+worker is left."""
 
 from __future__ import annotations
 
+import os
 from array import array
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import NamedTuple
 
+import pytest
+
 from hrpkit.applayer import STATUS_CODES, AppResults
-from hrpkit.ingest import ScanMeta
+from hrpkit.cli import main
+from hrpkit.ingest import ScanMeta, format_ipv4
 from hrpkit.prefixes import HrpThreshold, PrefixStats, PrefixTable, aggregate
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -85,3 +91,34 @@ def with_line_ends(lines: list, end: str) -> list:
         return line if body is None else body + end
 
     return [rewrite(line) for line in lines]
+
+
+def no_worker_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+RESULTS_HEADER = "ip,port,proto,status,identifier\n"
+
+
+def write_cycle(folder: Path) -> dict[str, str]:
+    """A scan of three HRPs and a sparse /24, its plan, results at the sampled targets that class
+    one HRP diverse, and a truth file with a row per scan address, written to the folder."""
+    addresses = [10 << 24 | prefix << 8 | host for prefix in range(3) for host in range(240)]
+    addresses += [10 << 24 | 7 << 8 | host for host in range(5)]
+    scan = folder / "scan.txt"
+    scan.write_text("".join(f"{format_ipv4(a)}\n" for a in addresses), encoding="utf-8")
+    truth = folder / "truth.csv"
+    truth.write_text(RESULTS_HEADER + "".join(
+        f"{format_ipv4(a)},443,tcp,success,id{a % 7 if a >> 8 & 0xFF == 1 else 0}\n" for a in addresses),
+        encoding="utf-8")
+    paths = {"scan": str(scan), "truth": str(truth), "plan": str(folder / "plan.csv")}
+    assert main(["plan", "--port", "443", "--k", "10", "--rng-seed", "3", "--output", paths["plan"],
+                 "--summary", str(folder / "plan.json"), paths["scan"]]) == 0
+    return paths
+
+
+@pytest.fixture
+def cycle(tmp_path) -> dict[str, str]:
+    """The plan cycle's inputs, written to the test's own folder."""
+    return write_cycle(tmp_path)

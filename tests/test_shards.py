@@ -4,28 +4,27 @@ the serial loop: the same output bytes, exit code and stderr, and no worker left
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import marshal
 import os
 import tempfile
 import threading
 import time
+import weakref
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hrpkit import ingest, scans
+from hrpkit import ingest, prefixes, scans
 from hrpkit.cli import main
 from hrpkit.ingest import CSV_SADDR, LENIENT, PLAIN, STRICT, format_ipv4
 
+from conftest import no_worker_left
+
 _HEADER = "saddr,sport"
-
-
-def _no_worker_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _detect(folder: Path, shards: list[str], cpus: int, *flags: str, block: int = ingest.BLOCK_LINES,
@@ -40,7 +39,7 @@ def _detect(folder: Path, shards: list[str], cpus: int, *flags: str, block: int 
             mock.patch.object(ingest, "BLOCK_LINES", block), contextlib.redirect_stderr(err):
         code = main(["detect", "--port", "443", *flags, "--output", str(out / "stats.csv"),
                      "--summary", str(out / "detect.json"), *shards])
-    _no_worker_left()
+    no_worker_left()
     return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -127,6 +126,28 @@ def test_each_group_after_the_first_is_read_in_one_forked_worker(tmp_path, four_
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
         assert _detect(tmp_path, four_shards, 3) == serial
     assert fork.call_count == 2
+
+
+def test_the_serial_loop_holds_at_most_two_tables_at_once(tmp_path, four_shards):
+    # Each shard's table is merged into the first as it is read; keeping them all for one final
+    # merge held all four.
+    tables, alive = [], []
+    real_aggregate, real_merge = prefixes.aggregate, prefixes.merge
+
+    def aggregate(addresses, meta):
+        table = real_aggregate(addresses, meta)
+        tables.append(weakref.ref(table))
+        return table
+
+    def merge(a, b):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in tables))
+        return real_merge(a, b)
+
+    with mock.patch.object(prefixes, "aggregate", aggregate), mock.patch.object(prefixes, "merge", merge):
+        assert _detect(tmp_path, four_shards, 1)[:2] == (0, "")
+    assert len(tables) == 4 and len(alive) == 3
+    assert max(alive) <= 2, alive
 
 
 def test_a_stdin_shard_is_read_serially(tmp_path, four_shards):
@@ -225,5 +246,5 @@ def test_an_interrupt_here_kills_and_reaps_the_workers(tmp_path, four_shards):
     started = time.monotonic()
     with mock.patch.object(scans, "_read_shards", interrupted_here), pytest.raises(KeyboardInterrupt):
         _detect(tmp_path, four_shards, 4)
-    _no_worker_left()
+    no_worker_left()
     assert time.monotonic() - started < 10

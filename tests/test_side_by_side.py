@@ -18,15 +18,10 @@ import pytest
 
 from hrpkit import cli, scans
 from hrpkit.cli import main
-from hrpkit.ingest import format_ipv4
+
+from conftest import no_worker_left
 
 _RUNS = itertools.count()
-_RESULTS_HEADER = "ip,port,proto,status,identifier\n"
-
-
-def _no_worker_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _run(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int = 0):
@@ -38,7 +33,7 @@ def _run(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int = 0):
     with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
             mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
         code = main([arg.replace("OUT", str(out)) for arg in argv])
-    _no_worker_left()
+    no_worker_left()
     return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
@@ -47,24 +42,6 @@ def _forks(folder: Path, argv: list[str], **options):
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
         result = _run(folder, argv, 2, **options)
     return result, fork.call_count
-
-
-@pytest.fixture
-def cycle(tmp_path) -> dict[str, str]:
-    """A scan of three HRPs and a sparse /24, its plan, results at the sampled targets that class
-    one HRP diverse, and a truth file with a row per scan address."""
-    addresses = [10 << 24 | prefix << 8 | host for prefix in range(3) for host in range(240)]
-    addresses += [10 << 24 | 7 << 8 | host for host in range(5)]
-    scan = tmp_path / "scan.txt"
-    scan.write_text("".join(f"{format_ipv4(a)}\n" for a in addresses), encoding="utf-8")
-    truth = tmp_path / "truth.csv"
-    truth.write_text(_RESULTS_HEADER + "".join(
-        f"{format_ipv4(a)},443,tcp,success,id{a % 7 if a >> 8 & 0xFF == 1 else 0}\n" for a in addresses),
-        encoding="utf-8")
-    paths = {"scan": str(scan), "truth": str(truth), "plan": str(tmp_path / "plan.csv")}
-    assert main(["plan", "--port", "443", "--k", "10", "--rng-seed", "3", "--output", paths["plan"],
-                 "--summary", str(tmp_path / "plan.json"), paths["scan"]]) == 0
-    return paths
 
 
 def _argv(command: str, paths: dict[str, str], *flags: str) -> list[str]:
@@ -318,7 +295,7 @@ def test_an_interrupt_here_kills_and_reaps_the_worker(tmp_path, cycle, command):
         for patch in patches:
             stack.enter_context(patch)
         _forks(tmp_path, _argv(command, cycle))
-    _no_worker_left()
+    no_worker_left()
     assert time.monotonic() - started < 10
     assert os.sched_getaffinity(0) == mask
 
