@@ -1,16 +1,21 @@
-"""Shared builders for scan fixtures, the plan cycle's input files, and a check that no forked
-worker is left."""
+"""Shared builders for scan fixtures, the plan cycle's input files and command lines, and a run of
+a command with a given number of usable CPUs that checks no forked worker is left."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import itertools
 import os
 from array import array
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
+from hrpkit import scans
 from hrpkit.applayer import STATUS_CODES, AppResults
 from hrpkit.cli import main
 from hrpkit.ingest import ScanMeta, format_ipv4
@@ -122,3 +127,28 @@ def write_cycle(folder: Path) -> dict[str, str]:
 def cycle(tmp_path) -> dict[str, str]:
     """The plan cycle's inputs, written to the test's own folder."""
     return write_cycle(tmp_path)
+
+
+def cycle_argv(command: str, paths: dict[str, str], *flags: str) -> list[str]:
+    if command == "applayer":
+        return ["applayer", "--port", "443", *flags, "--output", "OUT/applayer.json", paths["truth"], paths["scan"]]
+    if command == "escalate":
+        return ["escalate", "--port", "443", *flags, "--output", "OUT/escalated.csv",
+                "--summary", "OUT/escalate.json", paths["plan"], paths["truth"], paths["scan"]]
+    return ["evaluate", "--output", "OUT/evaluate.json", paths["plan"], paths["truth"]]
+
+
+_RUNS = itertools.count()
+
+
+def run_with_cpus(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int = 0):
+    """The command with `cpus` usable CPUs: exit code, stderr and the files written to the folder
+    that OUT names in argv. By default any input with a byte in it is worth a fork."""
+    out = folder / f"out-{next(_RUNS)}"
+    out.mkdir()
+    err = io.StringIO()
+    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
+        code = main([arg.replace("OUT", str(out)) for arg in argv])
+    no_worker_left()
+    return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -8,20 +8,15 @@ exit code, stderr and output bytes that it gives on one, and leaves no worker be
 
 from __future__ import annotations
 
-import contextlib
-import io
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hrpkit import scans
-from hrpkit.cli import main
 from hrpkit.ingest import LENIENT, STRICT
 
-from conftest import no_worker_left, write_cycle
+from conftest import cycle_argv, run_with_cpus, write_cycle
 
 _SHARDS = tuple(f"shard{i}" for i in range(4))
 _INPUTS = {
@@ -75,24 +70,7 @@ def _argv(command: str, paths: dict[str, str], policy: list[str]) -> list[str]:
     if command == "detect":
         return ["detect", "--port", "443", *policy, "--output", "OUT/stats.csv", "--summary", "OUT/detect.json",
                 *(paths[shard] for shard in _SHARDS)]
-    if command == "applayer":
-        return ["applayer", "--port", "443", *policy, "--output", "OUT/applayer.json", paths["truth"], paths["scan"]]
-    if command == "escalate":
-        return ["escalate", "--port", "443", *policy, "--output", "OUT/escalated.csv",
-                "--summary", "OUT/escalate.json", paths["plan"], paths["truth"], paths["scan"]]
-    return ["evaluate", "--output", "OUT/evaluate.json", paths["plan"], paths["truth"]]
-
-
-def _run(folder: Path, argv: list[str], cpus: int):
-    """Exit code, stderr and the files written, with `cpus` usable CPUs and a fork for any input."""
-    out = folder / f"out-{cpus}"
-    out.mkdir()
-    err = io.StringIO()
-    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), mock.patch.object(scans, "_FORK_MIN_BYTES", 0), \
-            contextlib.redirect_stderr(err):
-        code = main([arg.replace("OUT", str(out)) for arg in argv])
-    no_worker_left()
-    return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return cycle_argv(command, paths, *policy)
 
 
 @settings(deadline=None, max_examples=300)
@@ -108,9 +86,9 @@ def test_damaged_inputs_keep_the_exit_code_contract_and_the_serial_oracle(corpus
             paths[input_name] = str(folder / input_name)
             Path(paths[input_name]).write_bytes(damaged if input_name == name else corpus[input_name])
         argv = _argv(command, paths, policy)
-        serial = _run(folder, argv, 1)
+        serial = run_with_cpus(folder, argv, 1)
         code, err, _ = serial
         assert code in (0, 2, 3, 4), serial
         assert "Traceback" not in err
         assert err == "" or (err.startswith(f"hrpkit {command}: ") and err.count("\n") == 1 and err.endswith("\n")), err
-        assert _run(folder, argv, 2) == serial
+        assert run_with_cpus(folder, argv, 2) == serial

@@ -129,8 +129,8 @@ def test_each_group_after_the_first_is_read_in_one_forked_worker(tmp_path, four_
 
 
 def test_the_serial_loop_holds_at_most_two_tables_at_once(tmp_path, four_shards):
-    # Each shard's table is merged into the first as it is read; keeping them all for one final
-    # merge held all four.
+    # Each shard's table is merged into the first as soon as it is read: at each merge only those
+    # two are alive.
     tables, alive = [], []
     real_aggregate, real_merge = prefixes.aggregate, prefixes.merge
 

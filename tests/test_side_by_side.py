@@ -6,7 +6,6 @@ behind, and this process's own CPU mask untouched."""
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import marshal
 import os
@@ -17,40 +16,15 @@ from unittest import mock
 import pytest
 
 from hrpkit import cli, scans
-from hrpkit.cli import main
 
-from conftest import no_worker_left
-
-_RUNS = itertools.count()
-
-
-def _run(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int = 0):
-    """The command with `cpus` usable CPUs: exit code, stderr and the files written to the folder
-    that OUT names in argv. By default any input with a byte in it is worth a fork."""
-    out = folder / f"out-{next(_RUNS)}"
-    out.mkdir()
-    err = io.StringIO()
-    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
-        code = main([arg.replace("OUT", str(out)) for arg in argv])
-    no_worker_left()
-    return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+from conftest import cycle_argv, no_worker_left, run_with_cpus
 
 
 def _forks(folder: Path, argv: list[str], **options):
     """The command on two usable CPUs, and the number of workers it forked."""
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        result = _run(folder, argv, 2, **options)
+        result = run_with_cpus(folder, argv, 2, **options)
     return result, fork.call_count
-
-
-def _argv(command: str, paths: dict[str, str], *flags: str) -> list[str]:
-    if command == "applayer":
-        return ["applayer", "--port", "443", *flags, "--output", "OUT/applayer.json", paths["truth"], paths["scan"]]
-    if command == "escalate":
-        return ["escalate", "--port", "443", *flags, "--output", "OUT/escalated.csv",
-                "--summary", "OUT/escalate.json", paths["plan"], paths["truth"], paths["scan"]]
-    return ["evaluate", "--output", "OUT/evaluate.json", paths["plan"], paths["truth"]]
 
 
 def _append(path: str, line: str) -> None:
@@ -75,8 +49,8 @@ _FIRST = {"applayer": ("scan", "truth"), "escalate": ("plan", "truth", "scan"), 
 def test_a_bad_file_on_either_side_gives_the_serial_orders_first_error(tmp_path, cycle, command, bad):
     for name in bad:
         _append(cycle[name], _BAD_LINES[name])
-    argv = _argv(command, cycle, "--policy", "strict") if command != "evaluate" else _argv(command, cycle)
-    serial = _run(tmp_path, argv, 1)
+    argv = cycle_argv(command, cycle, "--policy", "strict") if command != "evaluate" else cycle_argv(command, cycle)
+    serial = run_with_cpus(tmp_path, argv, 1)
     first = next(name for name in _FIRST[command] if name in bad)
     assert serial[0] == (3 if first == "scan" else 2)
     assert serial[1].startswith(f"hrpkit {command}: {cycle[first]}: line "), serial[1]
@@ -86,21 +60,21 @@ def test_a_bad_file_on_either_side_gives_the_serial_orders_first_error(tmp_path,
 
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_the_outputs_are_the_serial_orders(tmp_path, cycle, command):
-    serial = _run(tmp_path, _argv(command, cycle), 1)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     assert serial[:2] == (0, "") and serial[2]
-    assert _forks(tmp_path, _argv(command, cycle)) == (serial, 1)
+    assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 1)
 
 
 def test_escalate_classes_a_prefix_diverse(tmp_path, cycle):
-    code, _, files = _run(tmp_path, _argv("escalate", cycle), 2)
+    code, _, files = run_with_cpus(tmp_path, cycle_argv("escalate", cycle), 2)
     assert code == 0 and b'"diverse": 1' in files["escalate.json"]
 
 
 @pytest.mark.parametrize("command", ["applayer", "escalate"])
 def test_a_strict_scan_error_names_its_line(tmp_path, cycle, command):
     _append(cycle["scan"], "junk\n")
-    argv = _argv(command, cycle, "--policy", "strict")
-    serial = _run(tmp_path, argv, 1)
+    argv = cycle_argv(command, cycle, "--policy", "strict")
+    serial = run_with_cpus(tmp_path, argv, 1)
     assert serial == (3, f"hrpkit {command}: {cycle['scan']}: line 726: invalid address line: 'junk'\n", {})
     assert _forks(tmp_path, argv) == (serial, 1)
 
@@ -110,8 +84,8 @@ def test_results_of_another_port_and_a_bad_scan(tmp_path, cycle, command):
     _append(cycle["scan"], "junk\n")
     truth = Path(cycle["truth"])
     truth.write_text(truth.read_text(encoding="utf-8").replace(",443,tcp,", ",80,tcp,"), encoding="utf-8")
-    argv = _argv(command, cycle, "--policy", "strict")
-    serial = _run(tmp_path, argv, 1)
+    argv = cycle_argv(command, cycle, "--policy", "strict")
+    serial = run_with_cpus(tmp_path, argv, 1)
     # The port check follows the results read: in applayer after the scan, in escalate before it.
     assert serial[0] == (3 if command == "applayer" else 2), serial
     assert _forks(tmp_path, argv) == (serial, 1)
@@ -122,25 +96,25 @@ def test_results_of_another_port_and_a_bad_scan(tmp_path, cycle, command):
 ])
 def test_a_missing_input_here_exits_4_as_in_the_serial_order(tmp_path, cycle, command, missing):
     os.remove(cycle[missing])
-    serial = _run(tmp_path, _argv(command, cycle), 1)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     assert serial == (4, f"hrpkit {command}: [Errno 2] No such file or directory: '{cycle[missing]}'\n", {})
-    assert _forks(tmp_path, _argv(command, cycle)) == (serial, 1)
+    assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 1)
 
 
 @pytest.mark.parametrize("command, missing", [("applayer", "scan"), ("escalate", "scan"), ("evaluate", "plan")])
 def test_a_missing_input_for_the_worker_is_read_here(tmp_path, cycle, command, missing):
     os.remove(cycle[missing])
-    serial = _run(tmp_path, _argv(command, cycle), 1)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     assert serial == (4, f"hrpkit {command}: [Errno 2] No such file or directory: '{cycle[missing]}'\n", {})
-    assert _forks(tmp_path, _argv(command, cycle)) == (serial, 0)
+    assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 0)
 
 
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_a_worker_that_dies_without_a_reply_has_its_input_read_here(tmp_path, cycle, command):
-    serial = _run(tmp_path, _argv(command, cycle), 1)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
     with mock.patch.object(scans, "marshal", broken):  # only a worker calls dumps
-        assert _forks(tmp_path, _argv(command, cycle)) == (serial, 1)
+        assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 1)
     assert broken.dumps.call_count == 0
 
 
@@ -161,19 +135,19 @@ def _stdin(path: str):
 def test_a_stdin_input_for_the_worker_is_read_here_without_a_fork(tmp_path, cycle, command, piped, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("-").write_text("a regular file named like stdin\n", encoding="utf-8")
-    argv = [arg if arg != cycle[piped] else "-" for arg in _argv(command, cycle)]
+    argv = [arg if arg != cycle[piped] else "-" for arg in cycle_argv(command, cycle)]
     with _stdin(cycle[piped]):
-        serial = _run(tmp_path, _argv(command, cycle), 1)
+        serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     with _stdin(cycle[piped]), mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-        assert _run(tmp_path, argv, 2) == serial
+        assert run_with_cpus(tmp_path, argv, 2) == serial
 
 
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_inputs_too_small_to_pay_for_a_fork_are_read_here(tmp_path, cycle, command):
     worker_input = cycle["plan" if command == "evaluate" else "scan"]
     assert 0 < os.path.getsize(worker_input) <= scans._FORK_MIN_BYTES
-    serial = _run(tmp_path, _argv(command, cycle), 1)
-    assert _forks(tmp_path, _argv(command, cycle), fork_min_bytes=scans._FORK_MIN_BYTES) == (serial, 0)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
+    assert _forks(tmp_path, cycle_argv(command, cycle), fork_min_bytes=scans._FORK_MIN_BYTES) == (serial, 0)
 
 
 def test_a_scan_that_is_not_a_regular_file_is_read_here(tmp_path, cycle):
@@ -184,8 +158,8 @@ def test_a_scan_that_is_not_a_regular_file_is_read_here(tmp_path, cycle):
     try:
         serial_paths = {**cycle, "scan": str(tmp_path / "head.txt")}
         Path(serial_paths["scan"]).write_text(text[:8000], encoding="utf-8")
-        serial = _run(tmp_path, _argv("applayer", serial_paths), 1)
-        assert _forks(tmp_path, _argv("applayer", {**cycle, "scan": f"/dev/fd/{read_end}"})) == (serial, 0)
+        serial = run_with_cpus(tmp_path, cycle_argv("applayer", serial_paths), 1)
+        assert _forks(tmp_path, cycle_argv("applayer", {**cycle, "scan": f"/dev/fd/{read_end}"})) == (serial, 0)
     finally:
         os.close(read_end)
 
@@ -210,14 +184,14 @@ def test_sharded_scans_are_read_by_the_shard_workers_alone(tmp_path, cycle, comm
     shards = _shards(tmp_path, cycle["scan"], 3)
     if bad is not None:
         _append(cycle[bad] if bad != "scan" else shards[2], _BAD_LINES[bad])
-    argv = [*_argv(command, cycle, "--policy", "strict")[:-1], *shards]
-    serial = _run(tmp_path, argv, 1)
+    argv = [*cycle_argv(command, cycle, "--policy", "strict")[:-1], *shards]
+    serial = run_with_cpus(tmp_path, argv, 1)
     assert serial[0] == (0 if bad is None else 3 if bad == "scan" else 2), serial
     log = tmp_path / "pins.txt"
     with mock.patch.object(os, "fork", wraps=os.fork) as fork, \
             mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1, 2}), \
             mock.patch.object(os, "sched_setaffinity", _recording_pins(log)):
-        assert _run(tmp_path, argv, 3) == serial
+        assert run_with_cpus(tmp_path, argv, 3) == serial
     # escalate reads the plan and the results first: their errors come before any fork.
     forks = 0 if command == "escalate" and bad in ("plan", "truth") else 2
     assert fork.call_count == forks
@@ -242,11 +216,11 @@ def _recording_pins(log: Path):
 
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_the_worker_pins_itself_to_the_next_cpu_of_the_mask_and_replies_if_it_cannot(tmp_path, cycle, command):
-    serial = _run(tmp_path, _argv(command, cycle), 1)
+    serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     log = tmp_path / "pins.txt"
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {5, 3}), \
             mock.patch.object(os, "sched_setaffinity", _recording_pins(log)):
-        assert _forks(tmp_path, _argv(command, cycle)) == (serial, 1)
+        assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 1)
     (pid, cpus), = (line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines())
     assert int(pid) != os.getpid() and cpus == "[5]"
 
@@ -257,21 +231,21 @@ def test_shard_workers_pin_themselves_in_turn(tmp_path, cycle):
         shards.append(str(tmp_path / f"shard-{i}.txt"))
         Path(shards[-1]).write_text("".join(f"10.0.{i}.{h}\n" for h in range(200)), encoding="utf-8")
     argv = ["detect", "--port", "443", "--output", "OUT/stats.csv", "--summary", "OUT/detect.json", *shards]
-    serial = _run(tmp_path, argv, 1)
+    serial = run_with_cpus(tmp_path, argv, 1)
     log = tmp_path / "pins.txt"
     with mock.patch.object(os, "sched_getaffinity", lambda pid: {2, 4, 6}), \
             mock.patch.object(os, "sched_setaffinity", _recording_pins(log)):
-        assert _run(tmp_path, argv, 3) == serial
+        assert run_with_cpus(tmp_path, argv, 3) == serial
     pins = sorted(line.split(" ", 1)[1] for line in log.read_text(encoding="utf-8").splitlines())
     assert pins == ["[4]", "[6]"]
 
 
 def test_the_parents_own_mask_is_unchanged(tmp_path, cycle):
     mask = os.sched_getaffinity(0)
-    assert _forks(tmp_path, _argv("evaluate", cycle))[1] == 1
+    assert _forks(tmp_path, cycle_argv("evaluate", cycle))[1] == 1
     assert os.sched_getaffinity(0) == mask
     _append(cycle["truth"], _BAD_LINES["truth"])
-    (code, _, _), forks = _forks(tmp_path, _argv("applayer", cycle))
+    (code, _, _), forks = _forks(tmp_path, cycle_argv("applayer", cycle))
     assert (code, forks) == (2, 1)
     assert os.sched_getaffinity(0) == mask
 
@@ -294,7 +268,7 @@ def test_an_interrupt_here_kills_and_reaps_the_worker(tmp_path, cycle, command):
     with contextlib.ExitStack() as stack, pytest.raises(KeyboardInterrupt):
         for patch in patches:
             stack.enter_context(patch)
-        _forks(tmp_path, _argv(command, cycle))
+        _forks(tmp_path, cycle_argv(command, cycle))
     no_worker_left()
     assert time.monotonic() - started < 10
     assert os.sched_getaffinity(0) == mask
@@ -322,8 +296,8 @@ def test_a_tracer_that_swaps_the_clis_scan_reader_and_report_writer_sees_every_c
     with mock.patch.object(cli, "open_scan_source", open_scan_source), \
             mock.patch.object(cli, "write_json_report", write_json_report):
         for argv, scans_read in [(detect, shards), (plan, [cycle["scan"]]),
-                                 (_argv("applayer", cycle), [cycle["scan"]]), (_argv("escalate", cycle), [cycle["scan"]])]:
+                                 (cycle_argv("applayer", cycle), [cycle["scan"]]), (cycle_argv("escalate", cycle), [cycle["scan"]])]:
             calls.clear()
-            code, err, _ = _run(tmp_path, argv, 1)
+            code, err, _ = run_with_cpus(tmp_path, argv, 1)
             assert (code, err) == (0, "")
             assert calls == [*scans_read, "report"], argv[0]
