@@ -21,12 +21,13 @@ import os
 import sys
 from array import array
 from errno import EBADF
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Callable, Sequence
 
 from . import prefixes
 from .fmt import write_json_report
-from .ingest import (CSV_SADDR, LENIENT, PLAIN, STRICT, IngestError, format_timestamp, open_scan_source,  # noqa: F401
-                     parse_decimal, parse_timestamp, parse_uint)  # scans looks up open_scan_source here
+from .ingest import (CSV_SADDR, LENIENT, PLAIN, STRICT, IngestError, ScanMeta, format_timestamp,  # noqa: F401
+                     open_scan_source, parse_decimal, parse_timestamp, parse_uint)  # scans looks up open_scan_source here
 from .prefixes import HrpThreshold, format_slash24
 
 if TYPE_CHECKING:
@@ -87,9 +88,9 @@ def _stem(path: str) -> str:
     return "stdin" if path == "-" else name[:dot] if 0 < dot < len(name) - 1 else name
 
 
-def _read_table(path: str, reader: Callable, *args):
-    """``reader(source, *args)`` over the named file, with the path in its errors."""
-    with _open_in(path) as source:
+def _read_table(path: str, reader: Callable, *args, source: IO[str] | None = None):
+    """``reader(source, *args)`` over the named file, or over a source read from it, with the path in its errors."""
+    with _open_in(path) if source is None else source as source:
         try:
             return reader(source, *args)
         except (ValueError, IngestError) as exc:
@@ -105,6 +106,35 @@ def _record(obj, **render: Callable) -> dict:
     return doc
 
 
+# An input of at most this many bytes in all is read here: a fork would cost more. One worker's
+# two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
+_FORK_MIN_BYTES = 1 << 16
+
+
+def _small(paths: Sequence[str]) -> bool:
+    """Whether the files are regular and too small in all to pay for a fork; a pipe's size is unknown."""
+    return all(map(os.path.isfile, paths)) and sum(map(os.path.getsize, paths)) <= _FORK_MIN_BYTES
+
+
+def _fold(paths: Sequence[str], read: Callable[[Sequence[str]], object], merge: Callable) -> object:
+    """``read(paths)``, from contiguous groups of the files read side by side by forked workers if
+    those after the first may pay for it (see ``forks.fold``); here if one is stdin."""
+    if "-" in paths or _small(paths[1:]):
+        return read(paths)
+    from .forks import fold
+    return fold(paths, read, merge)
+
+
+def _read_each(paths: Sequence[str], read: Callable[[prefixes.PrefixStats], tuple]) -> list[tuple]:
+    """``(meta, *read(table))`` of each stats file's table, in order (see _fold): read gives what a
+    worker sends, and meta is the table's, sent as a plain tuple."""
+    def read_one(path: str) -> tuple:  # its table is dropped on return, before the next file is read
+        table = _read_table(path, prefixes.read_prefix_stats)
+        return (table.meta and tuple(table.meta), *read(table))
+    replies = _fold(paths, lambda group: list(map(read_one, group)), list.__add__)
+    return [(meta and ScanMeta(*meta), *rest) for meta, *rest in replies]
+
+
 def _write_stats(stats, args) -> None:
     writer = prefixes.write_prefix_stats_jsonl if args.output_format == "jsonl" else prefixes.write_prefix_stats_csv
     _write_to(args.output, lambda out: writer(stats, out), default="stdout")
@@ -116,8 +146,13 @@ def _write_stats(stats, args) -> None:
 def _cmd_enrich(args) -> dict:
     from . import routing
 
-    stats = _read_table(args.stats, prefixes.read_prefix_stats)
-    table = _read_table(args.routes, routing.load_route_table, args.policy)
+    def read_stats() -> prefixes.PrefixStats:
+        return _read_table(args.stats, prefixes.read_prefix_stats)
+    if args.routes != "-" and os.path.isfile(args.routes) and not _small([args.routes]):
+        from .forks import load_routes  # a worker may parse the snapshot's second half
+        stats, table = load_routes(args.routes, args.policy, read_stats)
+    else:
+        stats, table = read_stats(), _read_table(args.routes, routing.load_route_table, args.policy)
     enriched = routing.enrich(stats, table)
     _write_stats(enriched, args)
     split = table.split_slash24s()
@@ -138,7 +173,10 @@ def _cmd_enrich(args) -> dict:
 def _cmd_portmatrix(args) -> dict:
     from . import analytics, routing
 
-    scans = [_read_table(p, prefixes.read_prefix_stats) for p in args.stats]
+    # Each file's meta, prefixes and HRP flags, and origin ASNs if asked for: what the reports read.
+    scans = [SimpleNamespace(meta=meta, prefixes=array("I", prefix_column), is_hrp=flags, origin_asns=asns)
+             for meta, prefix_column, flags, asns in _read_each(args.stats, lambda table: (
+                 table.prefixes, bytes(table.is_hrp), table.origin_asns if args.as_summary is not None else None))]
     report = analytics.port_profile(scans, args.stats)
     ports = sorted(scan.meta for scan in scans if scan.meta is not None)
     if args.as_summary is not None:
@@ -183,14 +221,13 @@ def _timestamp(text: str) -> datetime:
 def _cmd_stability(args) -> dict:
     from . import analytics
 
-    def read(path: str) -> tuple:  # what the series reads of a file; its table is dropped on return
-        scan = _read_table(path, prefixes.read_prefix_stats)
-        return scan.meta, prefixes.responsiveness_histogram(scan), array("I", prefixes.hrp_set(scan))
+    def read(table: prefixes.PrefixStats) -> tuple:  # what the series reads of a file
+        return tuple(prefixes.responsiveness_histogram(table)), array("I", prefixes.hrp_set(table))
     labels = _series_labels(args)
-    metas, histograms, hrp_sets = zip(*map(read, args.stats))
+    metas, histograms, hrp_sets = zip(*_read_each(args.stats, read))
     meta = analytics.series_meta(metas, args.stats)
-    points = analytics.stability_series(histograms, labels)
-    summary = analytics.persistence(hrp_sets, args.persistence_n)
+    points = analytics.stability_series([prefixes.ResponsivenessHistogram(*h) for h in histograms], labels)
+    summary = analytics.persistence([array("I", hrps) for hrps in hrp_sets], args.persistence_n)
     _write_to(args.series_csv, lambda out: analytics.write_series_csv(points, out))
     return {
         "proto": meta.protocol if meta else None,
@@ -203,10 +240,10 @@ def _cmd_stability(args) -> dict:
 def _cmd_vantage(args) -> dict:
     from . import analytics
 
-    stats_a = _read_table(args.stats_a, prefixes.read_prefix_stats)
-    stats_b = _read_table(args.stats_b, prefixes.read_prefix_stats)
-    meta = analytics.series_meta([stats_a.meta, stats_b.meta], [args.stats_a, args.stats_b])
-    diff = analytics.vantage_diff(prefixes.hrp_set(stats_a), prefixes.hrp_set(stats_b))
+    paths = [args.stats_a, args.stats_b]
+    (meta_a, hrps_a), (meta_b, hrps_b) = _read_each(paths, lambda table: (array("I", prefixes.hrp_set(table)),))
+    meta = analytics.series_meta([meta_a, meta_b], paths)
+    diff = analytics.vantage_diff(array("I", hrps_a), array("I", hrps_b))
     return {
         "proto": meta.protocol if meta else None,
         "port": meta.port if meta else None,

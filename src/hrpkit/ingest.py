@@ -216,6 +216,15 @@ def parse_asn(text: str) -> int:
     return parse_uint(text, 0, 0xFFFFFFFF, "AS number")
 
 
+def asn_values(texts: list[str]) -> list[int] | None:
+    """The values of AS number texts, or None unless parse_asn takes each: here, at most ten ASCII digits."""
+    joined = "".join(texts)
+    if not (joined.isascii() and joined.isdigit()) or "" in texts or max(map(len, texts)) > 10:
+        return None
+    values = list(map(int, texts))
+    return None if max(values) > 0xFFFFFFFF else values
+
+
 def format_ipv4(value: int) -> str:
     """Dotted-quad text for a 32-bit address value."""
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"

@@ -26,8 +26,8 @@ from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .fmt import fmt_real
 from .ingest import (
-    Checked, Record, ScanMeta, _ipv4_values, block_meta, format_ipv4, parse_asn, parse_cidr, parse_decimal,
-    parse_ipv4, parse_uint, read_csv,
+    Checked, Record, ScanMeta, _ipv4_values, asn_values, block_meta, cidr_values, format_ipv4, parse_asn, parse_cidr,
+    parse_decimal, parse_ipv4, parse_uint, read_csv,
 )
 
 SLASH24_SIZE = 256
@@ -332,7 +332,8 @@ def read_prefix_stats(lines: Iterable[str]) -> PrefixStats:
             raise ValueError(f"repeated prefix {format_slash24(repeated)}")
         return rows_meta, fresh, (
             prefixes, row_counts, row_thresholds,
-            _parse_column(asn_texts, asns, parse_asn), _parse_column(route_texts, routes, _parse_covering),
+            _parse_column(asn_texts, asns, parse_asn, asn_values),
+            _parse_column(route_texts, routes, _parse_covering, _covering_values),
         )
 
     table: tuple[Sequence, ...] = (array("I"), array("H"), [], [], [])
@@ -347,15 +348,17 @@ def _hrp_flag(text: str) -> bool:
     raise ValueError(f"is_hrp must be true or false, got {text!r}")
 
 
-def _parse_column(texts: list[str], known: dict, parse: Callable[[str], object]) -> list:
-    """Each text's value, looked up in ``known``; texts not there are parsed in order, so the first
-    bad one raises parse's ValueError, and the values of the others are added to ``known``."""
+def _parse_column(texts: list[str], known: dict, parse: Callable[[str], object],
+                  column: Callable[[list[str]], list | None] | None = None) -> list:
+    """Each text's value, looked up in ``known``. The texts not there are parsed at once by
+    ``column`` if it takes them all, else in order by ``parse``, so that the first bad one raises
+    its ValueError; their values are added to ``known``."""
     try:
         return list(map(known.__getitem__, texts))
     except KeyError:
-        for text in texts:
-            if text not in known:
-                known[text] = parse(text)
+        fresh = [text for text in dict.fromkeys(texts) if text not in known]
+        values = None if column is None else column(fresh)
+        known.update(zip(fresh, map(parse, fresh) if values is None else values))
         return list(map(known.__getitem__, texts))
 
 
@@ -365,6 +368,14 @@ def _slash24_values(texts: list[str]) -> array | None:
     one address per text only if each ends in the mark: no address holds the slash after a text."""
     parts = ("0." + "/0.".join(texts) + "/").split(".0/24/")
     return _ipv4_values(parts) if len(parts) == len(texts) + 1 and parts.pop() == "" else None
+
+
+def _covering_values(texts: list[str]) -> list[tuple[int, int]] | None:
+    """The routes of covering prefix texts, or None unless _parse_covering takes each."""
+    if (cidrs := cidr_values(texts)) is None:
+        return None
+    routes = list(zip(*cidrs))
+    return None if any(network & (0xFFFFFFFF >> length) for network, length in routes) else routes
 
 
 def _parse_covering(text: str) -> tuple[int, int]:

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from itertools import count
-from typing import IO, Iterable, Iterator, NamedTuple
+from itertools import chain, count
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
-from .ingest import LENIENT, STRICT, IngestError, Record, ScanMeta, cidr_values, parse_asn, parse_cidr, table_runs
+from .ingest import (LENIENT, STRICT, IngestError, Record, ScanMeta, asn_values, cidr_values, parse_asn, parse_cidr,
+                     table_runs)
 from .prefixes import PrefixStats
 
 # MASKS[length] keeps the top `length` bits of a 32-bit address.
@@ -83,7 +84,8 @@ class RoutingTable:
         return frozenset(split)
 
 
-def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = LENIENT) -> RoutingTable:
+def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = LENIENT,
+                     rest: Callable[[RouteLoadStats], tuple] | None = None) -> RoutingTable:
     """Load a snapshot; strict raises on the first bad line, lenient counts.
 
     Each line is ``a.b.c.d/length,asn`` (canonical length 0-32, ASCII-digit
@@ -92,13 +94,20 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
     conflicting duplicates. Blank lines count as comments. A plainly written
     block of lines is parsed in columns, any other a line at a time; either
     way each entry is checked and inserted in file order.
+
+    With ``rest``, the lines end at a line break and the snapshot's later
+    lines were parsed elsewhere: ``rest(stats)`` adds their comment and
+    invalid lines to the load stats and gives them as one more run (see
+    ``table_runs``), whose texts are empty as theirs are not here. Their
+    entries are inserted after the lines' own.
     """
     if policy not in (STRICT, LENIENT):
         raise ValueError(f"unknown policy: {policy!r}")
     strict = policy == STRICT
     by_length: list[dict[int, int]] = [{} for _ in MASKS]  # {network: asn} per length
     stats = RouteLoadStats()
-    for first, run, columns in table_runs(iter(lines), 2, 1, _route_columns):
+    runs = table_runs(iter(lines), 2, 1, _route_columns)
+    for first, run, columns in runs if rest is None else chain(runs, map(rest, [stats])):  # rest() once they are loaded
         stats.lines_read += len(run)
         entries = zip(count(first), *columns) if columns else _parse_routes(enumerate(run, first), strict, stats)
         for line_number, network, length, asn in entries:
@@ -127,14 +136,11 @@ def load_route_table(lines: Iterable[str] | IO[str] | IO[bytes], policy: str = L
 
 def _route_columns(fields: list[list[str]]) -> tuple[array, list[int], list[int]] | None:
     """The networks, lengths and ASNs of route and ASN texts, or None unless parse_cidr and
-    parse_asn take each: ASNs of at most ten ASCII digits up to 4294967295."""
+    parse_asn take each."""
     routes, asns = fields
-    joined = "".join(asns)
-    if not (joined.isascii() and joined.isdigit()) or "" in asns or max(map(len, asns)) > 10:
-        return None
-    values = list(map(int, asns))
-    cidrs = cidr_values(routes)
-    return None if cidrs is None or max(values) > 0xFFFFFFFF else (*cidrs, values)
+    values = asn_values(asns)
+    cidrs = None if values is None else cidr_values(routes)
+    return None if cidrs is None else (*cidrs, values)
 
 
 def _parse_routes(

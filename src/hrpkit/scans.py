@@ -7,9 +7,7 @@ on ``hrpkit.cli`` at each call, so that a caller who swaps one there, as a trace
 
 from __future__ import annotations
 
-import marshal
 import os
-import sys
 from typing import Callable, Sequence
 
 from . import cli, prefixes
@@ -21,113 +19,30 @@ def _aggregate_scan(source, args) -> tuple[prefixes.PrefixTable, IngestStats]:
     return prefixes.aggregate(addresses, ScanMeta(args.proto, args.port)), stats
 
 
-def _read_shards(paths: Sequence[str], args) -> tuple[prefixes.PrefixTable, IngestStats]:
+def _read_shards(paths: Sequence[str], args) -> tuple[dict[int, int], dict[str, int]]:
     """Aggregate scan shards one after another, the serial loop: each shard's table is merged into
-    the first one as soon as it is read, so at most two tables are held at once."""
+    the first one as soon as it is read, so at most two tables are held at once. The table's bitmaps
+    and the ingest counts are returned, as a worker sends them."""
     table, total = cli._read_table(paths[0], _aggregate_scan, args)
     for path in paths[1:]:
         shard, stats = cli._read_table(path, _aggregate_scan, args)
         prefixes.merge(table, shard)
         total.merge(stats)
-    return table, total
-
-
-# An input of at most this many bytes in all is read here: a fork would cost more. One worker's
-# two shards broke even at about 45 kB of bench-shaped scan and 190 kB of a sparse one.
-_FORK_MIN_BYTES = 1 << 16
-
-
-def _small(paths: Sequence[str]) -> bool:
-    """Whether the files are regular and too small in all to pay for a fork; a pipe's size is unknown."""
-    return all(map(os.path.isfile, paths)) and sum(map(os.path.getsize, paths)) <= _FORK_MIN_BYTES
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork or runs other threads (a
-    forked copy of a process with threads can deadlock)."""
-    threading = sys.modules.get("threading")
-    threaded = threading is not None and threading.active_count() > 1
-    if threaded or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _fork(work: Callable, *args, index: int = 1) -> Callable[..., object]:
-    """``work(*args)`` in the index-th forked worker. ``wait()`` reaps it and gives its marshalled
-    value, raises its error (the same type with the same text), or runs ``work(*args)`` here if it
-    exits without a reply; ``wait(kill=True)`` kills and reaps it. Once reaped, ``wait`` gives None."""
-    read_end, write_end = os.pipe()
-    if (pid := os.fork()) == 0:
-        try:
-            try:  # the scheduler keeps a new child on its parent's CPU: move to the index-th next one
-                cpus = sorted(os.sched_getaffinity(0))  # the real mask, which tests do not patch
-                os.sched_setaffinity(0, [cpus[index % len(cpus)]])
-            except OSError:  # best effort; the parent's own mask never changes
-                pass
-            try:  # the reply: (None, the value), or (the error's kind, its text)
-                reply = None, work(*args)
-            except cli._ERRORS as exc:
-                reply = cli._kind(exc), str(exc)
-            with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(reply))
-            os._exit(0)
-        finally:  # whatever else is raised, the worker exits without a reply and never returns
-            os._exit(1)
-    os.close(write_end)
-    pipe = open(read_end, "rb")
-
-    def wait(kill: bool = False):
-        if pipe.closed:
-            return None
-        reply = b""
-        try:
-            reply = b"" if kill else pipe.read()
-        finally:
-            pipe.close()
-            if not reply:
-                os.kill(pid, 9)  # SIGKILL, without importing signal at start-up
-            status = os.waitpid(pid, 0)[1]
-        if kill or status:  # no whole reply: the input is read here, which raises its error if it has one
-            return None if kill else work(*args)
-        kind, value = marshal.loads(reply)
-        if kind is not None:  # built without __init__, which for IngestError wants a line number
-            raise cli._ERRORS[kind].__new__(cli._ERRORS[kind], value)
-        return value
-
-    return wait
+    return table.bitmaps, vars(total)
 
 
 def _load_occupancy(args) -> tuple[prefixes.PrefixTable, IngestStats]:
     """Aggregate the scan file(s) named on the command line, sharded then merged: in contiguous
-    groups, one per usable CPU, the first read here and each other one by a forked worker (all
-    here if one is stdin). The result and the error (the first failing shard's) are the serial
-    loop's, but for an I/O error if a worker dies without a whole reply and one of its shards is not
-    a regular file, such as a pipe. Else its group is read here, and so are all groups if the
-    workers' shards are too small to pay for their forks."""
-    paths, parent, waits = args.scan, os.getpid(), []
-    n = 1 if "-" in paths else min(len(paths), _usable_cpus())
-    groups = [paths[len(paths) * i // n:len(paths) * (i + 1) // n] for i in range(n)]
-    if _small(paths[len(groups[0]):]):
-        groups = [paths]
+    groups, the first read here and each other one by a forked worker if they may pay for it (see
+    ``cli._fold``). The result and the error are the serial loop's, but as ``forks.fold`` says."""
+    meta = ScanMeta(args.proto, args.port)
 
-    def read(group: Sequence[str]) -> tuple:
-        if os.getpid() == parent and not all(map(os.path.isfile, group)):  # a pipe the worker drained
-            raise OSError(f"the worker reading {', '.join(group)} exited without a reply, and a pipe is read once")
-        found, stats = _read_shards(group, args)
-        return found.bitmaps, vars(stats)
+    def merge(value: tuple, reply: tuple) -> tuple:
+        prefixes.merge(prefixes.PrefixTable(meta, value[0]), prefixes.PrefixTable(meta, reply[0]))
+        return value[0], {name: count + reply[1][name] for name, count in value[1].items()}
 
-    try:
-        for i, group in enumerate(groups[1:], 1):
-            waits.append(_fork(read, group, index=i))
-        table, total = _read_shards(groups[0], args)
-        for wait in waits:
-            bitmaps, counts = wait()
-            prefixes.merge(table, prefixes.PrefixTable(table.meta, bitmaps))
-            total.merge(IngestStats(**counts))
-    finally:  # reap every worker, killed first unless it has replied
-        for wait in waits:
-            wait(kill=True)
-    return table, total
+    bitmaps, counts = cli._fold(args.scan, lambda group: _read_shards(group, args), merge)
+    return prefixes.PrefixTable(meta, bitmaps), IngestStats(**counts)
 
 
 def _beside(paths: Sequence[str], there: Callable, here: Callable, there_first: bool = True,
@@ -136,8 +51,9 @@ def _beside(paths: Sequence[str], there: Callable, here: Callable, there_first: 
     not there_first. With another usable CPU and one regular input file for there, larger than
     _FORK_MIN_BYTES, a forked worker replies ``pack(there())`` for ``unpack`` while here runs. Shards
     stay with _load_occupancy, whose own workers read them side by side."""
-    if _usable_cpus() < 2 or paths[1:] or "-" in paths or not os.path.isfile(paths[0]) or _small(paths):
+    if paths[1:] or "-" in paths or cli._small(paths) or not os.path.isfile(paths[0]) or _one_cpu():
         return (there(), here()) if there_first else (here(), there())[::-1]  # each pair is run left to right
+    from .forks import _fork
     wait = _fork(lambda: pack(there()))
     try:
         second = here()
@@ -148,6 +64,11 @@ def _beside(paths: Sequence[str], there: Callable, here: Callable, there_first: 
     finally:
         wait(kill=True)  # after an interrupt; once the worker is reaped, this does nothing
     return unpack(value), second
+
+
+def _one_cpu() -> bool:
+    from .forks import _usable_cpus
+    return _usable_cpus() < 2
 
 
 def _read_results(args):
@@ -281,5 +202,9 @@ def _cmd_evaluate(args) -> dict:
                           lambda: cli._read_table(args.truth, applayer.read_app_results), True,
                           lambda plan: [tuple(entry) for entry in plan.entries.values()],
                           lambda fields: planner.TargetPlan({f[0]: planner.PlanEntry(*f) for f in fields}))
-    metrics = planner.evaluate_plan(plan, truth)
+    try:
+        metrics = planner.evaluate_plan(plan, truth)
+    except planner.PlanEvaluationError as exc:  # planned targets that the truth file lacks
+        exc.args = (f"{args.truth}: {exc}",)
+        raise
     return cli._record(metrics)

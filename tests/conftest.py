@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from hrpkit import scans
+from hrpkit import cli, forks
 from hrpkit.applayer import STATUS_CODES, AppResults
 from hrpkit.cli import main
 from hrpkit.ingest import ScanMeta, format_ipv4
@@ -147,8 +147,8 @@ def run_with_cpus(folder: Path, argv: list[str], cpus: int, fork_min_bytes: int 
     out = folder / f"out-{next(_RUNS)}"
     out.mkdir()
     err = io.StringIO()
-    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
+    with mock.patch.object(forks, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(cli, "_FORK_MIN_BYTES", fork_min_bytes), contextlib.redirect_stderr(err):
         code = main([arg.replace("OUT", str(out)) for arg in argv])
     no_worker_left()
     return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -86,7 +86,7 @@ def test_plan_evaluation_error_is_a_value_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["evaluate", str(plan), str(truth)]) == 2
     assert capsys.readouterr().err == (
-        "hrpkit evaluate: 1 planned targets missing from ground truth, first: 0.0.5.1\n"
+        f"hrpkit evaluate: {truth}: 1 planned targets missing from ground truth, first: 0.0.5.1\n"
     )
 
 

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hrpkit import ingest, prefixes, scans
+from hrpkit import cli, forks, ingest, prefixes, scans
 from hrpkit.cli import main
 from hrpkit.ingest import CSV_SADDR, LENIENT, PLAIN, STRICT, format_ipv4
 
@@ -34,8 +34,8 @@ def _detect(folder: Path, shards: list[str], cpus: int, *flags: str, block: int 
     out = folder / f"out-{cpus}"
     out.mkdir()
     err = io.StringIO()
-    with mock.patch.object(scans, "_usable_cpus", lambda: cpus), \
-            mock.patch.object(scans, "_FORK_MIN_BYTES", fork_min_bytes), \
+    with mock.patch.object(forks, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(cli, "_FORK_MIN_BYTES", fork_min_bytes), \
             mock.patch.object(ingest, "BLOCK_LINES", block), contextlib.redirect_stderr(err):
         code = main(["detect", "--port", "443", *flags, "--output", str(out / "stats.csv"),
                      "--summary", str(out / "detect.json"), *shards])
@@ -166,17 +166,17 @@ def test_empty_shards_are_read_here_without_a_fork(tmp_path):
 
 
 def test_shards_too_small_to_pay_for_a_fork_are_read_here(tmp_path, four_shards):
-    assert 0 < sum(map(os.path.getsize, four_shards[2:])) <= scans._FORK_MIN_BYTES
+    assert 0 < sum(map(os.path.getsize, four_shards[2:])) <= cli._FORK_MIN_BYTES
     serial = _detect(tmp_path, four_shards, 1)
     with mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
-        assert _detect(tmp_path, four_shards, 2, fork_min_bytes=scans._FORK_MIN_BYTES) == serial
+        assert _detect(tmp_path, four_shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
 
 
 def test_a_shard_of_unknown_size_is_worth_a_fork(tmp_path, four_shards):
     shards = [*four_shards, os.devnull]  # not a regular file, like a pipe
     serial = _detect(tmp_path, shards, 1)
     with mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        assert _detect(tmp_path, shards, 2, fork_min_bytes=scans._FORK_MIN_BYTES) == serial
+        assert _detect(tmp_path, shards, 2, fork_min_bytes=cli._FORK_MIN_BYTES) == serial
     assert fork.call_count == 1
 
 
@@ -209,7 +209,7 @@ def test_a_worker_that_dies_after_reading_a_pipe_is_an_io_error(tmp_path):
     files = _write_shards(tmp_path, [[format_ipv4(10 << 24 | i) for i in range(500)],
                                      [format_ipv4(11 << 24 | i) for i in range(250)]], PLAIN)
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
-    with _piped(Path(files[1]).read_text(encoding="utf-8")) as pipe, mock.patch.object(scans, "marshal", broken):
+    with _piped(Path(files[1]).read_text(encoding="utf-8")) as pipe, mock.patch.object(forks, "marshal", broken):
         code, err, written = _detect(tmp_path, [files[0], pipe], 2)
     assert (code, err, written) == (
         4, f"hrpkit detect: the worker reading {pipe} exited without a reply, and a pipe is read once\n", {})
@@ -221,7 +221,7 @@ def test_a_process_running_other_threads_reads_its_shards_itself():
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert scans._usable_cpus() == 1
+        assert forks._usable_cpus() == 1
     finally:
         release.set()
         thread.join(timeout=10)
@@ -231,7 +231,7 @@ def test_a_process_running_other_threads_reads_its_shards_itself():
 def test_a_worker_that_dies_without_a_reply_has_its_group_read_here(tmp_path, four_shards):
     serial = _detect(tmp_path, four_shards, 1)
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
-    with mock.patch.object(scans, "marshal", broken):  # only a worker calls dumps
+    with mock.patch.object(forks, "marshal", broken):  # only a worker calls dumps
         assert _detect(tmp_path, four_shards, 2) == serial
 
 

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from hrpkit import cli, scans
+from hrpkit import cli, forks, scans
 
 from conftest import cycle_argv, no_worker_left, run_with_cpus
 
@@ -113,7 +113,7 @@ def test_a_missing_input_for_the_worker_is_read_here(tmp_path, cycle, command, m
 def test_a_worker_that_dies_without_a_reply_has_its_input_read_here(tmp_path, cycle, command):
     serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
     broken = mock.Mock(loads=marshal.loads, dumps=mock.Mock(side_effect=RuntimeError("no reply")))
-    with mock.patch.object(scans, "marshal", broken):  # only a worker calls dumps
+    with mock.patch.object(forks, "marshal", broken):  # only a worker calls dumps
         assert _forks(tmp_path, cycle_argv(command, cycle)) == (serial, 1)
     assert broken.dumps.call_count == 0
 
@@ -145,9 +145,9 @@ def test_a_stdin_input_for_the_worker_is_read_here_without_a_fork(tmp_path, cycl
 @pytest.mark.parametrize("command", sorted(_FIRST))
 def test_inputs_too_small_to_pay_for_a_fork_are_read_here(tmp_path, cycle, command):
     worker_input = cycle["plan" if command == "evaluate" else "scan"]
-    assert 0 < os.path.getsize(worker_input) <= scans._FORK_MIN_BYTES
+    assert 0 < os.path.getsize(worker_input) <= cli._FORK_MIN_BYTES
     serial = run_with_cpus(tmp_path, cycle_argv(command, cycle), 1)
-    assert _forks(tmp_path, cycle_argv(command, cycle), fork_min_bytes=scans._FORK_MIN_BYTES) == (serial, 0)
+    assert _forks(tmp_path, cycle_argv(command, cycle), fork_min_bytes=cli._FORK_MIN_BYTES) == (serial, 0)
 
 
 def test_a_scan_that_is_not_a_regular_file_is_read_here(tmp_path, cycle):

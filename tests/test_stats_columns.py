@@ -95,3 +95,36 @@ def test_column_functions_match_their_per_row_references(counts, threshold, stat
         assert hrp_address_share(table) == _reference_hrp_address_share(expected)
         assert hrp_set(table) == {s.prefix for s in expected if s.is_hrp}
         assert rows(enrich(table, rib)) == _reference_enrich(expected, rib)
+
+
+# Covering prefix and origin ASN texts: valid ones, and ones each column check must turn away to the
+# per-text parse, whose error for the first bad text is the one raised.
+_COVERING_TEXTS = st.sampled_from([
+    "10.0.0.0/8", "10.0.0.0/18", "192.0.2.0/24", "0.0.0.0/0", "192.0.2.7/32", "10.0.0.1/24", "10.0.0.0/33",
+    "10.0.0.0/08", "010.0.0.0/8", "10.0.0.0/٨", "１0.0.0.0/8", "10.0.0.0", "10.0.0.0//8", "10.0.0.0/8/8", "x",
+]) | _ROUTES.map(lambda route: f"{route[0] >> 24}.{route[0] >> 16 & 255}.{route[0] >> 8 & 255}.{route[0] & 255}/{route[1]}")
+_ASN_TEXTS = st.sampled_from([
+    "0", "64500", "4294967295", "4294967296", "0064500", "00000000064500", "99999999999", "٦٤٥٠٠", "６４５００",
+    "-1", "+1", "1_0", " 1", "x",
+]) | st.integers(0, 2**32 - 1).map(str)
+
+
+@given(st.lists(_COVERING_TEXTS, min_size=1, max_size=8), st.lists(_ASN_TEXTS, min_size=1, max_size=8))
+@example(["10.0.0.0/8", "10.0.0.1/24"], ["64500", "0064500"])
+def test_covering_prefixes_and_asns_read_as_columns_match_the_per_text_parse(routes, asns):
+    from hrpkit.ingest import asn_values, parse_asn
+    from hrpkit.prefixes import _covering_values, _parse_column, _parse_covering
+
+    for texts, parse, column in [(routes, _parse_covering, _covering_values), (asns, parse_asn, asn_values)]:
+        results = []
+        for columns in (column, None):
+            known = {"": None}
+            try:
+                results.append((_parse_column(texts, known, parse, columns), known))
+            except ValueError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        if not isinstance(results[1], str):  # every text parses: the column function gives their values or declines
+            assert column(list(dict.fromkeys(texts))) in (None, [parse(text) for text in dict.fromkeys(texts)])
+    assert _covering_values(["10.0.0.0/8", "0.0.0.0/0", "192.0.2.7/32"]) == [(0x0A000000, 8), (0, 0), (0xC0000207, 32)]
+    assert asn_values(["0", "0064500", "4294967295"]) == [0, 64500, 4294967295]
